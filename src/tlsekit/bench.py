@@ -33,12 +33,10 @@ import numpy as np
 
 from .conditioning import (
     Weights,
+    _max_ratio,
     apply_k,
     build_k_operator,
-    kappa_mixed_componentwise_exact,
-    kappa_mixed_componentwise_upper,
-    kappa_normwise_exact,
-    kappa_normwise_upper,
+    condition_report,
 )
 from .core import TlseProblem, solve_closed_form, solve_qr_svd
 from .errors import (
@@ -358,20 +356,6 @@ def apply_sample(problem: TlseProblem, sample: PerturbationSample) -> TlseProble
     )
 
 
-def _max_ratio(num: np.ndarray, den: np.ndarray) -> float:
-    """max |num|/|den| entrywise with 0/0 -> 0 and x/0 -> inf."""
-    num = np.abs(np.asarray(num, dtype=float)).ravel()
-    den = np.abs(np.asarray(den, dtype=float)).ravel()
-    worst = 0.0
-    zero = den == 0.0
-    if np.any(num[zero] > 0.0):
-        return float("inf")
-    live = ~zero
-    if np.any(live):
-        worst = float((num[live] / den[live]).max(initial=0.0))
-    return worst
-
-
 def _solve_with(problem: TlseProblem, method: str, cfg: NwtlsConfig | None):
     if method == "qr-svd":
         return solve_qr_svd(problem).x
@@ -400,14 +384,9 @@ def run_experiment(
     the randomized solver from the reference solution on the unperturbed
     problem.
     """
-    w = weights or Weights()
     sol = solve_qr_svd(problem)
-    op = build_k_operator(problem, sol)
+    report = condition_report(problem, solution=sol, weights=weights, method="exact")
     big_l, big_h = problem.L, problem.h
-    kappa_n = kappa_normwise_exact(op, w, big_l, big_h)
-    upper_n, _ = kappa_normwise_upper(op, w, big_l, big_h)
-    mixed = kappa_mixed_componentwise_exact(op, big_l, big_h)
-    upper_m, upper_c = kappa_mixed_componentwise_upper(op, big_l, big_h)
     stack_norm = np.sqrt(
         np.linalg.norm(big_l, "fro") ** 2 + np.linalg.norm(big_h) ** 2
     )
@@ -415,7 +394,7 @@ def run_experiment(
         np.linalg.norm(sample.dL, "fro") ** 2 + np.linalg.norm(sample.dh) ** 2
     )
     eps1 = float(pert_norm / stack_norm)
-    eps2 = _max_ratio(
+    eps2, _ = _max_ratio(
         np.hstack([sample.dL, sample.dh[:, None]]),
         np.hstack([big_l, big_h[:, None]]),
     )
@@ -433,12 +412,11 @@ def run_experiment(
         fwdinf = float(
             np.abs(dx).max(initial=0.0) / np.abs(x_base).max(initial=0.0)
         )
-        fwdcw = _max_ratio(dx, x_base)
+        fwdcw, _ = _max_ratio(dx, x_base)
         norm_dx = np.linalg.norm(dx)
         if norm_dx > 0:
-            eta = float(
-                np.linalg.norm(dx - apply_k(op, sample.dL, sample.dh)) / norm_dx
-            )
+            predicted = apply_k(build_k_operator(problem, sol), sample.dL, sample.dh)
+            eta = float(np.linalg.norm(dx - predicted) / norm_dx)
         else:
             eta = 0.0
     nwtls_dev = None
@@ -457,13 +435,13 @@ def run_experiment(
         eta_rel=eta,
         eps1=eps1,
         eps2=eps2,
-        kappa_n=float(kappa_n),
-        kappa_n_upper=float(upper_n),
-        kappa_m=float(mixed.kappa_m),
-        kappa_m_upper=float(upper_m),
-        kappa_c=float(mixed.kappa_c),
-        kappa_c_upper=float(upper_c),
-        kappa_c_finite=float(mixed.kappa_c_finite),
+        kappa_n=report.kappa_n,
+        kappa_n_upper=report.kappa_n_upper,
+        kappa_m=report.kappa_m,
+        kappa_m_upper=report.kappa_m_upper,
+        kappa_c=report.kappa_c,
+        kappa_c_upper=report.kappa_c_upper,
+        kappa_c_finite=report.kappa_c_finite,
         constraint_gain_norm=float(spectral_norm(sol.constraint_gain)),
         core_cond=core_cond,
         nwtls_dev=nwtls_dev,

@@ -2,10 +2,9 @@
 
 Subcommands: solve, cond, table1, table2, table3, gen. Numeric output goes
 to stdout as CSV by default; --format json switches. Exit codes: 0 success,
-2 input/usage error (bad files, bad flags, memory guard), 3 numerical
-failure (rank deficiency, genericity violation, factorization breakdown).
-Problem files are JSON objects with fields C, d, A, b as nested row-major
-lists; TLSE_MEM_CAP optionally overrides the materialization guard.
+2 input/usage error (bad files, bad flags), 3 numerical failure (rank
+deficiency, genericity violation, factorization breakdown). Problem files
+are JSON objects with fields C, d, A, b as nested row-major lists.
 """
 from __future__ import annotations
 
@@ -33,12 +32,11 @@ from .errors import (
     NonGenericError,
     NumericalError,
     RankError,
-    ResourceError,
     UndefinedConditionError,
 )
 from .wtls import NwtlsConfig, solve_nwtls
 
-USAGE_ERRORS = (InputError, ResourceError, OSError)
+USAGE_ERRORS = (InputError, OSError)
 NUMERICAL_ERRORS = (
     RankError,
     IllPosedError,
@@ -206,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cond.add_argument("--alpha", type=float, default=1.0)
     p_cond.add_argument("--beta", type=float, default=1.0)
     p_cond.add_argument(
-        "--mode", choices=("exact", "compact", "upper"), default="exact"
+        "--mode", choices=("exact", "compact", "upper"), default="exact",
+        help="compact is another name for exact",
     )
     add_format(p_cond)
     p_cond.set_defaults(func=_cmd_cond)

@@ -6,17 +6,16 @@ perturbation (dL, dh) of the stacked data ([C; A], [d; b]) is
     dx = gain @ (dL @ x - dh) - null_gram_inv @ dL.T @ adjoint_dir
 
 where gain = (2/rho^2) * (null_gram_inv @ x) adjoint_dir.T -
-[constraint_gain, null_gram_inv @ A.T]. apply_k evaluates this matrix-free;
-materialize_k builds the explicit n x m(n+1) matrix acting on
-vec([dL dh]) in two algebraically identical arrangements ("combined" and
-"split"), useful as cross-checks and for the exact condition numbers.
+[constraint_gain, null_gram_inv @ A.T]. apply_k evaluates this matrix-free.
+As a matrix acting on vec([dL dh]) the map is K = [K_1 ... K_n, -gain] with
+n x m blocks K_j = x_j gain - null_gram_inv[:, j] adjoint_dir.T; it has
+m^2 (n+1) entries and is never formed.
 
 Condition numbers come in three flavors: normwise (weighted Frobenius ball
 on the data, Euclidean norm on the solution), mixed (entrywise-bounded
 perturbations, max-norm output), and componentwise (entrywise relative
-output). Each has an exact value, and Kronecker-free upper bounds; the
-normwise one additionally has a compact exact formula that avoids the big
-materialized matrix entirely.
+output). Each has one exact formula built from the n x m and n x n factors
+of K, plus cheaper upper bounds.
 """
 from __future__ import annotations
 
@@ -26,14 +25,7 @@ import numpy as np
 
 from .core import TlseProblem, TlseSolution, constraint_pinv, solve_qr_svd
 from .errors import InputError, UndefinedConditionError
-from .linalg import (
-    as_matrix,
-    as_vector,
-    check_guard,
-    greville_augment,
-    kron,
-    spectral_norm,
-)
+from .linalg import as_matrix, as_vector, greville_augment, spectral_norm
 
 
 @dataclass(frozen=True)
@@ -107,11 +99,9 @@ class TlsSensitivity:
 class ConditionReport:
     """All condition numbers of one problem under one weight choice.
 
-    method records how the headline values were obtained:
-    "exact-kronecker" (explicit materialized operator), "compact"
-    (Kronecker-free exact normwise value, explicit operator only for the
-    mixed/componentwise pair), or "bound" (no materialization anywhere;
-    kappa_m/kappa_c are then their upper bounds).
+    method is "exact" when kappa_m/kappa_c/kappa_c_finite are the exact
+    values and "bound" when they are their upper bounds; kappa_n is exact
+    either way.
     """
 
     kappa_n: float
@@ -170,32 +160,6 @@ def apply_k(op: KOperator, dL, dh) -> np.ndarray:
     )
 
 
-def materialize_k(op: KOperator, form: str = "combined") -> np.ndarray:
-    """Explicit n x m(n+1) matrix acting on vec([dL dh]).
-
-    "combined" assembles gain @ ([x.T -1] kron I_m) minus the lifted adjoint
-    term; "split" assembles [(x.T kron gain) - null_gram_inv (I kron t.T),
-    -gain]. Both produce the same matrix; keeping the two routes makes the
-    equivalence testable. Guarded by the entry cap.
-    """
-    n, m = op.n, op.m
-    check_guard(n * m * (n + 1), "materialized perturbation operator")
-    if form == "combined":
-        direction = np.append(op.x, -1.0)[None, :]
-        lift = kron(direction, np.eye(m))
-        selector = np.hstack([np.eye(n), np.zeros((n, 1))])
-        adjoint_term = op.null_gram_inv @ kron(
-            selector, op.adjoint_dir[None, :]
-        )
-        return op.gain @ lift - adjoint_term
-    if form == "split":
-        left = kron(op.x[None, :], op.gain) - op.null_gram_inv @ kron(
-            np.eye(n), op.adjoint_dir[None, :]
-        )
-        return np.hstack([left, -op.gain])
-    raise InputError(f"unknown form {form!r}, expected 'combined' or 'split'")
-
-
 def _flex_norm(L, h, w: Weights) -> float:
     return float(
         np.sqrt(
@@ -213,54 +177,35 @@ def _solution_norm(op: KOperator) -> float:
 
 
 def kappa_normwise_exact(op: KOperator, w: Weights, L, h) -> float:
-    """Normwise condition number from the materialized operator.
+    """Normwise condition number, without forming K.
 
-    Scales the matrix-block columns by 1/alpha and the right-side columns by
-    1/beta, takes the spectral norm, and normalizes by the weighted data
-    norm over ||x||.
+    With G = gain, N = null_gram_inv, t = adjoint_dir and the matrix-block
+    columns of K scaled by 1/alpha, the right-side columns by 1/beta,
+
+        K_w K_w.T = (||x||^2/alpha^2 + 1/beta^2) G G.T
+                    - (G t (N x).T + N x (G t).T) / alpha^2
+                    + (||t||^2/alpha^2) N N.T.
+
+    The n x (m+n) matrix [Z1 Z2] built below (u = t/||t||) has the same
+    Gram matrix, so its spectral norm is ||K_w||_2, which is normalized by
+    the weighted data norm over ||x||. A zero t leaves
+    K_w = [x.T/alpha, -1/beta] kron G, of norm
+    ||G||_2 sqrt(||x||^2/alpha^2 + 1/beta^2).
     """
-    nx = _solution_norm(op)
-    k = materialize_k(op, "combined")
-    k[:, : op.m * op.n] /= w.alpha
-    k[:, op.m * op.n :] /= w.beta
-    return spectral_norm(k) * _flex_norm(L, h, w) / nx
-
-
-def kappa_normwise_compact(
-    op: KOperator, w: Weights, L, h, signs: tuple[int, int] = (1, 1)
-) -> float:
-    """Normwise condition number without any Kronecker product.
-
-    Evaluates the weighted spectral norm through the (m+n)-column compression
-    [-(||x||/beta) gain, (||t||/alpha) null_gram_inv] @ M. The scalars inside
-    M admit two sign choices each; every combination gives the same value,
-    which tests exercise through `signs`. A zero adjoint direction makes M
-    degenerate, and the value reduces to
-    ||gain||_2 sqrt(||x||^2/alpha^2 + 1/beta^2) times the usual data factor.
-    """
-    s1, s2 = signs
-    if s1 not in (-1, 1) or s2 not in (-1, 1):
-        raise InputError(f"signs must be +-1, got {signs}")
     nx = _solution_norm(op)
     scale = _flex_norm(L, h, w) / nx
-    t = op.adjoint_dir
-    nt = float(np.linalg.norm(t))
     alpha, beta = w.alpha, w.beta
+    g, t = op.gain, op.adjoint_dir
+    nt = float(np.linalg.norm(t))
     if nt == 0.0:
-        return (
-            spectral_norm(op.gain)
-            * np.sqrt(nx**2 / alpha**2 + 1.0 / beta**2)
-            * scale
-        )
-    m, n = op.m, op.n
-    c1 = s1 * np.sqrt(beta**2 / alpha**2 + 1.0 / nx**2)
-    c2 = c1 + s2 / nx
-    block = np.zeros((m + n, m + n))
-    block[:m, :m] = c1 * np.eye(m) - (c2 / nt**2) * np.outer(t, t)
-    block[:m, m:] = (beta / alpha) * np.outer(t, op.x) / (nt * nx)
-    block[m:, m:] = np.eye(n)
-    z = np.hstack([-(nx / beta) * op.gain, (nt / alpha) * op.null_gram_inv])
-    return spectral_norm(z @ block) * scale
+        return spectral_norm(g) * np.sqrt(nx**2 / alpha**2 + 1.0 / beta**2) * scale
+    c1 = np.sqrt(beta**2 / alpha**2 + 1.0 / nx**2)
+    c2 = c1 + 1.0 / nx
+    u = t / nt
+    gu = g @ u
+    z1 = -(nx / beta) * (c1 * g - c2 * np.outer(gu, u))
+    z2 = (nt / alpha) * op.null_gram_inv - np.outer(gu, op.x) / alpha
+    return spectral_norm(np.hstack([z1, z2])) * scale
 
 
 def kappa_normwise_upper(op: KOperator, w: Weights, L, h) -> tuple[float, float]:
@@ -290,34 +235,42 @@ def kappa_normwise_upper(op: KOperator, w: Weights, L, h) -> tuple[float, float]
     return float(tight), float(loose)
 
 
-def _componentwise(target: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    """(max ratio with inf flags, max ratio over nonzero components)."""
-    worst = 0.0
-    finite = 0.0
-    for num, xi in zip(target, np.abs(x)):
-        if xi == 0.0:
-            if num != 0.0:
-                worst = np.inf
-            continue
-        ratio = num / xi
-        worst = max(worst, ratio)
-        finite = max(finite, ratio)
-    return float(worst), float(finite)
+def _max_ratio(num, den) -> tuple[float, float]:
+    """Largest |num|/|den| entrywise, with 0/0 -> 0 and x/0 -> inf; and the
+    largest over the entries where den != 0 only."""
+    num = np.abs(np.asarray(num, dtype=float)).ravel()
+    den = np.abs(np.asarray(den, dtype=float)).ravel()
+    live = den != 0.0
+    finite = float((num[live] / den[live]).max(initial=0.0))
+    worst = float("inf") if np.any(num[~live] != 0.0) else finite
+    return worst, finite
+
+
+def _mixed_componentwise(target: np.ndarray, x: np.ndarray) -> MixedComponentwise:
+    """Mixed and componentwise numbers from target = |K| vec(|[L h]|)."""
+    nx_inf = float(np.abs(x).max(initial=0.0))
+    if nx_inf == 0.0:
+        raise UndefinedConditionError("condition numbers need x != 0")
+    kappa_c, kappa_c_finite = _max_ratio(target, x)
+    return MixedComponentwise(
+        kappa_m=float(target.max(initial=0.0)) / nx_inf,
+        kappa_c=kappa_c,
+        kappa_c_finite=kappa_c_finite,
+    )
 
 
 def kappa_mixed_componentwise_exact(op: KOperator, L, h) -> MixedComponentwise:
-    """Exact mixed/componentwise condition numbers via the explicit |K|."""
-    nx_inf = float(np.abs(op.x).max(initial=0.0))
-    if nx_inf == 0.0:
-        raise UndefinedConditionError("condition numbers need x != 0")
-    k = materialize_k(op, "combined")
-    data = np.hstack([np.abs(as_matrix(L)), np.abs(as_vector(h))[:, None]])
-    target = np.abs(k) @ data.reshape(-1, order="F")
-    kappa_m = float(target.max(initial=0.0)) / nx_inf
-    kappa_c, kappa_c_finite = _componentwise(target, op.x)
-    return MixedComponentwise(
-        kappa_m=kappa_m, kappa_c=kappa_c, kappa_c_finite=kappa_c_finite
-    )
+    """Exact mixed/componentwise condition numbers.
+
+    Sums |K| vec(|[L h]|) = |G| |h| + sum_j |x_j G - N[:, j] t.T| |L[:, j]|
+    one n x m block of K at a time (notation of kappa_normwise_exact).
+    """
+    labs = np.abs(as_matrix(L))
+    target = np.abs(op.gain) @ np.abs(as_vector(h))
+    for j in range(op.n):
+        block = op.x[j] * op.gain - np.outer(op.null_gram_inv[:, j], op.adjoint_dir)
+        target += np.abs(block) @ labs[:, j]
+    return _mixed_componentwise(target, op.x)
 
 
 def _upper_target(op: KOperator, L, h) -> np.ndarray:
@@ -330,13 +283,8 @@ def _upper_target(op: KOperator, L, h) -> np.ndarray:
 
 def kappa_mixed_componentwise_upper(op: KOperator, L, h) -> tuple[float, float]:
     """Kronecker-free upper bounds on (kappa_m, kappa_c)."""
-    nx_inf = float(np.abs(op.x).max(initial=0.0))
-    if nx_inf == 0.0:
-        raise UndefinedConditionError("condition numbers need x != 0")
-    target = _upper_target(op, L, h)
-    upper_m = float(target.max(initial=0.0)) / nx_inf
-    upper_c, _ = _componentwise(target, op.x)
-    return upper_m, upper_c
+    upper = _mixed_componentwise(_upper_target(op, L, h), op.x)
+    return upper.kappa_m, upper.kappa_c
 
 
 def tls_specialization(
@@ -383,10 +331,10 @@ def condition_report(
 ) -> ConditionReport:
     """One-stop condition-number report.
 
-    method "exact" materializes the operator for every headline value;
-    "compact" avoids materialization for the normwise number; "upper"
-    avoids it everywhere, reporting the upper bounds as the mixed and
-    componentwise values. Upper-bound fields are always populated.
+    kappa_n is always exact. method "exact" (also accepted as "compact")
+    reports the exact mixed and componentwise values too; "upper" reports
+    their upper bounds in their place and skips the exact sum. Upper-bound
+    fields are always populated.
     """
     if method not in ("exact", "compact", "upper"):
         raise InputError(
@@ -397,29 +345,20 @@ def condition_report(
     op = build_k_operator(problem, sol)
     big_l, big_h = problem.L, problem.h
     tight, loose = kappa_normwise_upper(op, w, big_l, big_h)
-    upper_m, upper_c = kappa_mixed_componentwise_upper(op, big_l, big_h)
-    if method == "exact":
-        kappa_n = kappa_normwise_exact(op, w, big_l, big_h)
-    else:
-        kappa_n = kappa_normwise_compact(op, w, big_l, big_h)
+    upper = _mixed_componentwise(_upper_target(op, big_l, big_h), op.x)
     if method == "upper":
-        kappa_m, kappa_c = upper_m, upper_c
-        _, kappa_c_finite = _componentwise(_upper_target(op, big_l, big_h), op.x)
-        tag = "bound"
+        mixed = upper
     else:
         mixed = kappa_mixed_componentwise_exact(op, big_l, big_h)
-        kappa_m, kappa_c = mixed.kappa_m, mixed.kappa_c
-        kappa_c_finite = mixed.kappa_c_finite
-        tag = "exact-kronecker" if method == "exact" else "compact"
     return ConditionReport(
-        kappa_n=float(kappa_n),
+        kappa_n=float(kappa_normwise_exact(op, w, big_l, big_h)),
         kappa_n_upper=tight,
         kappa_n_upper_loose=loose,
-        kappa_m=float(kappa_m),
-        kappa_m_upper=float(upper_m),
-        kappa_c=float(kappa_c),
-        kappa_c_upper=float(upper_c),
-        kappa_c_finite=float(kappa_c_finite),
+        kappa_m=mixed.kappa_m,
+        kappa_m_upper=upper.kappa_m,
+        kappa_c=mixed.kappa_c,
+        kappa_c_upper=upper.kappa_c,
+        kappa_c_finite=mixed.kappa_c_finite,
         weights=w,
-        method=tag,
+        method="bound" if method == "upper" else "exact",
     )

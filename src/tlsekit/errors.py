@@ -1,8 +1,8 @@
 """Exception hierarchy for tlsekit.
 
 Everything raised on purpose derives from TlseError so callers can catch one
-base class. The CLI maps InputError/ResourceError to exit code 2 and the
-numerical failures (rank, genericity, convergence) to exit code 3.
+base class. The CLI maps InputError (and unreadable files) to exit code 2
+and the numerical failures (rank, genericity, convergence) to exit code 3.
 """
 
 
@@ -12,10 +12,6 @@ class TlseError(Exception):
 
 class InputError(TlseError, ValueError):
     """Malformed input: bad shapes, non-finite entries, invalid parameters."""
-
-
-class ResourceError(TlseError):
-    """A memory guard was exceeded; use the matrix-free path instead."""
 
 
 class RankError(TlseError):

@@ -1,51 +1,19 @@
 """Dense matrix kernels shared by the rest of the package.
 
-Thin wrappers over LAPACK (via numpy/scipy) plus the Kronecker/vec utilities
-and the pseudoinverse helpers. No problem semantics live here; everything
-operates on plain float arrays and raises tlsekit errors on contract
-violations.
+Thin wrappers over LAPACK (via numpy) plus the Greville pseudoinverse
+update. No problem semantics live here; everything operates on plain float
+arrays and raises tlsekit errors on contract violations.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import InputError, NumericalError, RankError, ResourceError
-
-#: Default cap on explicitly formed matrices, in entries.
-DEFAULT_MEM_CAP = 4_000_000
+from .errors import InputError, NumericalError
 
 #: Relative tolerance on triangular diagonals when deciding rank.
 RANK_TOL = 1e-12
-
-
-def mem_cap() -> int:
-    """Entry-count guard for explicit Kronecker-sized matrices.
-
-    The TLSE_MEM_CAP environment variable overrides the default.
-    """
-    raw = os.environ.get("TLSE_MEM_CAP")
-    if raw is None:
-        return DEFAULT_MEM_CAP
-    try:
-        cap = int(float(raw))
-    except ValueError as exc:
-        raise InputError(f"TLSE_MEM_CAP is not a number: {raw!r}") from exc
-    if cap <= 0:
-        raise InputError(f"TLSE_MEM_CAP must be positive, got {cap}")
-    return cap
-
-
-def check_guard(entries: int, what: str = "matrix") -> None:
-    cap = mem_cap()
-    if entries > cap:
-        raise ResourceError(
-            f"{what} would hold {entries} entries, above the cap of {cap}; "
-            "use the matrix-free path or raise TLSE_MEM_CAP"
-        )
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -77,28 +45,6 @@ class SvdResult:
     v: np.ndarray
 
 
-def thin_qr(m) -> tuple[np.ndarray, np.ndarray]:
-    """Economy QR of a tall (rows >= cols) matrix."""
-    arr = as_matrix(m)
-    if arr.shape[0] < arr.shape[1]:
-        raise InputError(
-            f"thin_qr needs rows >= cols, got shape {arr.shape}"
-        )
-    q, r = np.linalg.qr(arr, mode="reduced")
-    return q, r
-
-
-def full_qr(m) -> tuple[np.ndarray, np.ndarray]:
-    """Full QR: q is square, so its trailing columns span the left null space."""
-    arr = as_matrix(m)
-    if arr.shape[0] < arr.shape[1]:
-        raise InputError(
-            f"full_qr needs rows >= cols, got shape {arr.shape}"
-        )
-    q, r = np.linalg.qr(arr, mode="complete")
-    return q, r
-
-
 def svd(m, full: bool = False) -> SvdResult:
     """SVD wrapper returning an SvdResult; raises NumericalError on breakdown."""
     arr = as_matrix(m)
@@ -123,54 +69,6 @@ def spectral_norm(m) -> float:
     """Largest singular value; 0.0 for an empty matrix."""
     s = singular_values(np.atleast_2d(np.asarray(m, dtype=float)))
     return float(s[0]) if s.size else 0.0
-
-
-def kron(a, b, cap: int | None = None) -> np.ndarray:
-    """np.kron behind the entry-count guard."""
-    aa = as_matrix(a, "kron left factor")
-    bb = as_matrix(b, "kron right factor")
-    entries = aa.shape[0] * bb.shape[0] * aa.shape[1] * bb.shape[1]
-    limit = mem_cap() if cap is None else cap
-    if entries > limit:
-        raise ResourceError(
-            f"kron result would hold {entries} entries, above the cap of "
-            f"{limit}; use the matrix-free path or raise TLSE_MEM_CAP"
-        )
-    return np.kron(aa, bb)
-
-
-def vec(m) -> np.ndarray:
-    """Column-stacking vec operator."""
-    return as_matrix(m, "vec argument").reshape(-1, order="F")
-
-
-def pinv_from_qr(c) -> np.ndarray:
-    """Pseudoinverse of a full-row-rank p x n matrix via QR of its transpose.
-
-    Returns the n x p matrix q1 @ inv(r1).T. Rank deficiency (a diagonal of
-    r1 below RANK_TOL relative to the largest) raises RankError naming the
-    offending diagonal.
-    """
-    arr = as_matrix(c)
-    p, n = arr.shape
-    if p > n:
-        raise InputError(f"expected a wide matrix (p <= n), got {arr.shape}")
-    if p == 0:
-        return np.zeros((n, 0))
-    q, r = thin_qr(arr.T)
-    diag = np.abs(np.diag(r))
-    scale = diag.max(initial=0.0)
-    if scale == 0.0:
-        raise RankError("matrix is zero; no full-row-rank pseudoinverse")
-    bad = np.nonzero(diag <= RANK_TOL * scale)[0]
-    if bad.size:
-        raise RankError(
-            f"rank deficient: triangular diagonal {bad[0]} is "
-            f"{diag[bad[0]]:.3e} against scale {scale:.3e}"
-        )
-    # q,r are thin here, so solve r.T y = I and map back through q
-    inv_rt = scipy.linalg.solve_triangular(r, np.eye(p), trans="T", lower=False)
-    return q @ inv_rt
 
 
 def greville_augment(c_pinv, x_feas) -> np.ndarray:

@@ -14,12 +14,11 @@ from tlsekit import (
     GeneratorSpec,
     TlseProblem,
     Weights,
+    apply_k,
     build_k_operator,
     embed,
     gen_equilibratory,
-    kappa_normwise_compact,
     kappa_normwise_exact,
-    materialize_k,
     perturb,
     run_experiment,
     solve_closed_form,
@@ -30,6 +29,8 @@ from tlsekit import (
     wtls_limit_diagnostics,
 )
 from tlsekit.linalg import spectral_norm
+
+import kron_oracle
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -79,8 +80,10 @@ def test_c04_normwise_formulas_agree(solved100):
         op = build_k_operator(problem, solution)
         for weights in weight_grid:
             exact = kappa_normwise_exact(op, weights, problem.L, problem.h)
+            oracle = kron_oracle.kappa_normwise(op, weights, problem.L, problem.h)
+            assert abs(oracle - exact) <= 1e-10 * exact
             for signs in sign_grid:
-                compact = kappa_normwise_compact(
+                compact = kron_oracle.kappa_normwise_block(
                     op, weights, problem.L, problem.h, signs=signs
                 )
                 assert abs(compact - exact) <= 1e-10 * exact
@@ -170,13 +173,16 @@ def test_c10_materialized_forms_act_identically(battery100):
     rng = np.random.default_rng(2024)
     for problem in battery100[:20]:
         op = build_k_operator(problem, solve_qr_svd(problem))
-        combined = materialize_k(op, "combined")
-        split = materialize_k(op, "split")
+        combined = kron_oracle.materialize_k(op, "combined")
+        split = kron_oracle.materialize_k(op, "split")
         width = combined.shape[1]
         for _ in range(50):
             direction = rng.standard_normal(width)
             lhs = combined @ direction
             rhs = split @ direction
-            assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(
-                np.linalg.norm(lhs), 1e-300
-            )
+            d_l = direction[: op.m * op.n].reshape((op.m, op.n), order="F")
+            free = apply_k(op, d_l, direction[op.m * op.n :])
+            for other in (rhs, free):
+                assert np.linalg.norm(lhs - other) <= 1e-12 * max(
+                    np.linalg.norm(lhs), 1e-300
+                )

@@ -26,7 +26,8 @@ from tlsekit import (
     table2,
     table3,
 )
-from tlsekit.bench import TABLE_COLUMNS, ExperimentRow, derive_seed, format_sci, _max_ratio
+from tlsekit.bench import TABLE_COLUMNS, ExperimentRow, derive_seed, format_sci
+from tlsekit.conditioning import _max_ratio
 from tlsekit.core import build_basis, check_genericity
 from tlsekit.errors import InputError
 
@@ -216,7 +217,7 @@ class TestPerturb:
         np.testing.assert_array_equal(sample.dh[: problem.p], 0.0)
         assert np.all(sample.dL[problem.L == 0.0] == 0.0)
         assert np.all(np.abs(sample.dL) <= 1e-8 * np.abs(problem.L))
-        ratio = _max_ratio(
+        ratio, _ = _max_ratio(
             np.hstack([sample.dL, sample.dh[:, None]]),
             np.hstack([problem.L, problem.h[:, None]]),
         )
@@ -248,9 +249,11 @@ class TestPerturb:
 
 
 def test_max_ratio_edge_cases():
-    assert _max_ratio(np.zeros(3), np.zeros(3)) == 0.0
-    assert _max_ratio(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == math.inf
-    assert _max_ratio(np.array([1.0, 6.0]), np.array([2.0, 3.0])) == 2.0
+    # (with x/0 -> inf, over den != 0 only)
+    assert _max_ratio(np.zeros(3), np.zeros(3)) == (0.0, 0.0)
+    assert _max_ratio(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == (math.inf, 0.0)
+    assert _max_ratio(np.array([1.0, 6.0]), np.array([2.0, 3.0])) == (2.0, 2.0)
+    assert _max_ratio(np.array([-3.0, 0.0]), np.array([2.0, 0.0])) == (1.5, 1.5)
 
 
 class TestRunExperiment:

@@ -127,7 +127,7 @@ class TestCond:
         assert code == 0
         payload = json.loads(out)
         assert payload["kappa_n"] == pytest.approx(4.640954808922571, rel=1e-9)
-        assert payload["method"] == "exact-kronecker"
+        assert payload["method"] == "exact"
         assert payload["kappa_n"] <= payload["kappa_n_upper"]
 
     def test_upper_mode_and_weights(self, capsys, hand_file):

@@ -13,14 +13,15 @@ from tlsekit import (
     condition_report,
     kappa_mixed_componentwise_exact,
     kappa_mixed_componentwise_upper,
-    kappa_normwise_compact,
     kappa_normwise_exact,
     kappa_normwise_upper,
-    materialize_k,
     solve_qr_svd,
     tls_specialization,
 )
-from tlsekit.errors import InputError, ResourceError, UndefinedConditionError
+from tlsekit.errors import InputError, UndefinedConditionError
+
+import kron_oracle
+from kron_oracle import materialize_k
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -70,8 +71,17 @@ def zero_solution_problem():
     )
 
 
+def column_scaled_problem(seed: int = 12) -> TlseProblem:
+    # columns of [C; A] spread over six decades
+    problem = seeded_problem(seed)
+    scales = 10.0 ** np.linspace(-3, 3, problem.n)
+    return TlseProblem(
+        C=problem.C * scales, d=problem.d, A=problem.A * scales, b=problem.b
+    )
+
+
 def vec_stack(dL: np.ndarray, dh: np.ndarray) -> np.ndarray:
-    return np.concatenate([dL.reshape(-1, order="F"), dh])
+    return np.concatenate([kron_oracle.vec(dL), dh])
 
 
 class TestWeights:
@@ -173,15 +183,8 @@ class TestApplyAndMaterialize:
     def test_unknown_form_rejected(self):
         problem = seeded_problem(3)
         op = build_k_operator(problem, solve_qr_svd(problem))
-        with pytest.raises(InputError):
+        with pytest.raises(ValueError):
             materialize_k(op, "dense")
-
-    def test_materialize_respects_memory_cap(self, monkeypatch):
-        problem = seeded_problem(3)
-        op = build_k_operator(problem, solve_qr_svd(problem))
-        monkeypatch.setenv("TLSE_MEM_CAP", "10")
-        with pytest.raises(ResourceError):
-            materialize_k(op)
 
 
 class TestNormwise:
@@ -190,30 +193,26 @@ class TestNormwise:
         "signs", [(1, 1), (-1, -1), (1, -1), (-1, 1)]
     )
     def test_compact_equals_exact(self, weights, signs):
+        # the (m+n)-column block compression, under each sign choice of its
+        # scalars, gives the structured exact value
         problem = seeded_problem(4)
         op = build_k_operator(problem, solve_qr_svd(problem))
         exact = kappa_normwise_exact(op, weights, problem.L, problem.h)
-        compact = kappa_normwise_compact(
+        compact = kron_oracle.kappa_normwise_block(
             op, weights, problem.L, problem.h, signs=signs
         )
         assert compact == pytest.approx(exact, rel=1e-10)
 
-    def test_compact_rejects_bad_signs(self):
-        problem = seeded_problem(4)
-        op = build_k_operator(problem, solve_qr_svd(problem))
-        with pytest.raises(InputError):
-            kappa_normwise_compact(op, Weights(), problem.L, problem.h, signs=(2, 1))
-
     def test_zero_adjoint_branch(self):
-        # force an exactly zero adjoint direction; the compact formula then
-        # reduces to the gain norm times the weight factor
+        # force an exactly zero adjoint direction; the value then reduces to
+        # the gain norm times the weight factor
         problem = hand_problem()
         op = build_k_operator(problem, solve_qr_svd(problem))
         op0 = dataclasses.replace(op, adjoint_dir=np.zeros(op.m))
         for weights in WEIGHT_GRID:
             exact = kappa_normwise_exact(op0, weights, problem.L, problem.h)
-            compact = kappa_normwise_compact(op0, weights, problem.L, problem.h)
-            assert compact == pytest.approx(exact, rel=1e-12)
+            oracle = kron_oracle.kappa_normwise(op0, weights, problem.L, problem.h)
+            assert exact == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize("weights", WEIGHT_GRID)
     def test_upper_bounds_dominate(self, weights):
@@ -231,6 +230,40 @@ class TestNormwise:
             kappa_normwise_exact(op, Weights(), problem.L, problem.h)
         with pytest.raises(UndefinedConditionError):
             kappa_normwise_upper(op, Weights(), problem.L, problem.h)
+
+
+ORACLE_CASES = {
+    "constrained": seeded_problem(4),
+    "unconstrained": tls_problem(),
+    "zero-adjoint": hand_problem(),
+    "column-scaled": column_scaled_problem(),
+}
+
+
+class TestAgainstKroneckerOracle:
+    """The structured exact formulas against the materialized K."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_normwise(self, case):
+        problem = ORACLE_CASES[case]
+        op = build_k_operator(problem, solve_qr_svd(problem))
+        for weights in WEIGHT_GRID:
+            exact = kappa_normwise_exact(op, weights, problem.L, problem.h)
+            oracle = kron_oracle.kappa_normwise(op, weights, problem.L, problem.h)
+            assert exact == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_mixed_componentwise(self, case):
+        problem = ORACLE_CASES[case]
+        op = build_k_operator(problem, solve_qr_svd(problem))
+        target = kron_oracle.mixed_componentwise_target(op, problem.L, problem.h)
+        ratios = target / np.abs(op.x)
+        mixed = kappa_mixed_componentwise_exact(op, problem.L, problem.h)
+        assert mixed.kappa_m == pytest.approx(
+            target.max() / np.abs(op.x).max(), rel=1e-12
+        )
+        assert mixed.kappa_c == pytest.approx(ratios.max(), rel=1e-12)
+        assert mixed.kappa_c_finite == mixed.kappa_c
 
 
 class TestMixedComponentwise:
@@ -329,22 +362,45 @@ class TestTlsSpecialization:
 
 class TestConditionReport:
     def test_exact_and_compact_agree(self):
+        # "compact" is another name for the one exact path
         problem = seeded_problem(8)
         exact = condition_report(problem, method="exact")
         compact = condition_report(problem, method="compact")
-        assert exact.method == "exact-kronecker"
-        assert compact.method == "compact"
-        assert compact.kappa_n == pytest.approx(exact.kappa_n, rel=1e-10)
-        assert compact.kappa_m == exact.kappa_m
+        assert exact == compact
+        assert exact.method == "exact"
 
-    def test_upper_mode_avoids_materialization(self, monkeypatch):
+    def test_upper_mode_avoids_materialization(self):
         problem = seeded_problem(8)
-        monkeypatch.setenv("TLSE_MEM_CAP", "50")
         report = condition_report(problem, method="upper")
+        exact = condition_report(problem, method="exact")
         assert report.method == "bound"
+        assert report.kappa_n == exact.kappa_n
         assert report.kappa_m == report.kappa_m_upper
         assert report.kappa_c == report.kappa_c_upper
         assert report.kappa_c_finite <= report.kappa_c
+
+    def test_exact_mode_past_the_old_kronecker_size(self):
+        # m^2 (n+1) = 410^2 * 31 = 5.2e6 entries: the materialized K would
+        # not fit under a 4e6-entry cap, the structured formulas need none
+        rng = np.random.default_rng(13)
+        p, q, n = 10, 400, 30
+        problem = TlseProblem(
+            C=rng.standard_normal((p, n)),
+            d=rng.standard_normal(p),
+            A=rng.standard_normal((q, n)),
+            b=rng.standard_normal(q),
+        )
+        assert problem.m**2 * (problem.n + 1) > 4_000_000
+        solution = solve_qr_svd(problem)
+        exact = condition_report(problem, solution=solution, method="exact")
+        upper = condition_report(problem, solution=solution, method="upper")
+        assert exact.method == "exact"
+        assert exact.kappa_n == pytest.approx(upper.kappa_n, rel=1e-12)
+        assert exact.kappa_n <= exact.kappa_n_upper * (1 + 1e-12)
+        assert exact.kappa_n_upper <= exact.kappa_n_upper_loose * (1 + 1e-12)
+        assert exact.kappa_m <= exact.kappa_m_upper * (1 + 1e-12)
+        assert exact.kappa_c <= exact.kappa_c_upper * (1 + 1e-12)
+        assert exact.kappa_c_finite <= exact.kappa_c
 
     def test_report_orderings(self):
         problem = seeded_problem(8)

@@ -1,25 +1,17 @@
-"""Dense kernel tests: factorizations, Kronecker utilities, pseudoinverses."""
+"""Dense kernel tests: validation, SVD wrappers, the Greville update."""
 import math
 
 import numpy as np
 import pytest
 
-from tlsekit.errors import InputError, RankError, ResourceError
+from tlsekit.errors import InputError
 from tlsekit.linalg import (
-    DEFAULT_MEM_CAP,
     as_matrix,
     as_vector,
-    check_guard,
-    full_qr,
     greville_augment,
-    kron,
-    mem_cap,
-    pinv_from_qr,
     singular_values,
     spectral_norm,
     svd,
-    thin_qr,
-    vec,
 )
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -37,31 +29,6 @@ def test_as_matrix_rejects_non_finite():
         as_matrix([[1.0, np.nan]])
     with pytest.raises(InputError):
         as_vector([np.inf])
-
-
-def test_thin_qr_reconstructs():
-    rng = np.random.default_rng(0)
-    arr = rng.standard_normal((7, 3))
-    q, r = thin_qr(arr)
-    assert q.shape == (7, 3) and r.shape == (3, 3)
-    np.testing.assert_allclose(q @ r, arr, atol=1e-12)
-    np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-12)
-
-
-def test_full_qr_trailing_columns_span_null_space():
-    rng = np.random.default_rng(1)
-    arr = rng.standard_normal((6, 2))
-    q, r = full_qr(arr)
-    assert q.shape == (6, 6)
-    np.testing.assert_allclose(q @ r, arr, atol=1e-12)
-    np.testing.assert_allclose(arr.T @ q[:, 2:], 0, atol=1e-12)
-
-
-def test_qr_rejects_wide_input():
-    with pytest.raises(InputError):
-        thin_qr(np.zeros((2, 5)))
-    with pytest.raises(InputError):
-        full_qr(np.zeros((2, 5)))
 
 
 def test_svd_golden_ratio_values():
@@ -84,67 +51,6 @@ def test_spectral_norm_matches_numpy():
     rng = np.random.default_rng(2)
     arr = rng.standard_normal((5, 4))
     assert spectral_norm(arr) == pytest.approx(np.linalg.norm(arr, 2), rel=1e-13)
-
-
-def test_vec_is_column_stacking():
-    arr = np.array([[1.0, 3.0], [2.0, 4.0]])
-    np.testing.assert_array_equal(vec(arr), [1.0, 2.0, 3.0, 4.0])
-
-
-def test_kron_vec_identity():
-    # vec(A X B) = (B.T kron A) vec(X)
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((3, 4))
-    x = rng.standard_normal((4, 2))
-    b = rng.standard_normal((2, 5))
-    lhs = vec(a @ x @ b)
-    rhs = kron(b.T, a) @ vec(x)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_kron_guard_via_cap_argument():
-    with pytest.raises(ResourceError):
-        kron(np.eye(2), np.eye(3), cap=10)
-
-
-def test_mem_cap_env_override(monkeypatch):
-    monkeypatch.delenv("TLSE_MEM_CAP", raising=False)
-    assert mem_cap() == DEFAULT_MEM_CAP
-    monkeypatch.setenv("TLSE_MEM_CAP", "10")
-    assert mem_cap() == 10
-    with pytest.raises(ResourceError):
-        kron(np.eye(2), np.eye(3))
-    with pytest.raises(ResourceError):
-        check_guard(11, "test block")
-
-
-def test_mem_cap_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("TLSE_MEM_CAP", "lots")
-    with pytest.raises(InputError):
-        mem_cap()
-    monkeypatch.setenv("TLSE_MEM_CAP", "-4")
-    with pytest.raises(InputError):
-        mem_cap()
-
-
-def test_pinv_from_qr_moore_penrose():
-    rng = np.random.default_rng(4)
-    c = rng.standard_normal((3, 7))
-    pinv = pinv_from_qr(c)
-    np.testing.assert_allclose(pinv, np.linalg.pinv(c), atol=1e-12)
-    np.testing.assert_allclose(c @ pinv @ c, c, atol=1e-12)
-    np.testing.assert_allclose(pinv @ c @ pinv, pinv, atol=1e-12)
-    np.testing.assert_allclose(c @ pinv, (c @ pinv).T, atol=1e-12)
-
-
-def test_pinv_from_qr_edge_cases():
-    assert pinv_from_qr(np.zeros((0, 4))).shape == (4, 0)
-    with pytest.raises(InputError):
-        pinv_from_qr(np.zeros((5, 3)))
-    with pytest.raises(RankError):
-        pinv_from_qr(np.array([[1.0, 0.0, 2.0], [2.0, 0.0, 4.0]]))
-    with pytest.raises(RankError):
-        pinv_from_qr(np.zeros((2, 3)))
 
 
 def test_greville_augment_single_row():
