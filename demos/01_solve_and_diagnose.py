@@ -40,12 +40,14 @@ def main():
     print("relative genericity gap: %.3e" % core.rel_gap)
     print("warnings:", list(core.warnings) or "none")
 
-    # Route 1: QR elimination plus an SVD of the reduced data block.
+    # Route 1: QR elimination plus an SVD of the R factor of [A b] on the
+    # null space of [C d].
     solution = solve_qr_svd(problem)
     print("\nqr-svd solution (first 3 coords):", solution.x[:3])
-    print("smallest restricted singular value: %.6e" % solution.sigma_min)
+    print("core sigma_min: %.6e" % solution.sigma_min)
 
-    # Route 2: closed-form expression through the shifted Gram inverse.
+    # Route 2: closed-form expression through the shifted Gram inverse,
+    # evaluated from the SVD of R restricted to the null space of C.
     x_closed = solve_closed_form(problem)
     print("closed form deviation: %.2e" % np.linalg.norm(solution.x - x_closed))
 

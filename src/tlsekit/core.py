@@ -6,12 +6,16 @@ C x = d. The solver pipeline:
 
 1. QR of C.T splits coordinates into the constraint range and its null space
    and yields the minimum-norm feasible point.
-2. The data block is compressed onto an augmented null-space basis; the SVD
-   of that core matrix supplies the optimal direction and the shift
+2. One in-place QR of [A b] compresses the data to its (n+1) x (n+1)
+   triangular factor R, which has the same Gram matrix. On R run the SVD of
+   the data restricted to ker(C) and the SVD of the core matrix (the data
+   on ker([C d])), which supplies the optimal direction and the shift
    sigma_min that appears everywhere downstream.
 3. The solution is read off by normalizing the last component of the lifted
-   singular vector to -1 (solve_qr_svd), or equivalently through the shifted
-   Gram system on the null space (solve_closed_form).
+   core singular vector to -1 (solve_qr_svd), or from the restricted SVD as
+   a filtered correction of the feasible point (solve_closed_form). The
+   shifted Gram inverse comes from the restricted SVD too: no normal
+   equations are formed.
 
 Well-posedness requires the restricted data matrix (A on the null space of
 C) to have its smallest singular value strictly above sigma_min; this gap is
@@ -20,12 +24,13 @@ what check_genericity reports and what the conditioning module divides by.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .errors import IllPosedError, InputError, NonGenericError, RankError
-from .linalg import RANK_TOL, as_matrix, as_vector, singular_values, svd
+from .linalg import RANK_TOL, SvdResult, as_matrix, as_vector, r_factor, svd
 
 #: Hard ill-posedness warning when gap <= GAP_WARN_FACTOR * eps * sigma_bar^2.
 GAP_WARN_FACTOR = 1e3
@@ -65,16 +70,16 @@ class TlseProblem:
             n = n2
         if n2 != n:
             raise InputError(f"C has {n} columns but A has {n2}")
+        if p >= n:
+            raise InputError(f"need p < n, got p={p}, n={n}")
         if self.d.shape[0] != p:
             raise InputError(f"d has length {self.d.shape[0]}, expected {p}")
         if self.b.shape[0] != q:
             raise InputError(f"b has length {self.b.shape[0]}, expected {q}")
-        if p >= max(n, n2):
-            raise InputError(f"need p < n, got p={p}, n={max(n, n2)}")
-        if q < n2 - p + 1:
+        if q < n - p + 1:
             raise InputError(
                 f"need q >= n - p + 1 for a full core spectrum, got "
-                f"q={q}, n={n2}, p={p}"
+                f"q={q}, n={n}, p={p}"
             )
 
     @property
@@ -119,36 +124,44 @@ class ConstraintBasis:
     """QR-derived geometry of the constraint C x = d.
 
     q1/r1 are the thin QR factors of C.T, null_basis the orthonormal basis
-    of ker(C), x_feas the minimum-norm point with C x_feas = d, and
-    feas_residual = A x_feas - b. aug_null_basis is the (n+1) x (n-p+1)
-    orthonormal basis of ker([C d]) built from null_basis and the scaled
-    feasible point (aug_scale = 1/sqrt(1 + ||x_feas||^2)).
+    of ker(C), x_feas the minimum-norm point with C x_feas = d.
+    aug_null_basis is the (n+1) x (n-p+1) orthonormal basis of ker([C d])
+    built from null_basis and the scaled feasible point
+    (aug_scale = 1/sqrt(1 + ||x_feas||^2)). problem is the problem the basis
+    was built for.
     """
 
     q1: np.ndarray
     null_basis: np.ndarray
     r1: np.ndarray
     x_feas: np.ndarray
-    feas_residual: np.ndarray
     aug_scale: float
     aug_null_basis: np.ndarray
+    problem: TlseProblem = field(repr=False, compare=False)
+
+    @cached_property
+    def feas_residual(self) -> np.ndarray:
+        """A x_feas - b, computed on first use (the solvers use R instead)."""
+        return self.problem.A @ self.x_feas - self.problem.b
 
 
 @dataclass(frozen=True)
 class CoreSvd:
-    """SVD of the core matrix [A @ null_basis, aug_scale * feas_residual].
+    """Spectral data of [A b], computed on its triangular factor.
 
-    sigma holds the n-p+1 core singular values, nonincreasing.
-    restricted_min_sv is the smallest singular value of A restricted to
-    ker(C); genericity means restricted_min_sv > sigma[-1]. gap is the
-    difference of their squares, rel_gap the gap relative to
-    restricted_min_sv**2.
+    data_r is the min(q, n+1) x (n+1) R of a QR of [A b]; [A b] @ M and
+    R @ M share singular values and right singular vectors for every M.
+    restricted is the SVD of R[:, :n] @ null_basis (A on ker(C)); sigma and
+    right are the n-p+1 core singular values (nonincreasing) and right
+    singular vectors of R @ aug_null_basis. Genericity means
+    restricted_min_sv > sigma[-1]. gap is the difference of their squares,
+    rel_gap the gap relative to restricted_min_sv**2.
     """
 
-    left: np.ndarray
+    data_r: np.ndarray
+    restricted: SvdResult
     sigma: np.ndarray
     right: np.ndarray
-    restricted_min_sv: float
     gap: float
     rel_gap: float
     satisfied: bool
@@ -158,12 +171,17 @@ class CoreSvd:
     def sigma_min(self) -> float:
         return float(self.sigma[-1])
 
+    @property
+    def restricted_min_sv(self) -> float:
+        return float(self.restricted.s[-1])
+
 
 @dataclass(frozen=True)
 class TlseSolution:
     """Solution vector with the spectral byproducts conditioning needs.
 
-    gram_inv inverts null_basis.T (A.T A - sigma_min^2 I) null_basis;
+    gram_inv inverts null_basis.T (A.T A - sigma_min^2 I) null_basis, as
+    V diag(1/((s-sigma_min)(s+sigma_min))) V.T from the restricted SVD;
     null_gram_inv lifts it back to n x n; constraint_gain maps constraint
     right-hand-side perturbations to first-order solution changes.
     """
@@ -206,9 +224,9 @@ def build_basis(problem: TlseProblem) -> ConstraintBasis:
             null_basis=np.eye(n),
             r1=np.zeros((0, 0)),
             x_feas=np.zeros(n),
-            feas_residual=-problem.b.copy(),
             aug_scale=1.0,
             aug_null_basis=aug,
+            problem=problem,
         )
     q, r = np.linalg.qr(problem.C.T, mode="complete")
     q1, null_basis = q[:, :p], q[:, p:]
@@ -222,7 +240,6 @@ def build_basis(problem: TlseProblem) -> ConstraintBasis:
             f"{diag[bad[0]]:.3e} against scale {scale:.3e}"
         )
     x_feas = q1 @ scipy.linalg.solve_triangular(r1, problem.d, trans="T")
-    feas_residual = problem.A @ x_feas - problem.b
     aug_scale = 1.0 / np.sqrt(1.0 + float(x_feas @ x_feas))
     aug = np.zeros((n + 1, n - p + 1))
     aug[:n, : n - p] = null_basis
@@ -233,9 +250,9 @@ def build_basis(problem: TlseProblem) -> ConstraintBasis:
         null_basis=null_basis,
         r1=r1,
         x_feas=x_feas,
-        feas_residual=feas_residual,
         aug_scale=aug_scale,
         aug_null_basis=aug,
+        problem=problem,
     )
 
 
@@ -250,23 +267,13 @@ def constraint_pinv(basis: ConstraintBasis) -> np.ndarray:
     return basis.q1 @ inv_rt
 
 
-def core_matrix(problem: TlseProblem, basis: ConstraintBasis) -> np.ndarray:
-    """The q x (n-p+1) compression [A @ null_basis, aug_scale * feas_residual]."""
-    return np.hstack(
-        [
-            problem.A @ basis.null_basis,
-            (basis.aug_scale * basis.feas_residual)[:, None],
-        ]
-    )
-
-
 def check_genericity(
     basis: ConstraintBasis,
     problem: TlseProblem,
     warn_gap_factor: float = GAP_WARN_FACTOR,
     near_degenerate_tol: float = NEAR_DEGENERATE_TOL,
 ) -> CoreSvd:
-    """SVD of the core matrix plus the well-posedness diagnostics.
+    """Factor [A b] once, then the restricted and core SVDs on R.
 
     satisfied means the strict spectral gap holds. Warnings carried in the
     result (never raised here):
@@ -277,10 +284,11 @@ def check_genericity(
     - "non-unique" when the two smallest core singular values nearly
       coincide, so the minimizing direction is not well determined.
     """
-    restricted = problem.A @ basis.null_basis
-    restricted_min_sv = float(singular_values(restricted)[-1])
-    res = svd(core_matrix(problem, basis))
+    data_r = r_factor(problem.A, problem.b)
+    restricted = svd(data_r[:, :-1] @ basis.null_basis)
+    res = svd(data_r @ basis.aug_null_basis)
     sig = res.s
+    restricted_min_sv = float(restricted.s[-1])
     gap = restricted_min_sv**2 - float(sig[-1]) ** 2
     rel_gap = gap / max(restricted_min_sv**2, np.finfo(float).tiny)
     satisfied = restricted_min_sv > float(sig[-1])
@@ -293,10 +301,10 @@ def check_genericity(
     if sig.size >= 2 and sig[-2] - sig[-1] <= MULTIPLICITY_FACTOR * eps * sig[0]:
         warnings.append("non-unique")
     return CoreSvd(
-        left=res.u,
+        data_r=data_r,
+        restricted=restricted,
         sigma=sig,
         right=res.v,
-        restricted_min_sv=restricted_min_sv,
         gap=gap,
         rel_gap=rel_gap,
         satisfied=satisfied,
@@ -304,41 +312,16 @@ def check_genericity(
     )
 
 
-def fast_gram_inverse(core: CoreSvd):
-    """Shifted-Gram inverse assembled from the core SVD factors alone.
-
-    Uses the identity gram_inv = W.T @ diag(1/(sigma_i^2 - sigma_min^2)) @ W
-    with W the inverse of the leading (n-p) x (n-p) block of the right
-    singular vectors. Returns None (fallback signal) when that block is
-    singular to tolerance or the spectral shifts are not strictly positive;
-    the caller then inverts the shifted Gram matrix directly.
-    """
-    k = core.sigma.size
-    nm = k - 1
-    if nm == 0:
-        return None
-    v11 = core.right[:nm, :nm]
-    smin = singular_values(v11)[-1] if nm else 0.0
-    if smin <= 1e-8:
-        return None
-    shifts = core.sigma[:nm] ** 2 - core.sigma[-1] ** 2
-    if shifts.min(initial=np.inf) <= 0.0:
-        return None
-    w = scipy.linalg.solve(v11, np.eye(nm))
-    return w.T @ (w / shifts[:, None])
+def _shifts(core: CoreSvd) -> np.ndarray:
+    """s^2 - sigma_min^2 over the restricted singular values s, factored."""
+    s = core.restricted.s
+    return (s - core.sigma_min) * (s + core.sigma_min)
 
 
-def _direct_gram_inverse(problem, basis, core):
-    restricted = problem.A @ basis.null_basis
-    shifted = restricted.T @ restricted - core.sigma_min**2 * np.eye(
-        restricted.shape[1]
-    )
-    try:
-        return scipy.linalg.solve(shifted, np.eye(shifted.shape[0]), assume_a="pos")
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise IllPosedError(
-            f"shifted Gram matrix is not positive definite: {exc}"
-        ) from exc
+def _filtered(core: CoreSvd, rhs: np.ndarray) -> np.ndarray:
+    """V diag(s/shifts) U.T rhs, i.e. gram_inv (A N).T on R's coordinates."""
+    res = core.restricted
+    return res.v @ (res.s / _shifts(core) * (res.u.T @ rhs).T).T
 
 
 def solve_qr_svd(problem: TlseProblem) -> TlseSolution:
@@ -347,7 +330,8 @@ def solve_qr_svd(problem: TlseProblem) -> TlseSolution:
     Sign convention: the lifted vector is flipped so its last component is
     negative, and rho = +sqrt(1 + ||x||^2). Raises IllPosedError when the
     genericity gap fails, NonGenericError when the normalizing component is
-    numerically zero.
+    numerically zero. The data are read twice: into the QR workspace of
+    [A b], and for the residual A x - b.
     """
     basis = build_basis(problem)
     core = check_genericity(basis, problem)
@@ -367,14 +351,11 @@ def solve_qr_svd(problem: TlseProblem) -> TlseSolution:
         lifted = -lifted
     x = lifted[:-1] / (-lifted[-1])
     rho = float(np.sqrt(1.0 + x @ x))
-    gram_inv = fast_gram_inverse(core)
-    if gram_inv is None:
-        gram_inv = _direct_gram_inverse(problem, basis, core)
-    null_gram_inv = basis.null_basis @ gram_inv @ basis.null_basis.T
-    gram = problem.A.T @ problem.A
-    constraint_gain = (
-        np.eye(problem.n) - null_gram_inv @ gram
-    ) @ constraint_pinv(basis)
+    v, null_basis = core.restricted.v, basis.null_basis
+    gram_inv = v @ (v.T / _shifts(core)[:, None])
+    pinv = constraint_pinv(basis)
+    # (I - null_gram_inv A.T A) pinv, with A.T A = R_A.T R_A kept spectral
+    gain = pinv - null_basis @ _filtered(core, core.data_r[:, :-1] @ pinv)
     return TlseSolution(
         x=x,
         rho=rho,
@@ -383,18 +364,20 @@ def solve_qr_svd(problem: TlseProblem) -> TlseSolution:
         basis=basis,
         core=core,
         gram_inv=gram_inv,
-        null_gram_inv=null_gram_inv,
-        constraint_gain=constraint_gain,
+        null_gram_inv=null_basis @ gram_inv @ null_basis.T,
+        constraint_gain=gain,
     )
 
 
 def solve_closed_form(problem: TlseProblem) -> np.ndarray:
     """Solve through the shifted Gram system on the constraint null space.
 
-    x = x_feas - null_basis @ solve(S, restricted.T @ feas_residual) with
-    S = restricted.T @ restricted - sigma_min^2 I. Independent of the
-    normalization route in solve_qr_svd apart from the shared sigma_min, so
-    the two act as cross-checks. Returns the solution vector only.
+    x = x_feas - N S^{-1} (A N).T (A x_feas - b) with N = null_basis and
+    S = (A N).T (A N) - sigma_min^2 I, evaluated on R through the restricted
+    SVD U diag(s) V.T as x_feas - N V diag(s/shifts) U.T (R [x_feas; -1]);
+    S is never formed. It shares R, the restricted SVD and sigma_min with
+    solve_qr_svd but does not use the core singular vectors, so the two act
+    as cross-checks. Returns the solution vector only.
     """
     basis = build_basis(problem)
     core = check_genericity(basis, problem)
@@ -402,19 +385,9 @@ def solve_closed_form(problem: TlseProblem) -> np.ndarray:
         raise IllPosedError(
             "genericity gap violated: cannot invert the shifted Gram matrix"
         )
-    restricted = problem.A @ basis.null_basis
-    shifted = restricted.T @ restricted - core.sigma_min**2 * np.eye(
-        restricted.shape[1]
-    )
-    try:
-        y = scipy.linalg.solve(
-            shifted, restricted.T @ basis.feas_residual, assume_a="pos"
-        )
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise IllPosedError(
-            f"shifted Gram matrix is not positive definite: {exc}"
-        ) from exc
-    return basis.x_feas - basis.null_basis @ y
+    r = core.data_r
+    step = _filtered(core, r[:, :-1] @ basis.x_feas - r[:, -1])
+    return basis.x_feas - basis.null_basis @ step
 
 
 def validate_stationarity(

@@ -1,14 +1,15 @@
 """Dense matrix kernels shared by the rest of the package.
 
-Thin wrappers over LAPACK (via numpy) plus the Greville pseudoinverse
-update. No problem semantics live here; everything operates on plain float
-arrays and raises tlsekit errors on contract violations.
+Thin wrappers over LAPACK (via numpy and scipy) plus the Greville
+pseudoinverse update. No problem semantics live here; everything operates
+on plain float arrays and raises tlsekit errors on contract violations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork
 
 from .errors import InputError, NumericalError
 
@@ -27,7 +28,11 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def as_vector(v, name: str = "vector") -> np.ndarray:
-    arr = np.asarray(v, dtype=float).reshape(-1)
+    """Validate and flatten to a finite 1-d float64 array (row or column)."""
+    arr = np.asarray(v, dtype=float)
+    if sum(dim != 1 for dim in arr.shape) > 1:
+        raise InputError(f"{name} must be a vector, got shape {arr.shape}")
+    arr = arr.reshape(-1)
     if arr.size and not np.all(np.isfinite(arr)):
         raise InputError(f"{name} contains non-finite entries")
     return arr
@@ -53,6 +58,25 @@ def svd(m, full: bool = False) -> SvdResult:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
     return SvdResult(u=u, s=s, v=vt.T)
+
+
+def r_factor(*blocks) -> np.ndarray:
+    """R of a QR of the blocks side by side; a 1-d block is one column.
+
+    The blocks are copied into one private Fortran-ordered workspace that
+    LAPACK dgeqrf overwrites in place, so Q is never formed and the caller's
+    arrays are never written. Returns the min(rows, cols) x cols upper
+    triangle; R.T @ R is the Gram matrix of the stacked blocks.
+    """
+    cols = [np.asarray(b, dtype=float) for b in blocks]
+    cols = [c.reshape(-1, 1) if c.ndim == 1 else c for c in cols]
+    work = np.empty((len(cols[0]), sum(c.shape[1] for c in cols)), order="F")
+    np.concatenate(cols, axis=1, out=work)
+    lwork, _ = dgeqrf_lwork(*work.shape)
+    qr, _, _, info = dgeqrf(work, lwork=int(lwork), overwrite_a=1)
+    if info != 0:
+        raise NumericalError(f"QR factorization failed (dgeqrf info {info})")
+    return np.triu(qr[: min(work.shape)])
 
 
 def singular_values(m) -> np.ndarray:

@@ -29,7 +29,7 @@ from .errors import (
     NonGenericError,
     NumericalError,
 )
-from .linalg import singular_values, svd
+from .linalg import r_factor, singular_values, svd
 
 
 @dataclass(frozen=True)
@@ -267,8 +267,9 @@ def solve_nwtls(problem: TlseProblem, cfg: NwtlsConfig | None = None) -> np.ndar
     Sketches the inverse Gram operator of the stacked matrix with a seeded
     Gaussian test matrix, compresses through QR and a small Cholesky, and
     normalizes the dominant left singular vector of the compressed factor.
-    Inverse-Gram solves go through the QR factor of the stack with two
-    triangular solves; the Gram matrix itself is never formed.
+    Inverse-Gram solves go through the triangular factor R of the stack
+    (its Q is never formed) with two triangular solves; the Gram matrix
+    itself is never formed.
     """
     cfg = cfg or NwtlsConfig()
     n, p = problem.n, problem.p
@@ -276,7 +277,7 @@ def solve_nwtls(problem: TlseProblem, cfg: NwtlsConfig | None = None) -> np.ndar
     emb = embed(problem, cfg.eps)
     rng = np.random.default_rng(cfg.seed)
     omega = rng.standard_normal((n + 1, width))
-    _, r = np.linalg.qr(emb.aug, mode="reduced")
+    r = r_factor(emb.aug)
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag.min() <= np.finfo(float).tiny * diag.max():
         raise NumericalError("stacked matrix is rank deficient; Gram solve fails")

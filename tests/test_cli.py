@@ -103,6 +103,18 @@ class TestSolve:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_is_usage_error(self, capsys, tmp_path, token):
+        path = tmp_path / "non_finite.json"
+        path.write_text(
+            '{"C": [[1.0, 0.0]], "d": [2.0], '
+            f'"A": [[1.0, 0.0], [0.0, {token}]], "b": [2.0, 3.0]}}'
+        )
+        code, out, err = run(capsys, "solve", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "non-finite" in err
+
     def test_degenerate_problem_is_numerical_failure(
         self, capsys, degenerate_file
     ):

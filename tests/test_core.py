@@ -6,12 +6,9 @@ import pytest
 
 from tlsekit import TlseProblem, solve_closed_form, solve_qr_svd
 from tlsekit.core import (
-    CoreSvd,
     build_basis,
     check_genericity,
     constraint_pinv,
-    core_matrix,
-    fast_gram_inverse,
     validate_stationarity,
 )
 from tlsekit.errors import IllPosedError, InputError, RankError
@@ -66,6 +63,21 @@ class TestProblemValidation:
     def test_requires_p_below_n(self):
         with pytest.raises(InputError):
             TlseProblem(C=np.eye(2), d=[1.0, 1.0], A=np.eye(2), b=[0.0, 0.0])
+
+    def test_column_mismatch_reported_before_p_check(self):
+        # p >= n for both widths, but the mismatch is the error to report
+        with pytest.raises(InputError, match="columns"):
+            TlseProblem(C=np.eye(3), d=np.ones(3), A=np.eye(2), b=np.ones(2))
+        with pytest.raises(InputError, match="need p < n, got p=3, n=2"):
+            TlseProblem(C=np.ones((3, 2)), d=np.ones(3), A=np.eye(2), b=np.ones(2))
+
+    def test_rejects_matrix_valued_vectors(self):
+        with pytest.raises(InputError, match="b must be a vector"):
+            TlseProblem(C=[[1.0, 0.0]], d=[1.0], A=np.eye(2), b=np.eye(2))
+        column = TlseProblem(
+            C=[[1.0, 0.0]], d=[[2.0]], A=np.eye(2), b=[[2.0], [3.0]]
+        )
+        np.testing.assert_array_equal(column.b, [2.0, 3.0])
 
     def test_requires_enough_data_rows(self):
         # q >= n - p + 1 fails here: n=3, p=1 needs q >= 3
@@ -172,11 +184,20 @@ class TestGenericity:
         assert core.warnings == ()
 
     def test_core_matrix_shape(self):
+        # the q-row data enter only through the (n+1) x (n+1) factor R
         problem = seeded_problem(4)
-        basis = build_basis(problem)
-        assert core_matrix(problem, basis).shape == (
-            problem.q,
-            problem.n - problem.p + 1,
+        core = check_genericity(build_basis(problem), problem)
+        n, k = problem.n, problem.n - problem.p + 1
+        assert core.data_r.shape == (n + 1, n + 1)
+        assert core.restricted.u.shape == (n + 1, k - 1)
+        assert core.restricted.v.shape == (k - 1, k - 1)
+        assert core.sigma.shape == (k,)
+        assert core.right.shape == (k, k)
+        np.testing.assert_allclose(
+            core.data_r.T @ core.data_r,
+            problem.aug_data().T @ problem.aug_data(),
+            rtol=1e-12,
+            atol=1e-12,
         )
 
     def test_zero_gap_flags_ill_posed(self):
@@ -277,6 +298,8 @@ class TestSolvers:
 class TestGramInverse:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fast_route_matches_direct(self, seed):
+        # the spectral gram_inv against an explicit inverse of the shifted
+        # Gram matrix, on well-conditioned seeds
         problem = seeded_problem(seed)
         solution = solve_qr_svd(problem)
         basis = solution.basis
@@ -286,9 +309,13 @@ class TestGramInverse:
             - solution.sigma_min**2 * np.eye(problem.n - problem.p)
         )
         direct = np.linalg.inv(shifted)
-        fast = fast_gram_inverse(solution.core)
-        assert fast is not None
-        np.testing.assert_allclose(fast, direct, rtol=1e-7, atol=1e-10)
+        np.testing.assert_allclose(solution.gram_inv, direct, rtol=1e-7, atol=1e-10)
+        np.testing.assert_allclose(
+            solution.null_gram_inv,
+            basis.null_basis @ direct @ basis.null_basis.T,
+            rtol=1e-7,
+            atol=1e-10,
+        )
 
     def test_scalar_null_space(self):
         # n - p = 1 reduces the shifted Gram matrix to a scalar
@@ -299,45 +326,56 @@ class TestGramInverse:
         scalar = (restricted.T @ restricted).item() - solution.sigma_min**2
         assert solution.gram_inv[0, 0] == pytest.approx(1 / scalar, rel=1e-7)
 
-    def test_fallback_on_singular_leading_block(self):
-        base = seeded_problem(7)
-        solution = solve_qr_svd(base)
-        core = solution.core
-        broken = CoreSvd(
-            left=core.left,
-            sigma=core.sigma,
-            right=np.zeros_like(core.right),
-            restricted_min_sv=core.restricted_min_sv,
-            gap=core.gap,
-            rel_gap=core.rel_gap,
-            satisfied=True,
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_constraint_gain_matches_normal_equations(self, seed):
+        problem = seeded_problem(seed)
+        solution = solve_qr_svd(problem)
+        pinv = np.linalg.pinv(problem.C)
+        gram = problem.A.T @ problem.A
+        expected = (np.eye(problem.n) - solution.null_gram_inv @ gram) @ pinv
+        np.testing.assert_allclose(
+            solution.constraint_gain, expected, rtol=1e-8, atol=1e-10
         )
-        assert fast_gram_inverse(broken) is None
 
-    def test_fallback_on_non_positive_shift(self):
-        sigma = np.array([2.0, 2.0])
-        flat = CoreSvd(
-            left=np.eye(2),
-            sigma=sigma,
-            right=np.eye(2),
-            restricted_min_sv=3.0,
-            gap=5.0,
-            rel_gap=0.5,
-            satisfied=True,
-        )
-        assert fast_gram_inverse(flat) is None
 
-    def test_fallback_on_trivial_core(self):
-        tiny = CoreSvd(
-            left=np.eye(1),
-            sigma=np.array([1.0]),
-            right=np.eye(1),
-            restricted_min_sv=2.0,
-            gap=3.0,
-            rel_gap=0.75,
-            satisfied=True,
+class TestDataFactor:
+    """The solvers see [A b] only through its in-place R factor."""
+
+    @pytest.mark.parametrize("solver", [solve_qr_svd, solve_closed_form])
+    def test_data_left_bitwise_unchanged(self, solver):
+        problem = seeded_problem(8, q=40)
+        a_before, b_before = problem.A.copy(), problem.b.copy()
+        solver(problem)
+        np.testing.assert_array_equal(problem.A, a_before)
+        np.testing.assert_array_equal(problem.b, b_before)
+
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    def test_fewest_rows(self, p):
+        # q = n - p + 1 rows: for p > 0 fewer than n + 1, so R is the
+        # trapezoidal q x (n+1) factor
+        n = 8
+        problem = seeded_problem(9, p=p, n=n, q=n - p + 1)
+        solution = solve_qr_svd(problem)
+        assert solution.core.data_r.shape == (n - p + 1, n + 1)
+        report = validate_stationarity(problem, solution)
+        scale = np.linalg.norm(problem.A, 2) ** 2
+        assert report.grad_norm <= 1e-10 * scale
+        assert report.coupling_norm <= 1e-10 * scale
+        x_closed = solve_closed_form(problem)
+        assert np.linalg.norm(solution.x - x_closed) <= 1e-10 * np.linalg.norm(
+            solution.x
         )
-        assert fast_gram_inverse(tiny) is None
+
+    def test_unconstrained_matches_plain_tls(self):
+        problem = seeded_problem(10, p=0, n=6, q=20)
+        solution = solve_qr_svd(problem)
+        _, _, vt = np.linalg.svd(problem.aug_data())
+        z = vt[-1]
+        np.testing.assert_allclose(solution.x, z[:-1] / -z[-1], rtol=1e-10)
+        assert solution.constraint_gain.shape == (problem.n, 0)
+        np.testing.assert_allclose(
+            solve_closed_form(problem), solution.x, rtol=1e-10
+        )
 
 
 class TestStationarity:

@@ -9,6 +9,7 @@ from tlsekit.linalg import (
     as_matrix,
     as_vector,
     greville_augment,
+    r_factor,
     singular_values,
     spectral_norm,
     svd,
@@ -75,3 +76,50 @@ def test_greville_augment_matches_direct_pinv():
 def test_greville_augment_shape_mismatch():
     with pytest.raises(InputError):
         greville_augment(np.zeros((3, 2)), np.zeros(4))
+
+
+def test_as_vector_accepts_row_and_column_vectors():
+    np.testing.assert_array_equal(as_vector([[1.0], [2.0]]), [1.0, 2.0])
+    np.testing.assert_array_equal(as_vector([[1.0, 2.0]]), [1.0, 2.0])
+    np.testing.assert_array_equal(as_vector(3.0), [3.0])
+
+
+def test_as_vector_rejects_matrices():
+    with pytest.raises(InputError, match="must be a vector"):
+        as_vector(np.ones((2, 3)))
+    with pytest.raises(InputError):
+        as_vector(np.ones((2, 1, 2)))
+
+
+def test_r_factor_is_triangular_with_the_stack_gram():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((30, 6))
+    b = rng.standard_normal(30)
+    r = r_factor(a, b)
+    stack = np.column_stack([a, b])
+    assert r.shape == (7, 7)
+    np.testing.assert_array_equal(r, np.triu(r))
+    np.testing.assert_allclose(r.T @ r, stack.T @ stack, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        np.abs(r), np.abs(np.linalg.qr(stack, mode="r")), atol=1e-12
+    )
+
+
+def test_r_factor_leaves_inputs_bitwise_unchanged():
+    rng = np.random.default_rng(4)
+    a = np.asfortranarray(rng.standard_normal((20, 5)))
+    b = rng.standard_normal((20, 1))
+    a_before, b_before = a.copy(), b.copy()
+    r_factor(a)
+    r_factor(a, b)
+    np.testing.assert_array_equal(a, a_before)
+    np.testing.assert_array_equal(b, b_before)
+
+
+def test_r_factor_wide_input_is_trapezoidal():
+    rng = np.random.default_rng(5)
+    wide = rng.standard_normal((3, 5))
+    r = r_factor(wide)
+    assert r.shape == (3, 5)
+    np.testing.assert_array_equal(r, np.triu(r))
+    np.testing.assert_allclose(r.T @ r, wide.T @ wide, atol=1e-12)
