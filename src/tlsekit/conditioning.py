@@ -16,6 +16,15 @@ on the data, Euclidean norm on the solution), mixed (entrywise-bounded
 perturbations, max-norm output), and componentwise (entrywise relative
 output). Each has one exact formula built from the n x m and n x n factors
 of K, plus cheaper upper bounds.
+
+The data rows enter the normwise numbers only through the row space of
+[C; A]: with [A b] = Q R the solve's thin QR (R = solution.core.data_r)
+and W = blkdiag(I_p, Q), gain = gain_r @ W.T and adjoint_dir = W @
+adjoint_r, where gain_r and adjoint_r take R[:, :n] and R [x; -1] in
+place of A and the residual. W has orthonormal columns, so the normwise
+number and its upper bounds are norms of n x (p+n+1) matrices. The mixed
+and componentwise numbers keep the explicit gain, as entrywise absolute
+values do not commute with W.
 """
 from __future__ import annotations
 
@@ -50,6 +59,11 @@ class KOperator:
     the m-vector [-(aug-data @ aug-constraint-pinv).T @ residual; residual].
     A zero residual forces adjoint_dir = 0 and gain =
     -[constraint_gain, null_gram_inv @ A.T].
+
+    gain_r (n x (p+k)) and adjoint_r are the same map on the k x (n+1) R
+    of [A b] (module docstring): gain = gain_r @ W.T, adjoint_dir = W @
+    adjoint_r. The normwise numbers read these; apply_k and the entrywise
+    numbers read gain and adjoint_dir.
     """
 
     gain: np.ndarray
@@ -58,6 +72,8 @@ class KOperator:
     adjoint_dir: np.ndarray
     x: np.ndarray
     rho: float
+    gain_r: np.ndarray
+    adjoint_r: np.ndarray
 
     @property
     def n(self) -> int:
@@ -121,28 +137,37 @@ def build_k_operator(problem: TlseProblem, solution: TlseSolution) -> KOperator:
 
     The adjoint direction routes the residual through the pseudoinverse of
     the augmented constraint [C d], which is obtained by the rank-one
-    Greville update of the already-factored pseudoinverse of C.
+    Greville update of the already-factored pseudoinverse of C, applied to
+    [A b].T @ residual = R.T @ (R [x; -1]).
     """
-    r = solution.residual
     basis = solution.basis
-    c_pinv = constraint_pinv(basis)
-    aug_pinv = greville_augment(c_pinv, basis.x_feas)
-    top = -(aug_pinv.T @ (problem.aug_data().T @ r))
-    adjoint_dir = np.concatenate([top, r])
-    data_map = np.hstack(
-        [solution.constraint_gain, solution.null_gram_inv @ problem.A.T]
-    )
-    gain = (2.0 / solution.rho**2) * np.outer(
-        solution.null_gram_inv @ solution.x, adjoint_dir
-    ) - data_map
+    big_r = solution.core.data_r
+    r_res = big_r @ np.append(solution.x, -1.0)
+    aug_pinv = greville_augment(constraint_pinv(basis), basis.x_feas)
+    top = -(aug_pinv.T @ (big_r.T @ r_res))
+    adjoint_dir = np.concatenate([top, solution.residual])
+    adjoint_r = np.concatenate([top, r_res])
     return KOperator(
-        gain=gain,
+        gain=_gain(solution, adjoint_dir, problem.A),
         null_gram_inv=solution.null_gram_inv,
         constraint_gain=solution.constraint_gain,
         adjoint_dir=adjoint_dir,
         x=solution.x.copy(),
         rho=solution.rho,
+        gain_r=_gain(solution, adjoint_r, big_r[:, :-1]),
+        adjoint_r=adjoint_r,
     )
+
+
+def _gain(solution: TlseSolution, adjoint: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """(2/rho^2) (N x) adjoint.T - [constraint_gain, N data.T], N = null_gram_inv,
+    assembled in its one output array."""
+    n_inv, p = solution.null_gram_inv, solution.constraint_gain.shape[1]
+    gain = np.outer(n_inv @ solution.x, adjoint)
+    gain *= 2.0 / solution.rho**2
+    gain[:, :p] -= solution.constraint_gain
+    gain[:, p:] -= n_inv @ data.T
+    return gain
 
 
 def apply_k(op: KOperator, dL, dh) -> np.ndarray:
@@ -186,16 +211,17 @@ def kappa_normwise_exact(op: KOperator, w: Weights, L, h) -> float:
                     - (G t (N x).T + N x (G t).T) / alpha^2
                     + (||t||^2/alpha^2) N N.T.
 
-    The n x (m+n) matrix [Z1 Z2] built below (u = t/||t||) has the same
-    Gram matrix, so its spectral norm is ||K_w||_2, which is normalized by
-    the weighted data norm over ||x||. A zero t leaves
-    K_w = [x.T/alpha, -1/beta] kron G, of norm
-    ||G||_2 sqrt(||x||^2/alpha^2 + 1/beta^2).
+    An n x (m+n) matrix [Z1 Z2] (u = t/||t||) has the same Gram matrix, so
+    its spectral norm is ||K_w||_2, which is normalized by the weighted
+    data norm over ||x||. Z1 = Z1_r W.T, so [Z1_r Z2], built below from
+    gain_r and adjoint_r, has that norm with p+k+n columns in place of m+n
+    (module docstring). A zero t leaves K_w = [x.T/alpha, -1/beta] kron G,
+    of norm ||G||_2 sqrt(||x||^2/alpha^2 + 1/beta^2).
     """
     nx = _solution_norm(op)
     scale = _flex_norm(L, h, w) / nx
     alpha, beta = w.alpha, w.beta
-    g, t = op.gain, op.adjoint_dir
+    g, t = op.gain_r, op.adjoint_r
     nt = float(np.linalg.norm(t))
     if nt == 0.0:
         return spectral_norm(g) * np.sqrt(nx**2 / alpha**2 + 1.0 / beta**2) * scale
@@ -213,22 +239,25 @@ def kappa_normwise_upper(op: KOperator, w: Weights, L, h) -> tuple[float, float]
 
     tight uses ||gain||_2 directly; loose additionally bounds the gain by
     the sum of its constituent block norms, so tight <= loose and both
-    dominate the exact value.
+    dominate the exact value. Both read the compressed gain_r, as
+    ||gain||_2 = ||gain_r||_2 and ||null_gram_inv A.T||_2 =
+    ||null_gram_inv R_A.T||_2.
     """
     nx = _solution_norm(op)
     alpha, beta = w.alpha, w.beta
-    nt = float(np.linalg.norm(op.adjoint_dir))
+    nt = float(np.linalg.norm(op.adjoint_r))
     factor = (
         _flex_norm(L, h, w)
         / nx
         * np.sqrt(max(1.0, beta**2 / alpha**2 + 1.0 / nx**2) + beta / alpha)
     )
     k_norm = spectral_norm(op.null_gram_inv)
-    tight = (nx / beta * spectral_norm(op.gain) + nt / alpha * k_norm) * factor
-    a_block = as_matrix(L)[op.p :, :]
-    split_norms = spectral_norm(op.constraint_gain) + spectral_norm(
-        op.null_gram_inv @ a_block.T
-    )
+    tight = (nx / beta * spectral_norm(op.gain_r) + nt / alpha * k_norm) * factor
+    # null_gram_inv @ R_A.T: the data columns of gain_r less their rank-one term
+    data_map = (2.0 / op.rho**2) * np.outer(
+        op.null_gram_inv @ op.x, op.adjoint_r[op.p :]
+    ) - op.gain_r[:, op.p :]
+    split_norms = spectral_norm(op.constraint_gain) + spectral_norm(data_map)
     loose = (
         nx / beta * split_norms + (2.0 / beta + 1.0 / alpha) * nt * k_norm
     ) * factor
@@ -263,13 +292,17 @@ def kappa_mixed_componentwise_exact(op: KOperator, L, h) -> MixedComponentwise:
     """Exact mixed/componentwise condition numbers.
 
     Sums |K| vec(|[L h]|) = |G| |h| + sum_j |x_j G - N[:, j] t.T| |L[:, j]|
-    one n x m block of K at a time (notation of kappa_normwise_exact).
+    one n x m block of K at a time (notation of kappa_normwise_exact), in
+    two n x m buffers allocated once.
     """
     labs = np.abs(as_matrix(L))
     target = np.abs(op.gain) @ np.abs(as_vector(h))
+    block, rank_one = np.empty_like(op.gain), np.empty_like(op.gain)
     for j in range(op.n):
-        block = op.x[j] * op.gain - np.outer(op.null_gram_inv[:, j], op.adjoint_dir)
-        target += np.abs(block) @ labs[:, j]
+        np.multiply(op.x[j], op.gain, out=block)
+        np.outer(op.null_gram_inv[:, j], op.adjoint_dir, out=rank_one)
+        block -= rank_one
+        target += np.abs(block, out=block) @ labs[:, j]
     return _mixed_componentwise(target, op.x)
 
 
@@ -303,12 +336,14 @@ def tls_specialization(
     if problem.p != 0:
         raise InputError("tls_specialization requires a problem with p = 0")
     inv_gram = solution.null_gram_inv
-    data_map_norm = spectral_norm(inv_gram @ problem.A.T)
+    # A = Q R_A with orthonormal Q, so the q-row norms are read off R_A
+    r_a = solution.core.data_r[:, :-1]
+    data_map_norm = spectral_norm(inv_gram @ r_a.T)
     nx = float(np.linalg.norm(solution.x))
     if nx == 0.0:
         raise UndefinedConditionError("condition numbers need x != 0")
     nb = float(np.linalg.norm(problem.b))
-    na = spectral_norm(problem.A)
+    na = spectral_norm(r_a)
     nr = float(np.linalg.norm(solution.residual))
     kappa_b = nb / nx * data_map_norm
     kappa_a = na / nx * (nr * spectral_norm(inv_gram) + nx * data_map_norm)

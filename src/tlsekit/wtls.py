@@ -17,6 +17,7 @@ multiplicative factor.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,10 +174,16 @@ def solve_wtls_direct(emb: WeightedEmbedding) -> tuple[np.ndarray, float]:
 
 
 def _pos_inv(mat, what):
-    try:
-        return scipy.linalg.solve(mat, np.eye(mat.shape[0]), assume_a="pos")
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise IllPosedError(f"{what} is not positive definite: {exc}") from exc
+    """Inverse of a positive definite matrix; IllPosedError when Cholesky
+    breaks down or rcond < eps (which SciPy would only warn about)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+        try:
+            return scipy.linalg.solve(mat, np.eye(mat.shape[0]), assume_a="pos")
+        except scipy.linalg.LinAlgWarning as exc:
+            raise IllPosedError(f"{what} is numerically singular: {exc}") from exc
+        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+            raise IllPosedError(f"{what} is not positive definite: {exc}") from exc
 
 
 def _blockwise_resolvent(problem, basis, sigma_eps, eps):
@@ -230,7 +237,8 @@ def wtls_limit_diagnostics(problem: TlseProblem, eps_grid) -> list[LimitRow]:
     eps_grid must be strictly decreasing and positive. Each row reports the
     solution error, the shift error, and the spectral-norm errors of the
     resolvent and gain maps against their constrained limits. Solver errors
-    at a grid point propagate to the caller.
+    at a grid point propagate to the caller, including IllPosedError when a
+    block of the resolvent is numerically singular.
     """
     grid = [float(e) for e in eps_grid]
     if not grid or any(e <= 0 for e in grid):

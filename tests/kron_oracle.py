@@ -5,6 +5,13 @@ which holds m^2 (n+1) entries. Here it is assembled with np.kron in two
 algebraically identical layouts, and the condition numbers are read off it
 by their definitions, to check the structured formulas of
 tlsekit.conditioning on small problems.
+
+The explicit forms below evaluate those formulas on the n x m gain and the
+m-vector adjoint_dir, where the package reads the compressed gain_r and
+adjoint_r; they cost an SVD of an n x m matrix but no Kronecker product, so
+they serve as oracles at any size. explicit_mixed_target is the
+per-column sum with fresh temporaries, the reference for the package's
+in-place loop.
 """
 import numpy as np
 
@@ -75,3 +82,57 @@ def mixed_componentwise_target(op: KOperator, L, h) -> np.ndarray:
     """|K| vec(|[L h]|), the numerator of the mixed and componentwise numbers."""
     data = np.abs(np.column_stack([L, h]))
     return np.abs(materialize_k(op)) @ vec(data)
+
+
+def _norm2(m: np.ndarray) -> float:
+    return float(np.linalg.norm(m, 2)) if m.size else 0.0
+
+
+def kappa_normwise_explicit(op: KOperator, w: Weights, L, h) -> float:
+    """The structured normwise number on the n x (m+n) matrix [Z1 Z2] built
+    from gain and adjoint_dir (zero-adjoint branch included)."""
+    nx = float(np.linalg.norm(op.x))
+    scale = _data_norm(L, h, w) / nx
+    alpha, beta = w.alpha, w.beta
+    g, t = op.gain, op.adjoint_dir
+    nt = float(np.linalg.norm(t))
+    if nt == 0.0:
+        return _norm2(g) * np.sqrt(nx**2 / alpha**2 + 1.0 / beta**2) * scale
+    c1 = np.sqrt(beta**2 / alpha**2 + 1.0 / nx**2)
+    c2 = c1 + 1.0 / nx
+    u = t / nt
+    gu = g @ u
+    z1 = -(nx / beta) * (c1 * g - c2 * np.outer(gu, u))
+    z2 = (nt / alpha) * op.null_gram_inv - np.outer(gu, op.x) / alpha
+    return _norm2(np.hstack([z1, z2])) * scale
+
+
+def kappa_normwise_upper_explicit(op: KOperator, w: Weights, L, h) -> tuple[float, float]:
+    """(tight, loose) bounds from ||gain||_2 and ||null_gram_inv A.T||_2,
+    with A the data rows of L."""
+    nx = float(np.linalg.norm(op.x))
+    alpha, beta = w.alpha, w.beta
+    nt = float(np.linalg.norm(op.adjoint_dir))
+    factor = (
+        _data_norm(L, h, w)
+        / nx
+        * np.sqrt(max(1.0, beta**2 / alpha**2 + 1.0 / nx**2) + beta / alpha)
+    )
+    k_norm = _norm2(op.null_gram_inv)
+    tight = (nx / beta * _norm2(op.gain) + nt / alpha * k_norm) * factor
+    a_block = np.asarray(L, dtype=float)[op.p :, :]
+    split_norms = _norm2(op.constraint_gain) + _norm2(op.null_gram_inv @ a_block.T)
+    loose = (
+        nx / beta * split_norms + (2.0 / beta + 1.0 / alpha) * nt * k_norm
+    ) * factor
+    return float(tight), float(loose)
+
+
+def explicit_mixed_target(op: KOperator, L, h) -> np.ndarray:
+    """|G| |h| + sum_j |x_j G - N[:, j] t.T| |L[:, j]|, one fresh block per j."""
+    labs = np.abs(L)
+    target = np.abs(op.gain) @ np.abs(h)
+    for j in range(op.n):
+        block = op.x[j] * op.gain - np.outer(op.null_gram_inv[:, j], op.adjoint_dir)
+        target += np.abs(block) @ labs[:, j]
+    return target

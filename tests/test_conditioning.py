@@ -18,6 +18,7 @@ from tlsekit import (
     solve_qr_svd,
     tls_specialization,
 )
+from tlsekit.conditioning import _mixed_componentwise
 from tlsekit.errors import InputError, UndefinedConditionError
 
 import kron_oracle
@@ -140,6 +141,30 @@ class TestOperatorAssembly:
         )
         np.testing.assert_allclose(op.gain, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("q", [6, 15])
+    def test_compressed_pair_matches_explicit(self, q):
+        # gain = gain_r W.T and adjoint_dir = W adjoint_r with W.T W = I, so
+        # every inner product agrees; q = 6 < n + 1 gives a short R
+        problem = seeded_problem(0, q=q)
+        op = build_k_operator(problem, solve_qr_svd(problem))
+        k = min(problem.q, problem.n + 1)
+        assert op.gain_r.shape == (problem.n, problem.p + k)
+        assert op.adjoint_r.shape == (problem.p + k,)
+        scale = np.linalg.norm(op.gain) ** 2
+        np.testing.assert_allclose(
+            op.gain_r @ op.gain_r.T, op.gain @ op.gain.T, rtol=0, atol=1e-13 * scale
+        )
+        np.testing.assert_allclose(
+            op.gain_r @ op.adjoint_r,
+            op.gain @ op.adjoint_dir,
+            rtol=0,
+            atol=1e-13 * np.linalg.norm(op.gain) * np.linalg.norm(op.adjoint_dir),
+        )
+        assert np.linalg.norm(op.adjoint_r) == pytest.approx(
+            np.linalg.norm(op.adjoint_dir), rel=1e-13
+        )
+        np.testing.assert_array_equal(op.adjoint_r[: op.p], op.adjoint_dir[: op.p])
+
     def test_shape_properties(self):
         problem = seeded_problem(0)
         op = build_k_operator(problem, solve_qr_svd(problem))
@@ -208,7 +233,11 @@ class TestNormwise:
         # the gain norm times the weight factor
         problem = hand_problem()
         op = build_k_operator(problem, solve_qr_svd(problem))
-        op0 = dataclasses.replace(op, adjoint_dir=np.zeros(op.m))
+        op0 = dataclasses.replace(
+            op,
+            adjoint_dir=np.zeros(op.m),
+            adjoint_r=np.zeros_like(op.adjoint_r),
+        )
         for weights in WEIGHT_GRID:
             exact = kappa_normwise_exact(op0, weights, problem.L, problem.h)
             oracle = kron_oracle.kappa_normwise(op0, weights, problem.L, problem.h)
@@ -230,6 +259,48 @@ class TestNormwise:
             kappa_normwise_exact(op, Weights(), problem.L, problem.h)
         with pytest.raises(UndefinedConditionError):
             kappa_normwise_upper(op, Weights(), problem.L, problem.h)
+
+
+def tall_problem(seed: int = 14) -> TlseProblem:
+    return seeded_problem(seed, p=20, n=100, q=2000)
+
+
+COMPRESSION_CASES = {
+    "q-below-n+1": seeded_problem(3, q=6),
+    "unconstrained": tls_problem(),
+    "zero-residual": hand_problem(),
+    "column-scaled": column_scaled_problem(),
+    "tall": tall_problem(),
+}
+
+
+def assert_normwise_match_explicit(problem, op):
+    for weights in WEIGHT_GRID:
+        args = (op, weights, problem.L, problem.h)
+        assert kappa_normwise_exact(*args) == pytest.approx(
+            kron_oracle.kappa_normwise_explicit(*args), rel=1e-12
+        )
+        tight, loose = kappa_normwise_upper(*args)
+        tight_x, loose_x = kron_oracle.kappa_normwise_upper_explicit(*args)
+        assert tight == pytest.approx(tight_x, rel=1e-12)
+        assert loose == pytest.approx(loose_x, rel=1e-12)
+
+
+class TestCompressedNormwise:
+    """Normwise numbers on gain_r/adjoint_r against the explicit n x m forms."""
+
+    @pytest.mark.parametrize("case", sorted(COMPRESSION_CASES))
+    def test_matches_explicit(self, case):
+        problem = COMPRESSION_CASES[case]
+        assert_normwise_match_explicit(
+            problem, build_k_operator(problem, solve_qr_svd(problem))
+        )
+
+    def test_battery_matches_explicit(self, solved100):
+        for problem, solution in solved100:
+            assert_normwise_match_explicit(
+                problem, build_k_operator(problem, solution)
+            )
 
 
 ORACLE_CASES = {
@@ -273,6 +344,16 @@ class TestMixedComponentwise:
         mixed = kappa_mixed_componentwise_exact(op, problem.L, problem.h)
         assert mixed.kappa_m <= mixed.kappa_c
         assert mixed.kappa_c_finite <= mixed.kappa_c
+
+    @pytest.mark.parametrize(
+        "problem", [seeded_problem(6), column_scaled_problem(), tall_problem()]
+    )
+    def test_in_place_sum_equals_fresh_blocks(self, problem):
+        op = build_k_operator(problem, solve_qr_svd(problem))
+        reference = kron_oracle.explicit_mixed_target(op, problem.L, problem.h)
+        assert kappa_mixed_componentwise_exact(
+            op, problem.L, problem.h
+        ) == _mixed_componentwise(reference, op.x)
 
     def test_upper_bounds_dominate(self):
         problem = seeded_problem(6)
@@ -348,6 +429,23 @@ class TestTlsSpecialization:
             problem, solution, dA=np.array([[0.05], [0.0]]), db=db
         )
         assert both.estimate > sens.estimate
+
+    def test_tall_matches_explicit_norms(self):
+        # the norms are read off the R factor of [A b]; check them on A
+        problem = tls_problem(q=300)
+        solution = solve_qr_svd(problem)
+        sens = tls_specialization(problem, solution)
+        data_map = np.linalg.norm(solution.null_gram_inv @ problem.A.T, 2)
+        nx = np.linalg.norm(solution.x)
+        kappa_a = np.linalg.norm(problem.A, 2) / nx * (
+            np.linalg.norm(solution.residual)
+            * np.linalg.norm(solution.null_gram_inv, 2)
+            + nx * data_map
+        )
+        assert sens.kappa_b == pytest.approx(
+            np.linalg.norm(problem.b) / nx * data_map, rel=1e-12
+        )
+        assert sens.kappa_A == pytest.approx(kappa_a, rel=1e-12)
 
     def test_requires_unconstrained_problem(self):
         problem = hand_problem()

@@ -147,6 +147,21 @@ class TestLimitDiagnostics:
             assert row.resolvent_err <= 1e-10
             assert row.gain_err <= 1e-10
 
+    def test_numerically_singular_block_raises(self):
+        # columns over twelve decades leave a resolvent block with rcond far
+        # below eps; SciPy would only warn about it
+        rng = np.random.default_rng(0)
+        p, q, n = 3, 40, 10
+        scales = 10.0 ** np.linspace(-6, 6, n)
+        problem = TlseProblem(
+            C=rng.standard_normal((p, n)) * scales,
+            d=rng.standard_normal(p),
+            A=rng.standard_normal((q, n)) * scales,
+            b=rng.standard_normal(q),
+        )
+        with pytest.raises(IllPosedError, match="numerically singular.*rcond"):
+            wtls_limit_diagnostics(problem, [1e-2, 1e-5, 1e-8])
+
     def test_grid_validation(self):
         problem = seeded_problem(2)
         with pytest.raises(InputError):
