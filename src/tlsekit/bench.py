@@ -30,6 +30,7 @@ from dataclasses import dataclass, fields, replace
 from statistics import median
 
 import numpy as np
+import orjson
 
 from .conditioning import (
     Weights,
@@ -509,38 +510,88 @@ def parse_table(text: str) -> list[ExperimentRow]:
 
 
 def save_problem(problem: TlseProblem, path, meta=None) -> None:
-    """Write a problem as JSON with fields C, d, A, b (row-major lists)."""
-    obj = {
-        "C": problem.C.tolist(),
-        "d": problem.d.tolist(),
-        "A": problem.A.tolist(),
-        "b": problem.b.tolist(),
-    }
-    if meta is not None:
-        obj["meta"] = meta
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
+    """Write a problem as a compact JSON object of row-major nested lists.
+
+    Fields C, d, A and b, plus meta when given; load_problem and the stdlib
+    json read the numbers back bit-identically. orjson encodes the file.
+    Where it refuses meta (an integer beyond 64 bits, a non-string key), the
+    stdlib json writes the file instead, in its default layout. orjson
+    writes a non-finite float inside meta as null. The bytes are built
+    before the file is opened, so a meta that neither encoder takes raises
+    TypeError and leaves no file.
+    """
+    arrays = {"C": problem.C, "d": problem.d, "A": problem.A, "b": problem.b}
+    extra = {} if meta is None else {"meta": meta}
+    contiguous = {k: np.ascontiguousarray(v) for k, v in arrays.items()}
+    try:
+        data = orjson.dumps(
+            {**contiguous, **extra}, option=orjson.OPT_SERIALIZE_NUMPY
+        )
+    except orjson.JSONEncodeError:
+        lists = {k: v.tolist() for k, v in arrays.items()}
+        data = json.dumps({**lists, **extra}).encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+def _parse_json(path):
+    """orjson on the file's bytes; the stdlib json where orjson refuses.
+
+    orjson refuses some JSON the stdlib reads: NaN/Infinity tokens, numbers
+    that overflow a double (TlseProblem then rejects both as non-finite) and
+    escaped lone surrogates. Retrying those with the stdlib keeps every
+    input it takes, and its error messages for the rest.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        pass
+    try:
+        return json.loads(data.decode())
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise InputError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def _field_array(path, name: str, raw) -> np.ndarray:
+    if not isinstance(raw, list):
+        raise InputError(
+            f"{path}: field {name} must be a JSON list, got {type(raw).__name__}"
+        )
+    try:
+        return np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(
+            f"{path}: field {name} is not a rectangular array of numbers: {exc}"
+        ) from exc
 
 
 def load_problem(path) -> TlseProblem:
-    """Read a problem JSON written by save_problem (or by hand)."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: not valid JSON: {exc}") from exc
+    """Read a problem file written by save_problem (or by hand).
+
+    The file is a JSON object with A and b and optional C, d (row-major
+    nested lists) and meta, which is ignored. Any JSON the stdlib json reads
+    is accepted; NaN/Infinity entries are rejected as non-finite. A file that
+    is not such an object raises InputError naming the file and the field.
+    """
+    obj = _parse_json(path)
+    if not isinstance(obj, dict):
+        raise InputError(
+            f"{path}: top level must be a JSON object, got {type(obj).__name__}"
+        )
     missing = [k for k in ("A", "b") if k not in obj]
     if missing:
         raise InputError(f"{path}: missing required fields {missing}")
-    a = np.asarray(obj["A"], dtype=float)
+    a = _field_array(path, "A", obj["A"])
     if a.ndim != 2:
         raise InputError(f"{path}: A must be a nested list (matrix)")
     n = a.shape[1]
     raw_c = obj.get("C") or []
-    c = np.asarray(raw_c, dtype=float) if len(raw_c) else np.zeros((0, n))
+    c = _field_array(path, "C", raw_c) if raw_c else np.zeros((0, n))
     raw_d = obj.get("d") or []
-    d = np.asarray(raw_d, dtype=float) if len(raw_d) else np.zeros(0)
-    return TlseProblem(C=c, d=d, A=a, b=np.asarray(obj["b"], dtype=float))
+    d = _field_array(path, "d", raw_d) if raw_d else np.zeros(0)
+    return TlseProblem(C=c, d=d, A=a, b=_field_array(path, "b", obj["b"]))
 
 
 def table1(

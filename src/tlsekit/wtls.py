@@ -30,7 +30,7 @@ from .errors import (
     NonGenericError,
     NumericalError,
 )
-from .linalg import r_factor, singular_values, svd
+from .linalg import r_factor, singular_values, spectral_norm, svd
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,9 @@ def embed(problem: TlseProblem, eps: float) -> WeightedEmbedding:
 def check_eps_bound(problem: TlseProblem, eps: float, core) -> EpsBound:
     """Admissibility test 2 eps^2 ||pinv([C d])||^2 ||[A b]||^2 < gap.
 
-    core must come from check_genericity on the same problem. With p = 0 the
-    left side is zero and the test reduces to a positive gap.
+    core must come from check_genericity on the same problem: ||[A b]||_2 is
+    taken from core.data_r, its R factor of [A b]. With p = 0 the left side
+    is zero and the test reduces to a positive gap.
     """
     if eps <= 0:
         raise InputError(f"eps must be positive, got {eps}")
@@ -141,7 +142,7 @@ def check_eps_bound(problem: TlseProblem, eps: float, core) -> EpsBound:
         pinv_norm = 1.0 / float(singular_values(aug_c)[-1])
     else:
         pinv_norm = 0.0
-    data_norm = float(singular_values(problem.aug_data())[0])
+    data_norm = spectral_norm(core.data_r)
     lhs = 2.0 * eps**2 * pinv_norm**2 * data_norm**2
     gap = float(core.gap)
     return EpsBound(ok=gap > lhs, margin=gap - lhs, lhs=lhs, gap=gap)

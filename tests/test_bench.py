@@ -27,6 +27,7 @@ from tlsekit import (
     table3,
 )
 from tlsekit.bench import TABLE_COLUMNS, ExperimentRow, derive_seed, format_sci
+from tlsekit.cli import main as cli_main
 from tlsekit.conditioning import _max_ratio
 from tlsekit.core import build_basis, check_genericity
 from tlsekit.errors import InputError
@@ -411,6 +412,105 @@ class TestPersistence:
         path.write_text(json.dumps({"A": [1.0, 0.0], "b": [1.0, 1.0]}))
         with pytest.raises(InputError):
             load_problem(path)
+
+    @staticmethod
+    def assert_bit_identical(loaded, problem):
+        for name in ("C", "d", "A", "b"):
+            got, want = getattr(loaded, name), getattr(problem, name)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_round_trip_is_bit_exact_at_the_float_extremes(self, tmp_path):
+        rng = np.random.default_rng(20)
+        p, q, n = 20, 3000, 100
+        cols = 10.0 ** rng.uniform(-300, 300, n)
+        A = rng.standard_normal((q, n)) * cols
+        A[0, :4] = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        b = rng.standard_normal(q)
+        b[:2] = [-0.0, 5e-324]
+        problem = TlseProblem(
+            C=rng.standard_normal((p, n)) * cols, d=rng.standard_normal(p), A=A, b=b
+        )
+        path = tmp_path / "extremes.json"
+        save_problem(problem, path)
+        loaded = load_problem(path)
+        self.assert_bit_identical(loaded, problem)
+        assert np.signbit(loaded.A[0, 0]) and np.signbit(loaded.b[0])
+        # the file stays plain JSON: the stdlib reads the same bits
+        with open(path) as fh:
+            obj = json.load(fh)
+        assert np.asarray(obj["A"]).tobytes() == A.tobytes()
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_round_trip_of_non_contiguous_data(self, tmp_path, layout):
+        rng = np.random.default_rng(21)
+        if layout == "fortran":
+            A = np.asfortranarray(rng.standard_normal((40, 6)))
+            C = np.asfortranarray(rng.standard_normal((2, 6)))
+        else:
+            A = rng.standard_normal((80, 12))[::2, ::2]
+            C = rng.standard_normal((4, 12))[::2, ::2]
+        b = rng.standard_normal(80)[::2]
+        problem = TlseProblem(C=C, d=rng.standard_normal(2), A=A, b=b)
+        assert not problem.A.flags.c_contiguous
+        path = tmp_path / f"{layout}.json"
+        save_problem(problem, path)
+        self.assert_bit_identical(load_problem(path), problem)
+
+    def test_loads_files_in_the_stdlib_layout(self, tmp_path):
+        problem = seeded_problem(4)
+        path = tmp_path / "stdlib.json"
+        obj = {k: getattr(problem, k).tolist() for k in ("C", "d", "A", "b")}
+        obj["meta"] = {"note": "written by json.dump"}
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        assert ", " in path.read_text()
+        self.assert_bit_identical(load_problem(path), problem)
+
+    def test_integer_entries_load_as_floats(self, tmp_path):
+        path = tmp_path / "ints.json"
+        path.write_text('{"C": [[1, 0]], "d": [2], "A": [[1, 0], [0, 1]], "b": [2, 3]}')
+        loaded = load_problem(path)
+        for name in ("C", "d", "A", "b"):
+            assert getattr(loaded, name).dtype == np.float64
+        np.testing.assert_array_equal(loaded.A, np.eye(2))
+        np.testing.assert_array_equal(loaded.b, [2.0, 3.0])
+
+    def test_meta_beyond_64_bit_integers(self, tmp_path, capsys):
+        # a 71-bit seed is valid JSON that orjson cannot encode
+        path = tmp_path / "big_seed.json"
+        seed = 2**70
+        code = cli_main(
+            ["gen", "--kind", "householder_spectrum", "--m", "12",
+             "--seed", str(seed), "--out", str(path)]
+        )
+        capsys.readouterr()
+        assert code == 0
+        assert json.loads(path.read_text())["meta"] == {
+            "kind": "householder_spectrum",
+            "seed": seed,
+        }
+        assert load_problem(path).m == 12
+
+    def test_meta_with_integer_keys_is_written_as_by_the_stdlib(self, tmp_path):
+        problem = seeded_problem(5)
+        meta = {1: "one", 2: [3, 4], "name": "x"}
+        path = tmp_path / "int_keys.json"
+        save_problem(problem, path, meta=meta)
+        obj = {k: getattr(problem, k).tolist() for k in ("C", "d", "A", "b")}
+        obj["meta"] = meta
+        assert path.read_text() == json.dumps(obj)
+        assert json.loads(path.read_text())["meta"] == {
+            "1": "one",
+            "2": [3, 4],
+            "name": "x",
+        }
+
+    def test_unencodable_meta_leaves_no_file(self, tmp_path):
+        path = tmp_path / "never.json"
+        with pytest.raises(TypeError):
+            save_problem(seeded_problem(6), path, meta={"bad": object()})
+        assert not path.exists()
 
 
 class TestTables:

@@ -115,6 +115,38 @@ class TestSolve:
         assert out == ""
         assert "error:" in err and "non-finite" in err
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"A": [[1.0], [0.0, 1.0]], "b": [1.0, 1.0]}', "A"),
+            ('{"A": [["x"], [0.0]], "b": [1.0, 1.0]}', "A"),
+            ("3", None),
+            (
+                '{"C": [[1.0, 0.0]], "d": 5, "A": [[1.0, 0.0], [0.0, 1.0]], '
+                '"b": [2.0, 3.0]}',
+                "d",
+            ),
+            (
+                '{"C": [[1.0, 0.0]], "d": [2.0], "A": [[1.0, 0.0], [0.0, 1.0]], '
+                '"b": "abc"}',
+                "b",
+            ),
+        ],
+        ids=["ragged-A", "non-numeric-A", "top-level-number", "scalar-d", "string-b"],
+    )
+    def test_malformed_problem_file_is_usage_error(
+        self, capsys, tmp_path, text, field
+    ):
+        path = tmp_path / "malformed.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "solve", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert str(path) in err
+        if field is not None:
+            assert f"field {field} " in err
+
     def test_degenerate_problem_is_numerical_failure(
         self, capsys, degenerate_file
     ):

@@ -16,6 +16,7 @@ from tlsekit import (
 )
 from tlsekit.core import build_basis, check_genericity
 from tlsekit.errors import IllPosedError, InputError, NumericalError
+from tlsekit.linalg import spectral_norm
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -108,6 +109,31 @@ class TestEpsBound:
         core = check_genericity(build_basis(problem), problem)
         with pytest.raises(InputError):
             check_eps_bound(problem, 0.0, core)
+
+    @pytest.mark.parametrize(
+        "p, scaled", [(20, False), (20, True), (0, False)], ids=["plain", "scaled", "p0"]
+    )
+    def test_data_norm_from_r_factor(self, p, scaled):
+        # ||[A b]||_2 from the solve's R factor matches the SVD of [A b] itself
+        n = 100
+        problem = seeded_problem(11, p=p, n=n, q=2000)
+        if scaled:
+            cols = 10.0 ** np.random.default_rng(12).uniform(-3, 3, n)
+            problem = TlseProblem(
+                C=problem.C * cols, d=problem.d, A=problem.A * cols, b=problem.b
+            )
+        core = check_genericity(build_basis(problem), problem)
+        data_norm = np.linalg.svd(problem.aug_data(), compute_uv=False)[0]
+        assert spectral_norm(core.data_r) == pytest.approx(data_norm, rel=1e-13)
+        eps = 1e-6
+        bound = check_eps_bound(problem, eps, core)
+        if p:
+            aug_c = problem.aug_constraint()
+            pinv_norm = 1.0 / np.linalg.svd(aug_c, compute_uv=False)[-1]
+            lhs = 2.0 * eps**2 * pinv_norm**2 * data_norm**2
+            assert bound.lhs == pytest.approx(lhs, rel=1e-13)
+        else:
+            assert bound.lhs == 0.0
 
 
 class TestDirectSolver:
