@@ -336,15 +336,17 @@ def tls_specialization(
     if problem.p != 0:
         raise InputError("tls_specialization requires a problem with p = 0")
     inv_gram = solution.null_gram_inv
-    # A = Q R_A with orthonormal Q, so the q-row norms are read off R_A
-    r_a = solution.core.data_r[:, :-1]
+    # [A b] = Q R with orthonormal Q, so the q-row norms are read off R:
+    # ||A||_2 = ||R_A||_2 and ||A x - b|| = ||R [x; -1]||
+    r = solution.core.data_r
+    r_a = r[:, :-1]
     data_map_norm = spectral_norm(inv_gram @ r_a.T)
     nx = float(np.linalg.norm(solution.x))
     if nx == 0.0:
         raise UndefinedConditionError("condition numbers need x != 0")
     nb = float(np.linalg.norm(problem.b))
     na = spectral_norm(r_a)
-    nr = float(np.linalg.norm(solution.residual))
+    nr = float(np.linalg.norm(r_a @ solution.x - r[:, -1]))
     kappa_b = nb / nx * data_map_norm
     kappa_a = na / nx * (nr * spectral_norm(inv_gram) + nx * data_map_norm)
     estimate = None

@@ -6,11 +6,12 @@ C x = d. The solver pipeline:
 
 1. QR of C.T splits coordinates into the constraint range and its null space
    and yields the minimum-norm feasible point.
-2. One in-place QR of [A b] compresses the data to its (n+1) x (n+1)
-   triangular factor R, which has the same Gram matrix. On R run the SVD of
-   the data restricted to ker(C) and the SVD of the core matrix (the data
-   on ker([C d])), which supplies the optimal direction and the shift
-   sigma_min that appears everywhere downstream.
+2. One streamed QR of [A b] compresses the data to its (n+1) x (n+1)
+   triangular factor R, which has the same Gram matrix; the rows pass once
+   through a small workspace, a block at a time, and are not read again.
+   On R run the SVD of the data restricted to ker(C) and the SVD of the
+   core matrix (the data on ker([C d])), which supplies the optimal
+   direction and the shift sigma_min that appears everywhere downstream.
 3. The solution is read off by normalizing the last component of the lifted
    core singular vector to -1 (solve_qr_svd), or from the restricted SVD as
    a filtered correction of the feasible point (solve_closed_form). The
@@ -188,13 +189,18 @@ class TlseSolution:
 
     x: np.ndarray
     rho: float
-    residual: np.ndarray
     sigma_min: float
     basis: ConstraintBasis
     core: CoreSvd
     gram_inv: np.ndarray
     null_gram_inv: np.ndarray
     constraint_gain: np.ndarray
+
+    @cached_property
+    def residual(self) -> np.ndarray:
+        """A x - b, computed on first use (the solvers read R instead)."""
+        problem = self.basis.problem
+        return problem.A @ self.x - problem.b
 
 
 @dataclass(frozen=True)
@@ -330,8 +336,8 @@ def solve_qr_svd(problem: TlseProblem) -> TlseSolution:
     Sign convention: the lifted vector is flipped so its last component is
     negative, and rho = +sqrt(1 + ||x||^2). Raises IllPosedError when the
     genericity gap fails, NonGenericError when the normalizing component is
-    numerically zero. The data are read twice: into the QR workspace of
-    [A b], and for the residual A x - b.
+    numerically zero. The data are read once, by the streamed QR of [A b];
+    solution.residual reads them again only when it is first accessed.
     """
     basis = build_basis(problem)
     core = check_genericity(basis, problem)
@@ -359,7 +365,6 @@ def solve_qr_svd(problem: TlseProblem) -> TlseSolution:
     return TlseSolution(
         x=x,
         rho=rho,
-        residual=problem.A @ x - problem.b,
         sigma_min=core.sigma_min,
         basis=basis,
         core=core,

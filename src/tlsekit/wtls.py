@@ -10,7 +10,8 @@ operator of the stacked matrix.
 Numerical note: the textbook route through the normal equations
 (mat.T @ mat - sigma^2 I)^{-1} mat.T @ rhs squares the 1/eps weighting and
 is useless in float64 below roughly eps = 1e-4. solve_wtls_direct therefore
-normalizes the trailing right singular vector of the stacked matrix, and
+normalizes the trailing right singular vector of the stacked matrix, taken
+from its R factor with the heavy constraint rows factored first, and
 wtls_limit_diagnostics evaluates the resolvent through block elimination in
 the constraint QR basis, where every 1/eps^2 appears only as a benign
 multiplicative factor.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -37,13 +39,17 @@ from .linalg import r_factor, singular_values, spectral_norm, svd
 class WeightedEmbedding:
     """Constraint rows scaled by 1/eps, stacked with the data rows.
 
-    mat is m x n, rhs length m, aug the m x (n+1) stack [mat rhs].
+    mat is m x n, rhs length m; aug, the m x (n+1) stack [mat rhs], is
+    formed on first use (the solvers factor mat and rhs in place of it).
     """
 
     eps: float
     mat: np.ndarray
     rhs: np.ndarray
-    aug: np.ndarray
+
+    @cached_property
+    def aug(self) -> np.ndarray:
+        return np.hstack([self.mat, self.rhs[:, None]])
 
 
 @dataclass(frozen=True)
@@ -113,19 +119,23 @@ class LimitRow:
     gain_err: float
 
 
-def embed(problem: TlseProblem, eps: float) -> WeightedEmbedding:
-    """Stack [C/eps; A] and [d/eps; b]."""
+def _positive_eps(eps) -> float:
+    """eps as a float; InputError unless it is finite and positive."""
     if not np.isfinite(eps) or eps <= 0:
         raise InputError(f"eps must be positive, got {eps}")
+    return float(eps)
+
+
+def embed(problem: TlseProblem, eps: float) -> WeightedEmbedding:
+    """Stack [C/eps; A] and [d/eps; b]."""
+    eps = _positive_eps(eps)
     if problem.p:
         mat = np.vstack([problem.C / eps, problem.A])
         rhs = np.concatenate([problem.d / eps, problem.b])
     else:
         mat = problem.A.copy()
         rhs = problem.b.copy()
-    return WeightedEmbedding(
-        eps=float(eps), mat=mat, rhs=rhs, aug=np.hstack([mat, rhs[:, None]])
-    )
+    return WeightedEmbedding(eps=eps, mat=mat, rhs=rhs)
 
 
 def check_eps_bound(problem: TlseProblem, eps: float, core) -> EpsBound:
@@ -152,12 +162,17 @@ def solve_wtls_direct(emb: WeightedEmbedding) -> tuple[np.ndarray, float]:
     """TLS solution of the weighted stack from the SVD of [mat rhs].
 
     Returns (x, sigma) where sigma is the smallest singular value of the
-    stack. Normalizes the trailing right singular vector instead of forming
+    stack. The SVDs run on the (n+1) x (n+1) R factor of [mat rhs], which
+    has its singular values and right singular vectors; r_factor takes the
+    rows in embed's order, the 1/eps-weighted constraint rows first, as
+    Householder QR of weighted rows requires (Cox & Higham 1998).
+    Normalizes the trailing right singular vector instead of forming
     normal equations (see module docstring).
     """
     n = emb.mat.shape[1]
-    res = svd(emb.aug)
-    mat_min = float(singular_values(emb.mat)[-1])
+    r = r_factor(emb.mat, emb.rhs)
+    res = svd(r)
+    mat_min = float(singular_values(r[:, :n])[-1])
     if not mat_min > float(res.s[-1]):
         raise IllPosedError(
             f"weighted stack is degenerate: sigma_min(mat) {mat_min:.6e} "
@@ -277,16 +292,18 @@ def solve_nwtls(problem: TlseProblem, cfg: NwtlsConfig | None = None) -> np.ndar
     Gaussian test matrix, compresses through QR and a small Cholesky, and
     normalizes the dominant left singular vector of the compressed factor.
     Inverse-Gram solves go through the triangular factor R of the stack
-    (its Q is never formed) with two triangular solves; the Gram matrix
-    itself is never formed.
+    [[C d]/eps; [A b]] with two triangular solves; neither the stack, its
+    Q nor its Gram matrix is formed. r_factor streams the data rows after
+    the heavy constraint rows, which it takes as its head. cfg.eps must be
+    finite and positive (InputError otherwise).
     """
     cfg = cfg or NwtlsConfig()
     n, p = problem.n, problem.p
     _, width = cfg.resolve(n, p)
-    emb = embed(problem, cfg.eps)
+    eps = _positive_eps(cfg.eps)
     rng = np.random.default_rng(cfg.seed)
     omega = rng.standard_normal((n + 1, width))
-    r = r_factor(emb.aug)
+    r = r_factor(problem.A, problem.b, head=problem.aug_constraint() / eps)
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag.min() <= np.finfo(float).tiny * diag.max():
         raise NumericalError("stacked matrix is rank deficient; Gram solve fails")

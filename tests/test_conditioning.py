@@ -447,6 +447,40 @@ class TestTlsSpecialization:
         )
         assert sens.kappa_A == pytest.approx(kappa_a, rel=1e-12)
 
+    @pytest.mark.parametrize("q", [300, 6])
+    def test_residual_norm_from_r_factor(self, q):
+        # ||A x - b|| is read as ||R [x; -1]||: the lazy residual stays
+        # unformed, and kappa_A matches the explicit residual norm
+        problem = tls_problem(q=q)
+        solution = solve_qr_svd(problem)
+        sens = tls_specialization(problem, solution)
+        assert "residual" not in vars(solution)
+        r_a = solution.core.data_r[:, :-1]
+        data_map = np.linalg.norm(solution.null_gram_inv @ r_a.T, 2)
+        nx = np.linalg.norm(solution.x)
+        explicit = np.linalg.norm(problem.A @ solution.x - problem.b)
+        kappa_a = np.linalg.norm(r_a, 2) / nx * (
+            explicit * np.linalg.norm(solution.null_gram_inv, 2) + nx * data_map
+        )
+        assert sens.kappa_A == pytest.approx(kappa_a, rel=1e-13)
+
+    def test_r_factor_residual_norm_on_few_rows(self):
+        # p > 0 and q < n + 1: R is trapezoidal, the identity still holds
+        rng = np.random.default_rng(4)
+        problem = TlseProblem(
+            C=rng.standard_normal((3, 8)),
+            d=rng.standard_normal(3),
+            A=rng.standard_normal((6, 8)),
+            b=rng.standard_normal(6),
+        )
+        solution = solve_qr_svd(problem)
+        r = solution.core.data_r
+        assert r.shape == (6, 9)
+        explicit = np.linalg.norm(problem.A @ solution.x - problem.b)
+        assert np.linalg.norm(r[:, :-1] @ solution.x - r[:, -1]) == pytest.approx(
+            explicit, rel=1e-13
+        )
+
     def test_requires_unconstrained_problem(self):
         problem = hand_problem()
         with pytest.raises(InputError):

@@ -1,9 +1,12 @@
 """Problem model, constraint geometry, and the two deterministic solvers."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import tlsekit.core
+from qr_oracle import one_shot_r, stack_of
 from tlsekit import TlseProblem, solve_closed_form, solve_qr_svd
 from tlsekit.core import (
     build_basis,
@@ -339,7 +342,7 @@ class TestGramInverse:
 
 
 class TestDataFactor:
-    """The solvers see [A b] only through its in-place R factor."""
+    """The solvers see [A b] only through its streamed R factor."""
 
     @pytest.mark.parametrize("solver", [solve_qr_svd, solve_closed_form])
     def test_data_left_bitwise_unchanged(self, solver):
@@ -375,6 +378,56 @@ class TestDataFactor:
         assert solution.constraint_gain.shape == (problem.n, 0)
         np.testing.assert_allclose(
             solve_closed_form(problem), solution.x, rtol=1e-10
+        )
+
+
+class TestStreamedData:
+    """A solve reads the q data rows once, through the blocked QR."""
+
+    def test_peak_memory_stays_below_one_data_copy(self):
+        # the q x (n+1) copy of [A b] alone is 3000 * 101 * 8 B = 2.42 MB
+        problem = seeded_problem(1, p=20, n=100, q=3000)
+        solve_qr_svd(problem)
+        tracemalloc.start()
+        try:
+            solve_qr_svd(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2e6
+
+    def test_residual_is_computed_on_first_access(self):
+        problem = seeded_problem(12, q=40)
+        solution = solve_qr_svd(problem)
+        assert "residual" not in vars(solution)
+        residual = solution.residual
+        np.testing.assert_array_equal(residual, problem.A @ solution.x - problem.b)
+        assert solution.residual is residual
+
+    @pytest.mark.parametrize(
+        "shape", [(20, 2000, 100), (20, 3000, 100), (0, 2500, 60)]
+    )
+    def test_matches_a_one_shot_r(self, shape, monkeypatch):
+        # b = A x0 + noise keeps kappa_n near 1e2, so two backward-stable R
+        # factors must give x to about u * kappa_n (a pure Gaussian b can
+        # put kappa_n near 1e4, where the routes themselves differ by 1e-11)
+        p, q, n = shape
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((q, n))
+        problem = TlseProblem(
+            C=rng.standard_normal((p, n)),
+            d=rng.standard_normal(p),
+            A=a,
+            b=a @ rng.standard_normal(n) + rng.standard_normal(q),
+        )
+        x_qr, x_closed = solve_qr_svd(problem).x, solve_closed_form(problem)
+        monkeypatch.setattr(
+            tlsekit.core, "r_factor", lambda *blocks: one_shot_r(stack_of(*blocks))
+        )
+        ref_qr, ref_closed = solve_qr_svd(problem).x, solve_closed_form(problem)
+        assert np.linalg.norm(x_qr - ref_qr) <= 1e-12 * np.linalg.norm(ref_qr)
+        assert np.linalg.norm(x_closed - ref_closed) <= 1e-12 * np.linalg.norm(
+            ref_closed
         )
 
 

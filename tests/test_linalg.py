@@ -1,13 +1,16 @@
-"""Dense kernel tests: validation, SVD wrappers, the Greville update."""
+"""Dense kernel tests: validation, SVD wrappers, the streamed R factor,
+the Greville update."""
 import math
 
 import numpy as np
 import pytest
 
+from qr_oracle import dgeqrf_r, stack_of
 from tlsekit.errors import InputError
 from tlsekit.linalg import (
     as_matrix,
     as_vector,
+    block_rows,
     greville_augment,
     r_factor,
     singular_values,
@@ -123,3 +126,73 @@ def test_r_factor_wide_input_is_trapezoidal():
     assert r.shape == (3, 5)
     np.testing.assert_array_equal(r, np.triu(r))
     np.testing.assert_allclose(r.T @ r, wide.T @ wide, atol=1e-12)
+
+
+# The streamed kernel on 20 data columns plus b: one block holds H rows.
+STREAM_N = 20
+H = block_rows(STREAM_N + 1)
+
+
+def _layout(a, kind):
+    """a as a C-ordered, Fortran-ordered or strided array, or as a list of
+    blocks with 1-d columns; always equal to a entry by entry."""
+    if kind == "C":
+        return [np.ascontiguousarray(a)]
+    if kind == "F":
+        return [np.asfortranarray(a)]
+    if kind == "strided":
+        holder = np.zeros((2 * a.shape[0], 3 * a.shape[1]))
+        holder[::2, ::3] = a
+        return [holder[::2, ::3]]
+    return [a[:, :3], *(a[:, j] for j in range(3, a.shape[1]))]
+
+
+class TestStreamedRFactor:
+    @pytest.mark.parametrize("q", [H - 1, H, H + 1, 2 * H + 1, 7])
+    @pytest.mark.parametrize("heavy_head", [False, True])
+    @pytest.mark.parametrize("kind", ["C", "F", "strided", "columns"])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_gram_and_inputs(self, q, heavy_head, kind, scaled):
+        rng = np.random.default_rng([q, heavy_head, len(kind), scaled])
+        a = rng.standard_normal((q, STREAM_N))
+        if scaled:
+            a *= 10.0 ** rng.uniform(-3, 3, STREAM_N)
+        b = rng.standard_normal(q)
+        head = 1e6 * rng.standard_normal((3, STREAM_N + 1)) if heavy_head else None
+        blocks = [*_layout(a, kind), b]
+        before = [blk.copy() for blk in blocks]
+        head_before = None if head is None else head.copy()
+        r = r_factor(*blocks, head=head)
+        stack = stack_of(a, b, head=head)
+        assert r.shape == (min(stack.shape), STREAM_N + 1)
+        np.testing.assert_array_equal(r, np.triu(r))
+        gram = stack.T @ stack
+        assert np.linalg.norm(r.T @ r - gram) <= 1e-13 * np.linalg.norm(gram)
+        for blk, old in zip(blocks, before):
+            np.testing.assert_array_equal(blk, old)
+        if head is not None:
+            np.testing.assert_array_equal(head, head_before)
+        if len(stack) <= H:
+            # one block: the single dgeqrf call, bit for bit (signed zeros too)
+            np.testing.assert_array_equal(
+                r.view(np.uint64), dgeqrf_r(stack).view(np.uint64)
+            )
+
+    def test_block_height_depends_on_columns_only(self):
+        assert block_rows(101) == 324
+        assert block_rows(301) == 301
+        assert all(block_rows(c) >= c for c in (1, 10, 101, 181, 500))
+
+    def test_head_taller_than_a_block(self):
+        rng = np.random.default_rng(8)
+        head = rng.standard_normal((block_rows(3) + 5, 3))
+        a = rng.standard_normal((40, 3))
+        r = r_factor(a, head=head)
+        gram = stack_of(a, head=head).T @ stack_of(a, head=head)
+        assert np.linalg.norm(r.T @ r - gram) <= 1e-13 * np.linalg.norm(gram)
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(InputError, match="equal row counts"):
+            r_factor(np.ones((4, 2)), np.ones(5))
+        with pytest.raises(InputError, match="head must have 3 columns"):
+            r_factor(np.ones((4, 2)), np.ones(4), head=np.ones((1, 2)))

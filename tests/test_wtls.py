@@ -1,9 +1,12 @@
 """Weighted embedding, its direct solver, limit diagnostics, randomized solve."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import tlsekit.wtls
+from qr_oracle import one_shot_r
 from tlsekit import (
     NwtlsConfig,
     TlseProblem,
@@ -291,3 +294,60 @@ class TestNwtlsSolver:
         )
         with pytest.raises(NumericalError):
             solve_nwtls(problem)
+
+
+def _old_nwtls(problem, cfg, monkeypatch):
+    """solve_nwtls on the explicit embedding, factored in one shot."""
+    emb = embed(problem, cfg.eps)
+    with monkeypatch.context() as patch:
+        patch.setattr(tlsekit.wtls, "r_factor", lambda *_, head: one_shot_r(emb.aug))
+        return solve_nwtls(problem, cfg)
+
+
+class TestNwtlsStreamed:
+    """solve_nwtls factors [[C d]/eps; [A b]] without forming the stack."""
+
+    @pytest.mark.parametrize(
+        "shape, scaled, eps",
+        [
+            ((20, 3000, 100), False, 1e-8),
+            ((20, 3000, 100), True, 1e-8),
+            ((5, 120, 30), True, 1e-8),
+            ((5, 120, 30), False, 1e-4),
+            ((4, 8, 10), False, 1e-8),  # q < n + 1
+            ((0, 700, 40), True, 1e-8),
+        ],
+    )
+    def test_matches_the_embedded_one_shot_route(
+        self, shape, scaled, eps, monkeypatch
+    ):
+        p, q, n = shape
+        rng = np.random.default_rng(q + n)
+        scale = 10.0 ** rng.uniform(-3, 3, n) if scaled else np.ones(n)
+        problem = TlseProblem(
+            C=rng.standard_normal((p, n)) * scale,
+            d=rng.standard_normal(p),
+            A=rng.standard_normal((q, n)) * scale,
+            b=rng.standard_normal(q),
+        )
+        cfg = NwtlsConfig(eps=eps, seed=3)
+        x = solve_nwtls(problem, cfg)
+        ref = _old_nwtls(problem, cfg, monkeypatch)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-8, float("nan"), float("inf")])
+    def test_rejects_bad_eps(self, eps):
+        with pytest.raises(InputError, match="eps must be positive"):
+            solve_nwtls(seeded_problem(1), NwtlsConfig(eps=eps))
+
+    def test_peak_memory_stays_below_one_data_copy(self):
+        # the q x (n+1) copy of [A b] alone is 3000 * 101 * 8 B = 2.42 MB
+        problem = seeded_problem(2, p=20, n=100, q=3000)
+        solve_nwtls(problem)
+        tracemalloc.start()
+        try:
+            solve_nwtls(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2e6
