@@ -34,9 +34,8 @@ def main():
     print("problem: p=%d n=%d q=%d" % (problem.p, problem.n, problem.q))
 
     cfg = NwtlsConfig(seed=0)
-    k, width = cfg.resolve(problem.n, problem.p)
-    print("default sketch: rank %d, width %d (of maximum %d)"
-          % (k, width, problem.n + 1))
+    width = cfg.resolve(problem.n, problem.p)
+    print("default sketch width %d (of maximum %d)" % (width, problem.n + 1))
     print("default-config deviation: %.3e" % deviation(problem, cfg))
 
     # On a generic dense problem a starved sketch visibly hurts; extra
@@ -48,12 +47,12 @@ def main():
         A=rng.standard_normal((15, 8)),
         b=rng.standard_normal(15),
     )
-    print("\noversampling sweep, dense problem, sketch rank 3")
+    print("\noversampling sweep, dense problem, sketch width 3 + oversample")
     for oversample in (1, 3, 5):
         devs = [
             deviation(
                 dense,
-                NwtlsConfig(k=3, oversample=oversample, seed=seed),
+                NwtlsConfig(sample_size=3 + oversample, seed=seed),
             )
             for seed in range(15)
         ]
@@ -68,7 +67,7 @@ def main():
         )
         tight = gen_householder_spectrum(spec)
         devs = [
-            deviation(tight, NwtlsConfig(k=4, sample_size=5, seed=seed))
+            deviation(tight, NwtlsConfig(sample_size=5, seed=seed))
             for seed in range(10)
         ]
         print("delta=%.0e median deviation %.3e"

@@ -639,9 +639,9 @@ def table2(
 
     The nwtls_dev column holds the median relative deviation of the
     randomized solver from the QR-SVD solution over `trials` seeds. By
-    default the sketch uses k = n-p+1 plus the oversample; passing `sketch`
-    pins the sample size to that width (with k = sketch-1), which is how
-    the delta-sensitivity of a genuinely low-rank sketch is exposed.
+    default the sketch width is n-p+1 plus the oversample; passing `sketch`
+    pins the sample size to that width, which is how the delta-sensitivity
+    of a genuinely low-rank sketch is exposed.
     """
     rows = []
     for mi, m in enumerate(ms):
@@ -665,7 +665,6 @@ def table2(
             for s in range(trials):
                 cfg = NwtlsConfig(
                     eps=eps,
-                    k=None if sketch is None else sketch - 1,
                     oversample=oversample,
                     sample_size=sketch,
                     seed=derive_seed(seed, mi, di, 2, s),

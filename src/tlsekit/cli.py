@@ -87,7 +87,6 @@ def _cmd_solve(args) -> str:
     elif args.method == "nwtls":
         cfg = NwtlsConfig(
             eps=args.eps,
-            k=args.k,
             oversample=args.oversample,
             seed=args.seed,
         )
@@ -193,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("qr-svd", "closed", "nwtls"), default="qr-svd"
     )
     p_solve.add_argument("--eps", type=float, default=1e-8)
-    p_solve.add_argument("--k", type=int, default=None)
     p_solve.add_argument("--oversample", type=int, default=5)
     p_solve.add_argument("--seed", type=int, default=0)
     add_format(p_solve)

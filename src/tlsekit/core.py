@@ -111,10 +111,6 @@ class TlseProblem:
         """Stacked right-hand side [d; b] of length m."""
         return np.concatenate([self.d, self.b])
 
-    def aug_data(self) -> np.ndarray:
-        """[A b], q x (n+1)."""
-        return np.hstack([self.A, self.b[:, None]])
-
     def aug_constraint(self) -> np.ndarray:
         """[C d], p x (n+1)."""
         return np.hstack([self.C, self.d[:, None]])
@@ -139,11 +135,6 @@ class ConstraintBasis:
     aug_scale: float
     aug_null_basis: np.ndarray
     problem: TlseProblem = field(repr=False, compare=False)
-
-    @cached_property
-    def feas_residual(self) -> np.ndarray:
-        """A x_feas - b, computed on first use (the solvers use R instead)."""
-        return self.problem.A @ self.x_feas - self.problem.b
 
 
 @dataclass(frozen=True)
@@ -273,20 +264,15 @@ def constraint_pinv(basis: ConstraintBasis) -> np.ndarray:
     return basis.q1 @ inv_rt
 
 
-def check_genericity(
-    basis: ConstraintBasis,
-    problem: TlseProblem,
-    warn_gap_factor: float = GAP_WARN_FACTOR,
-    near_degenerate_tol: float = NEAR_DEGENERATE_TOL,
-) -> CoreSvd:
+def check_genericity(basis: ConstraintBasis, problem: TlseProblem) -> CoreSvd:
     """Factor [A b] once, then the restricted and core SVDs on R.
 
     satisfied means the strict spectral gap holds. Warnings carried in the
     result (never raised here):
 
-    - "ill-posed" when the gap is at or below warn_gap_factor * eps *
+    - "ill-posed" when the gap is at or below GAP_WARN_FACTOR * eps *
       restricted_min_sv**2 (includes every unsatisfied case),
-    - "near-degenerate" when satisfied but rel_gap < near_degenerate_tol,
+    - "near-degenerate" when satisfied but rel_gap < NEAR_DEGENERATE_TOL,
     - "non-unique" when the two smallest core singular values nearly
       coincide, so the minimizing direction is not well determined.
     """
@@ -300,9 +286,9 @@ def check_genericity(
     satisfied = restricted_min_sv > float(sig[-1])
     warnings = []
     eps = np.finfo(float).eps
-    if gap <= warn_gap_factor * eps * restricted_min_sv**2:
+    if gap <= GAP_WARN_FACTOR * eps * restricted_min_sv**2:
         warnings.append("ill-posed")
-    elif rel_gap < near_degenerate_tol:
+    elif rel_gap < NEAR_DEGENERATE_TOL:
         warnings.append("near-degenerate")
     if sig.size >= 2 and sig[-2] - sig[-1] <= MULTIPLICITY_FACTOR * eps * sig[0]:
         warnings.append("non-unique")

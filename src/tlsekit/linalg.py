@@ -59,11 +59,11 @@ class SvdResult:
     v: np.ndarray
 
 
-def svd(m, full: bool = False) -> SvdResult:
-    """SVD wrapper returning an SvdResult; raises NumericalError on breakdown."""
+def svd(m) -> SvdResult:
+    """Thin SVD as an SvdResult; raises NumericalError on breakdown."""
     arr = as_matrix(m)
     try:
-        u, s, vt = np.linalg.svd(arr, full_matrices=full)
+        u, s, vt = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
     return SvdResult(u=u, s=s, v=vt.T)

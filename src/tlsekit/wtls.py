@@ -7,20 +7,24 @@ admissibility bound on eps, convergence diagnostics against the constrained
 solver, and the randomized Nystrom solver that sketches the inverse Gram
 operator of the stacked matrix.
 
+Every route works on R factors, never on the weighted stack itself. The
+embedding is the R of [[C d]/eps; [A b]], factored with the heavy
+constraint rows first (Cox & Higham 1998). wtls_limit_diagnostics factors
+[[C d]/eps; R] instead, with R the solve's factor of [A b]: it has the
+same Gram matrix, so each grid point costs O((p+n) n^2) whatever q is.
+
 Numerical note: the textbook route through the normal equations
-(mat.T @ mat - sigma^2 I)^{-1} mat.T @ rhs squares the 1/eps weighting and
-is useless in float64 below roughly eps = 1e-4. solve_wtls_direct therefore
-normalizes the trailing right singular vector of the stacked matrix, taken
-from its R factor with the heavy constraint rows factored first, and
-wtls_limit_diagnostics evaluates the resolvent through block elimination in
-the constraint QR basis, where every 1/eps^2 appears only as a benign
-multiplicative factor.
+(L_eps.T L_eps - sigma^2 I)^{-1} L_eps.T h_eps squares the 1/eps weighting
+and is useless in float64 below roughly eps = 1e-4. solve_wtls_direct
+therefore normalizes the trailing right singular vector of the weighted R,
+and wtls_limit_diagnostics evaluates the resolvent through block
+elimination in the constraint QR basis, where every 1/eps^2 appears only
+as a benign multiplicative factor.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -37,59 +41,49 @@ from .linalg import r_factor, singular_values, spectral_norm, svd
 
 @dataclass(frozen=True)
 class WeightedEmbedding:
-    """Constraint rows scaled by 1/eps, stacked with the data rows.
+    """The weighted stack [[C d]/eps; [A b]], held as its R factor.
 
-    mat is m x n, rhs length m; aug, the m x (n+1) stack [mat rhs], is
-    formed on first use (the solvers factor mat and rhs in place of it).
+    r is the min(m, n+1) x (n+1) upper triangle with r.T @ r the Gram
+    matrix of the stack; it has the stack's singular values and right
+    singular vectors. The stack itself is never formed.
     """
 
     eps: float
-    mat: np.ndarray
-    rhs: np.ndarray
-
-    @cached_property
-    def aug(self) -> np.ndarray:
-        return np.hstack([self.mat, self.rhs[:, None]])
+    r: np.ndarray
 
 
 @dataclass(frozen=True)
 class NwtlsConfig:
     """Knobs for the randomized solver.
 
-    k is the target rank (defaults to n - p + 1 at solve time) and
-    sample_size the sketch width, defaulting to k + oversample. The sketch
-    must satisfy k >= 1, k < sample_size <= n + 1. The Gaussian test matrix
-    is drawn from a generator seeded with `seed`, so runs are reproducible.
+    sample_size is the sketch width; it defaults to the core dimension
+    n - p + 1 (at most n) plus oversample, clamped to n + 1. The Gaussian
+    test matrix is drawn from a generator seeded with `seed`, so runs are
+    reproducible.
     """
 
     eps: float = 1e-8
-    k: int | None = None
     oversample: int = 5
     sample_size: int | None = None
     seed: int = 0
 
-    def resolve(self, n: int, p: int) -> tuple[int, int]:
-        """Concrete (k, sample_size) for a problem of width n with p constraints.
+    def resolve(self, n: int, p: int) -> int:
+        """The sketch width for a problem of width n with p constraints.
 
-        Defaulted values are clamped into the feasible region (k at most n,
-        sample size at most n + 1); explicitly set values are validated
-        strictly instead.
+        The default needs oversample >= 1; an explicit sample_size must lie
+        in [2, n + 1].
         """
-        k = self.k if self.k is not None else min(n - p + 1, n)
-        width = self.sample_size
-        if width is None:
-            width = min(k + self.oversample, n + 1)
-        if k < 1:
-            raise InputError(f"target rank must be >= 1, got {k}")
-        if width < k + 1:
+        if self.sample_size is None:
+            if self.oversample < 1:
+                raise InputError(
+                    f"oversample must be >= 1, got {self.oversample}"
+                )
+            return min(n - p + 1 + self.oversample, n + 1)
+        if not 2 <= self.sample_size <= n + 1:
             raise InputError(
-                f"sample size {width} must exceed target rank {k}"
+                f"sample size {self.sample_size} must lie in [2, {n + 1}]"
             )
-        if width > n + 1:
-            raise InputError(
-                f"sample size {width} exceeds the operator dimension {n + 1}"
-            )
-        return k, width
+        return self.sample_size
 
 
 @dataclass(frozen=True)
@@ -109,7 +103,10 @@ class LimitRow:
     x_err and sigma_err compare the weighted solve against the constrained
     one; resolvent_err is the spectral distance between the weighted shifted
     Gram inverse and its constrained limit; gain_err the same for the
-    solution-gain map (limit [constraint_gain, null_gram_inv @ A.T]).
+    solution-gain map, taken on R_A in place of A (limit
+    [constraint_gain, null_gram_inv @ R_A.T]). With A = Q R_A the solve's
+    thin QR, M @ A.T = (M @ R_A.T) @ Q.T, and Q.T has orthonormal rows, so
+    the 2-norm is the one of the gain on A.
     """
 
     eps: float
@@ -126,16 +123,18 @@ def _positive_eps(eps) -> float:
     return float(eps)
 
 
+def _weighted(problem: TlseProblem, eps: float, *blocks) -> WeightedEmbedding:
+    """R of [[C d]/eps; blocks side by side], the heavy rows first.
+
+    blocks are A and b, or any R with the Gram matrix of [A b].
+    """
+    head = problem.aug_constraint() / eps
+    return WeightedEmbedding(eps=eps, r=r_factor(*blocks, head=head))
+
+
 def embed(problem: TlseProblem, eps: float) -> WeightedEmbedding:
-    """Stack [C/eps; A] and [d/eps; b]."""
-    eps = _positive_eps(eps)
-    if problem.p:
-        mat = np.vstack([problem.C / eps, problem.A])
-        rhs = np.concatenate([problem.d / eps, problem.b])
-    else:
-        mat = problem.A.copy()
-        rhs = problem.b.copy()
-    return WeightedEmbedding(eps=eps, mat=mat, rhs=rhs)
+    """The weighted stack [[C d]/eps; [A b]] as its streamed R factor."""
+    return _weighted(problem, _positive_eps(eps), problem.A, problem.b)
 
 
 def check_eps_bound(problem: TlseProblem, eps: float, core) -> EpsBound:
@@ -145,8 +144,7 @@ def check_eps_bound(problem: TlseProblem, eps: float, core) -> EpsBound:
     taken from core.data_r, its R factor of [A b]. With p = 0 the left side
     is zero and the test reduces to a positive gap.
     """
-    if eps <= 0:
-        raise InputError(f"eps must be positive, got {eps}")
+    eps = _positive_eps(eps)
     if problem.p:
         aug_c = problem.aug_constraint()
         pinv_norm = 1.0 / float(singular_values(aug_c)[-1])
@@ -159,24 +157,21 @@ def check_eps_bound(problem: TlseProblem, eps: float, core) -> EpsBound:
 
 
 def solve_wtls_direct(emb: WeightedEmbedding) -> tuple[np.ndarray, float]:
-    """TLS solution of the weighted stack from the SVD of [mat rhs].
+    """TLS solution of the weighted stack from the SVD of its R factor.
 
     Returns (x, sigma) where sigma is the smallest singular value of the
-    stack. The SVDs run on the (n+1) x (n+1) R factor of [mat rhs], which
-    has its singular values and right singular vectors; r_factor takes the
-    rows in embed's order, the 1/eps-weighted constraint rows first, as
-    Householder QR of weighted rows requires (Cox & Higham 1998).
-    Normalizes the trailing right singular vector instead of forming
+    stack. Normalizes the trailing right singular vector instead of forming
     normal equations (see module docstring).
     """
-    n = emb.mat.shape[1]
-    r = r_factor(emb.mat, emb.rhs)
+    r = emb.r
+    n = r.shape[1] - 1
     res = svd(r)
-    mat_min = float(singular_values(r[:, :n])[-1])
-    if not mat_min > float(res.s[-1]):
+    coef_min = float(singular_values(r[:, :n])[-1])
+    if not coef_min > float(res.s[-1]):
         raise IllPosedError(
-            f"weighted stack is degenerate: sigma_min(mat) {mat_min:.6e} "
-            f"does not exceed sigma_min(aug) {res.s[-1]:.6e}"
+            f"weighted stack is degenerate: sigma_min of [C/eps; A] "
+            f"{coef_min:.6e} does not exceed sigma_min of the stack "
+            f"{res.s[-1]:.6e}"
         )
     v = res.v[:, -1]
     if abs(v[n]) < 1e-12:
@@ -202,21 +197,21 @@ def _pos_inv(mat, what):
             raise IllPosedError(f"{what} is not positive definite: {exc}") from exc
 
 
-def _blockwise_resolvent(problem, basis, sigma_eps, eps):
-    """Inverse of (mat.T mat - sigma_eps^2 I) and its gain map, stably.
+def _blockwise_resolvent(r_a, basis, sigma_eps, eps):
+    """Inverse of (C.T C / eps^2 + A.T A - sigma_eps^2 I) and its gain map.
 
-    Block elimination in the orthogonal basis [q1, null_basis] of the
-    constraint QR. Returns (resolvent, gain) where gain is the n x m map
-    resolvent @ [C.T/eps^2, A.T]. All 1/eps^2 factors cancel analytically
-    before anything is inverted, so the computation stays accurate for eps
-    far below the breakdown point of the naive formation.
+    r_a is the R factor of A (A.T A = r_a.T r_a). Block elimination in the
+    orthogonal basis [q1, null_basis] of the constraint QR. Returns
+    (resolvent, gain) where gain is the n x (p + rows of r_a) map
+    resolvent @ [C.T/eps^2, r_a.T]. All 1/eps^2 factors cancel
+    analytically before anything is inverted, so the computation stays
+    accurate for eps far below the breakdown point of the naive formation.
     """
-    a = problem.A
-    n, p = problem.n, problem.p
-    shifted = a.T @ a - sigma_eps**2 * np.eye(n)
+    n, p = basis.q1.shape
+    shifted = r_a.T @ r_a - sigma_eps**2 * np.eye(n)
     if p == 0:
         resolvent = _pos_inv(shifted, "shifted Gram matrix")
-        return resolvent, resolvent @ a.T
+        return resolvent, resolvent @ r_a.T
     q1, q2, r1 = basis.q1, basis.null_basis, basis.r1
     z11 = q1.T @ shifted @ q1
     z12 = q1.T @ shifted @ q2
@@ -240,9 +235,9 @@ def _blockwise_resolvent(problem, basis, sigma_eps, eps):
     )
     bottom = -(schur_inv @ z12.T @ b2_inv @ r1)
     gain_c = q1 @ top + q2 @ bottom
-    # data block: resolvent @ A.T applied blockwise
-    w1 = q1.T @ a.T
-    w2 = q2.T @ a.T
+    # data block: resolvent @ r_a.T applied blockwise
+    w1 = q1.T @ r_a.T
+    w2 = q2.T @ r_a.T
     gain_a = q1 @ (t11 @ w1 + t12 @ w2) + q2 @ (t12.T @ w1 + t22 @ w2)
     return resolvent, np.hstack([gain_c, gain_a])
 
@@ -254,23 +249,23 @@ def wtls_limit_diagnostics(problem: TlseProblem, eps_grid) -> list[LimitRow]:
     solution error, the shift error, and the spectral-norm errors of the
     resolvent and gain maps against their constrained limits. Solver errors
     at a grid point propagate to the caller, including IllPosedError when a
-    block of the resolvent is numerically singular.
+    block of the resolvent is numerically singular. The data enter only
+    through the solve's R factor of [A b]: each grid point factors
+    [[C d]/eps; R], which has the Gram matrix of the weighted stack.
     """
-    grid = [float(e) for e in eps_grid]
-    if not grid or any(e <= 0 for e in grid):
-        raise InputError("eps grid must be positive")
+    grid = [_positive_eps(e) for e in eps_grid]
+    if not grid:
+        raise InputError("eps grid must not be empty")
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise InputError("eps grid must be strictly decreasing")
     sol = solve_qr_svd(problem)
-    basis = sol.basis
-    gain_limit = np.hstack(
-        [sol.constraint_gain, sol.null_gram_inv @ problem.A.T]
-    )
+    data_r = sol.core.data_r
+    r_a = data_r[:, :-1]
+    gain_limit = np.hstack([sol.constraint_gain, sol.null_gram_inv @ r_a.T])
     rows = []
     for eps in grid:
-        emb = embed(problem, eps)
-        x_eps, sigma_eps = solve_wtls_direct(emb)
-        resolvent, gain = _blockwise_resolvent(problem, basis, sigma_eps, eps)
+        x_eps, sigma_eps = solve_wtls_direct(_weighted(problem, eps, data_r))
+        resolvent, gain = _blockwise_resolvent(r_a, sol.basis, sigma_eps, eps)
         rows.append(
             LimitRow(
                 eps=eps,
@@ -291,19 +286,16 @@ def solve_nwtls(problem: TlseProblem, cfg: NwtlsConfig | None = None) -> np.ndar
     Sketches the inverse Gram operator of the stacked matrix with a seeded
     Gaussian test matrix, compresses through QR and a small Cholesky, and
     normalizes the dominant left singular vector of the compressed factor.
-    Inverse-Gram solves go through the triangular factor R of the stack
-    [[C d]/eps; [A b]] with two triangular solves; neither the stack, its
-    Q nor its Gram matrix is formed. r_factor streams the data rows after
-    the heavy constraint rows, which it takes as its head. cfg.eps must be
-    finite and positive (InputError otherwise).
+    Inverse-Gram solves go through embed's R factor of the stack with two
+    triangular solves; neither the stack, its Q nor its Gram matrix is
+    formed. cfg.eps must be finite and positive (InputError otherwise).
     """
     cfg = cfg or NwtlsConfig()
-    n, p = problem.n, problem.p
-    _, width = cfg.resolve(n, p)
-    eps = _positive_eps(cfg.eps)
+    n = problem.n
+    width = cfg.resolve(n, problem.p)
+    r = embed(problem, cfg.eps).r
     rng = np.random.default_rng(cfg.seed)
     omega = rng.standard_normal((n + 1, width))
-    r = r_factor(problem.A, problem.b, head=problem.aug_constraint() / eps)
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag.min() <= np.finfo(float).tiny * diag.max():
         raise NumericalError("stacked matrix is rank deficient; Gram solve fails")

@@ -34,7 +34,8 @@ def reference_x(problem: TlseProblem) -> np.ndarray:
         basis = scipy.linalg.null_space(problem.aug_constraint())
     else:
         basis = np.eye(n + 1)
-    _, _, vt = np.linalg.svd(problem.aug_data() @ basis, full_matrices=False)
+    aug_data = np.column_stack([problem.A, problem.b])
+    _, _, vt = np.linalg.svd(aug_data @ basis, full_matrices=False)
     z = basis @ vt[-1]
     return z[:n] / -z[n]
 

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import tlsekit.wtls
-from qr_oracle import one_shot_r
+from qr_oracle import one_shot_r, stack_of
 from tlsekit import (
     NwtlsConfig,
     TlseProblem,
     check_eps_bound,
+    condition_report,
     embed,
     solve_nwtls,
     solve_qr_svd,
@@ -19,9 +20,16 @@ from tlsekit import (
 )
 from tlsekit.core import build_basis, check_genericity
 from tlsekit.errors import IllPosedError, InputError, NumericalError
-from tlsekit.linalg import spectral_norm
+from tlsekit.linalg import r_factor, spectral_norm
 
 PHI = (1 + math.sqrt(5)) / 2
+
+#: Unit roundoff of float64.
+U = np.finfo(float).eps / 2
+
+#: The constant c of the bound ||x_eps - x_oracle|| <= c u (kappa_n + 1/eps)
+#: ||x_oracle|| on the weighted solve of the limit diagnostics.
+C_LIMIT = 100
 
 
 def seeded_problem(seed: int, p: int = 3, n: int = 8, q: int = 15) -> TlseProblem:
@@ -43,6 +51,29 @@ def golden_problem():
     )
 
 
+def gaussian(seed, p, q, n, scaled):
+    """Gaussian problem; scaled multiplies the columns by 10^U(-3, 3)."""
+    rng = np.random.default_rng([seed, p, q, n])
+    scale = 10.0 ** rng.uniform(-3, 3, n) if scaled else np.ones(n)
+    return TlseProblem(
+        C=rng.standard_normal((p, n)) * scale,
+        d=rng.standard_normal(p),
+        A=rng.standard_normal((q, n)) * scale,
+        b=rng.standard_normal(q),
+    )
+
+
+def weighted_stack(problem, eps):
+    """The explicit m x (n+1) stack [[C d]/eps; [A b]]."""
+    return stack_of(problem.A, problem.b, head=problem.aug_constraint() / eps)
+
+
+def assert_gram_of(r, stack):
+    """r.T @ r equals the Gram matrix of stack at 1e-13 relative."""
+    gram = stack.T @ stack
+    assert np.linalg.norm(r.T @ r - gram) <= 1e-13 * np.linalg.norm(gram)
+
+
 def degenerate_problem():
     return TlseProblem(
         C=np.zeros((0, 1)),
@@ -53,27 +84,45 @@ def degenerate_problem():
 
 
 class TestEmbedding:
+    """embed holds the weighted stack as its R factor only."""
+
     def test_unit_eps_reproduces_stack(self):
         problem = seeded_problem(0)
         emb = embed(problem, 1.0)
-        np.testing.assert_array_equal(emb.mat, problem.L)
-        np.testing.assert_array_equal(emb.rhs, problem.h)
-        np.testing.assert_array_equal(emb.aug[:, -1], problem.h)
+        assert emb.eps == 1.0
+        assert emb.r.shape == (problem.n + 1, problem.n + 1)
+        assert_gram_of(emb.r, np.column_stack([problem.L, problem.h]))
 
     def test_constraint_rows_are_scaled(self):
         problem = TlseProblem(C=[[1.0, 0.0]], d=[2.0], A=np.eye(2), b=[2.0, 3.0])
         emb = embed(problem, 1e-4)
-        np.testing.assert_allclose(emb.mat[0], [1e4, 0.0])
-        assert emb.rhs[0] == pytest.approx(2e4)
-        np.testing.assert_array_equal(emb.mat[1:], problem.A)
+        stack = np.array([[1e4, 0.0, 2e4], [1.0, 0.0, 2.0], [0.0, 1.0, 3.0]])
+        assert_gram_of(emb.r, stack)
 
-    def test_unconstrained_embedding_copies_data(self):
-        problem = golden_problem()
+    def test_unconstrained_embedding_factors_data(self):
+        # with p = 0 eps scales nothing: the R of [A b] itself
+        problem = seeded_problem(3, p=0, n=6, q=20)
         emb = embed(problem, 1e-6)
-        np.testing.assert_array_equal(emb.mat, problem.A)
-        np.testing.assert_array_equal(emb.rhs, problem.b)
+        np.testing.assert_array_equal(emb.r, r_factor(problem.A, problem.b))
+        assert_gram_of(emb.r, stack_of(problem.A, problem.b))
 
-    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize(
+        "shape, scaled, eps",
+        [
+            ((3, 15, 8), False, 1e-2),
+            ((5, 2000, 40), False, 1e-6),
+            ((5, 2000, 40), True, 1e-6),
+            ((0, 2000, 40), True, 1e-6),
+            ((4, 8, 10), True, 1e-8),  # q < n + 1
+        ],
+    )
+    def test_gram_matches_explicit_stack(self, shape, scaled, eps):
+        problem = gaussian(0, *shape, scaled)
+        emb = embed(problem, eps)
+        assert emb.r.shape == (min(problem.m, problem.n + 1), problem.n + 1)
+        assert_gram_of(emb.r, weighted_stack(problem, eps))
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_bad_eps(self, eps):
         with pytest.raises(InputError):
             embed(seeded_problem(1), eps)
@@ -110,8 +159,9 @@ class TestEpsBound:
     def test_rejects_bad_eps(self):
         problem = golden_problem()
         core = check_genericity(build_basis(problem), problem)
-        with pytest.raises(InputError):
-            check_eps_bound(problem, 0.0, core)
+        for eps in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(InputError, match="eps must be positive"):
+                check_eps_bound(problem, eps, core)
 
     @pytest.mark.parametrize(
         "p, scaled", [(20, False), (20, True), (0, False)], ids=["plain", "scaled", "p0"]
@@ -126,7 +176,8 @@ class TestEpsBound:
                 C=problem.C * cols, d=problem.d, A=problem.A * cols, b=problem.b
             )
         core = check_genericity(build_basis(problem), problem)
-        data_norm = np.linalg.svd(problem.aug_data(), compute_uv=False)[0]
+        aug_data = stack_of(problem.A, problem.b)
+        data_norm = np.linalg.svd(aug_data, compute_uv=False)[0]
         assert spectral_norm(core.data_r) == pytest.approx(data_norm, rel=1e-13)
         eps = 1e-6
         bound = check_eps_bound(problem, eps, core)
@@ -191,14 +242,69 @@ class TestLimitDiagnostics:
         with pytest.raises(IllPosedError, match="numerically singular.*rcond"):
             wtls_limit_diagnostics(problem, [1e-2, 1e-5, 1e-8])
 
+    @pytest.mark.parametrize(
+        "shape",
+        [(3, 15, 8), (5, 40, 20), (5, 120, 30), (0, 60, 12), (2, 400, 30),
+         (20, 3000, 100)],
+        ids=lambda shape: "x".join(map(str, shape)),
+    )
+    @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
+    def test_weighted_solve_on_r_matches_explicit_stack(
+        self, shape, scaled, monkeypatch
+    ):
+        # each grid point factors [[C d]/eps; R] in place of the q-row stack;
+        # its x_eps is held to the SVD of the explicit stack. A plain 1e-12
+        # relative bound fails near eps = 1e-8 on (20, 3000, 100) problems,
+        # for the embed route too, because the weighting itself amplifies
+        # roundoff by about 1/eps.
+        grid = [1e-2, 1e-4, 1e-6, 1e-8]
+        for seed in range(3):
+            problem = gaussian(seed, *shape, scaled)
+            kappa_n = condition_report(problem, method="upper").kappa_n
+            seen = []
+
+            def spy(emb):
+                x, sigma = solve_wtls_direct(emb)
+                seen.append(x)
+                return x, sigma
+
+            monkeypatch.setattr(tlsekit.wtls, "solve_wtls_direct", spy)
+            wtls_limit_diagnostics(problem, grid)
+            assert len(seen) == len(grid)
+            for eps, x_eps in zip(grid, seen):
+                stack = weighted_stack(problem, eps)
+                _, _, vt = np.linalg.svd(stack, full_matrices=False)
+                x_ref = vt[-1, :-1] / -vt[-1, -1]
+                tol = C_LIMIT * U * (kappa_n + 1 / eps) * np.linalg.norm(x_ref)
+                assert np.linalg.norm(x_eps - x_ref) <= tol
+
+    def test_peak_memory_stays_below_one_data_copy(self):
+        # the q x (n+1) copy of [A b] alone is 3000 * 101 * 8 B = 2.42 MB;
+        # each route reads the data rows through r_factor only
+        problem = seeded_problem(2, p=20, n=100, q=3000)
+        routes = [
+            lambda: wtls_limit_diagnostics(problem, [1e-2, 1e-4, 1e-6]),
+            lambda: solve_wtls_direct(embed(problem, 1e-8)),
+        ]
+        for route in routes:
+            route()
+            tracemalloc.start()
+            try:
+                route()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.42e6
+
     def test_grid_validation(self):
         problem = seeded_problem(2)
         with pytest.raises(InputError):
             wtls_limit_diagnostics(problem, [])
         with pytest.raises(InputError):
             wtls_limit_diagnostics(problem, [1e-3, 1e-2])
-        with pytest.raises(InputError):
-            wtls_limit_diagnostics(problem, [1e-2, 0.0])
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(InputError):
+                wtls_limit_diagnostics(problem, [bad, 1e-2])
 
 
 class TestSpectrumSplit:
@@ -208,7 +314,7 @@ class TestSpectrumSplit:
         problem = seeded_problem(7)
         core = check_genericity(build_basis(problem), problem)
         emb = embed(problem, 1e-6)
-        s_all = np.linalg.svd(emb.aug, compute_uv=False)
+        s_all = np.linalg.svd(emb.r, compute_uv=False)
         constraint_part = np.linalg.svd(
             problem.aug_constraint(), compute_uv=False
         )
@@ -220,19 +326,21 @@ class TestSpectrumSplit:
 
 class TestNwtlsConfig:
     def test_defaults_clamp_to_problem_size(self):
-        assert NwtlsConfig().resolve(8, 3) == (6, 9)
-        assert NwtlsConfig().resolve(4, 0) == (4, 5)
-        assert NwtlsConfig(oversample=50).resolve(8, 3) == (6, 9)
+        assert NwtlsConfig().resolve(8, 3) == 9
+        assert NwtlsConfig().resolve(4, 0) == 5
+        assert NwtlsConfig().resolve(30, 10) == 26
+        assert NwtlsConfig(oversample=50).resolve(8, 3) == 9
+        assert NwtlsConfig(oversample=1).resolve(8, 3) == 7
 
     def test_explicit_values_validated_strictly(self):
-        with pytest.raises(InputError):
-            NwtlsConfig(k=0).resolve(8, 3)
-        with pytest.raises(InputError):
-            NwtlsConfig(k=3, sample_size=3).resolve(8, 3)
-        with pytest.raises(InputError):
-            NwtlsConfig(sample_size=20).resolve(8, 3)
-        with pytest.raises(InputError):
-            NwtlsConfig(oversample=-10).resolve(8, 3)
+        assert NwtlsConfig(sample_size=2).resolve(8, 3) == 2
+        assert NwtlsConfig(sample_size=9, oversample=0).resolve(8, 3) == 9
+        for width in (1, 10, 20):
+            with pytest.raises(InputError):
+                NwtlsConfig(sample_size=width).resolve(8, 3)
+        for oversample in (0, -10):
+            with pytest.raises(InputError):
+                NwtlsConfig(oversample=oversample).resolve(8, 3)
 
 
 class TestNwtlsSolver:
@@ -261,7 +369,7 @@ class TestNwtlsSolver:
                 np.linalg.norm(
                     solve_nwtls(
                         problem,
-                        NwtlsConfig(k=3, oversample=oversample, seed=seed),
+                        NwtlsConfig(sample_size=3 + oversample, seed=seed),
                     )
                     - x_ref
                 )
@@ -297,10 +405,10 @@ class TestNwtlsSolver:
 
 
 def _old_nwtls(problem, cfg, monkeypatch):
-    """solve_nwtls on the explicit embedding, factored in one shot."""
-    emb = embed(problem, cfg.eps)
+    """solve_nwtls on the explicit weighted stack, factored in one shot."""
+    stack = weighted_stack(problem, cfg.eps)
     with monkeypatch.context() as patch:
-        patch.setattr(tlsekit.wtls, "r_factor", lambda *_, head: one_shot_r(emb.aug))
+        patch.setattr(tlsekit.wtls, "r_factor", lambda *_, head: one_shot_r(stack))
         return solve_nwtls(problem, cfg)
 
 
