@@ -56,10 +56,9 @@ class WeightedEmbedding:
 class NwtlsConfig:
     """Knobs for the randomized solver.
 
-    sample_size is the sketch width; it defaults to the core dimension
-    n - p + 1 (at most n) plus oversample, clamped to n + 1. The Gaussian
-    test matrix is drawn from a generator seeded with `seed`, so runs are
-    reproducible.
+    sample_size is the sketch width; it defaults to n - p + 1 + oversample,
+    clamped to n + 1. The Gaussian test matrix is drawn from a generator
+    seeded with `seed`, so runs are reproducible.
     """
 
     eps: float = 1e-8

@@ -302,7 +302,12 @@ class TestLimitDiagnostics:
             wtls_limit_diagnostics(problem, [])
         with pytest.raises(InputError):
             wtls_limit_diagnostics(problem, [1e-3, 1e-2])
-        for bad in (0.0, float("nan"), float("inf")):
+        # a grid in valid order whose only fault is its last point
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(InputError):
+                wtls_limit_diagnostics(problem, [1e-2, bad])
+        # [1e-2, inf] fails the ordering check, so inf goes first
+        for bad in (float("nan"), float("inf")):
             with pytest.raises(InputError):
                 wtls_limit_diagnostics(problem, [bad, 1e-2])
 
