@@ -44,17 +44,17 @@ def main():
     print("%-12s %-14s %-14s %-14s" % ("weights", "exact", "upper", "loose upper"))
     for alpha, beta in ((1, 1), (10, 1), (1, 10)):
         w = Weights(alpha, beta)
-        exact = kappa_normwise_exact(op, w, problem.L, problem.h)
-        tight, loose = kappa_normwise_upper(op, w, problem.L, problem.h)
+        exact = kappa_normwise_exact(op, w)
+        tight, loose = kappa_normwise_upper(op, w)
         print("%-12s %-14.6e %-14.6e %-14.6e"
               % ("(%g,%g)" % (alpha, beta), exact, tight, loose))
         assert exact <= tight <= loose * (1 + 1e-12)
 
     print("\nmixed and componentwise measures")
-    mc = kappa_mixed_componentwise_exact(op, problem.L, problem.h)
-    upper_m, upper_c = kappa_mixed_componentwise_upper(op, problem.L, problem.h)
-    print("mixed:         %.6e  (upper %.6e)" % (mc.kappa_m, upper_m))
-    print("componentwise: %.6e  (upper %.6e)" % (mc.kappa_c, upper_c))
+    mc = kappa_mixed_componentwise_exact(op)
+    upper = kappa_mixed_componentwise_upper(op)
+    print("mixed:         %.6e  (upper %.6e)" % (mc.kappa_m, upper.kappa_m))
+    print("componentwise: %.6e  (upper %.6e)" % (mc.kappa_c, upper.kappa_c))
 
     # One call bundles everything; method "upper" reports the mixed and
     # componentwise bounds in place of the exact values.
@@ -74,7 +74,7 @@ def main():
     ) / np.sqrt(
         np.linalg.norm(problem.L, "fro") ** 2 + np.linalg.norm(problem.h) ** 2
     )
-    exact = kappa_normwise_exact(op, Weights(), problem.L, problem.h)
+    exact = kappa_normwise_exact(op, Weights())
     print("\nperturbation of relative size %.2e" % eps)
     print("observed forward error:  %.6e" % fwd)
     print("first-order bound:       %.6e" % (exact * eps))

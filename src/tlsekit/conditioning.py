@@ -9,32 +9,38 @@ where gain = (2/rho^2) * (null_gram_inv @ x) adjoint_dir.T -
 [constraint_gain, null_gram_inv @ A.T]. apply_k evaluates this matrix-free.
 As a matrix acting on vec([dL dh]) the map is K = [K_1 ... K_n, -gain] with
 n x m blocks K_j = x_j gain - null_gram_inv[:, j] adjoint_dir.T; it has
-m^2 (n+1) entries and is never formed.
+m^2 (n+1) entries and is never formed, and neither is the n x m gain.
 
 Condition numbers come in three flavors: normwise (weighted Frobenius ball
 on the data, Euclidean norm on the solution), mixed (entrywise-bounded
 perturbations, max-norm output), and componentwise (entrywise relative
-output). Each has one exact formula built from the n x m and n x n factors
-of K, plus cheaper upper bounds.
+output). Each has one exact formula built from the factors of K, plus
+cheaper upper bounds.
 
 The data rows enter the normwise numbers only through the row space of
 [C; A]: with [A b] = Q R the solve's thin QR (R = solution.core.data_r)
 and W = blkdiag(I_p, Q), gain = gain_r @ W.T and adjoint_dir = W @
 adjoint_r, where gain_r and adjoint_r take R[:, :n] and R [x; -1] in
 place of A and the residual. W has orthonormal columns, so the normwise
-number and its upper bounds are norms of n x (p+n+1) matrices. The mixed
-and componentwise numbers keep the explicit gain, as entrywise absolute
-values do not commute with W.
+number and its upper bounds are norms of n x (p+n+1) matrices.
+
+Entrywise absolute values do not commute with W, so the mixed and
+componentwise numbers read the data rows themselves. They are streamed
+over row blocks of [C; A] of block_rows(n) rows (the row streaming of
+linalg.r_factor): each block of the gain is formed in one reused n x block
+buffer and consumed at once, so these numbers cost O(n * block) memory
+whatever m is. Blocking only regroups the sums over the rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 from .core import TlseProblem, TlseSolution, constraint_pinv, solve_qr_svd
 from .errors import InputError, UndefinedConditionError
-from .linalg import as_matrix, as_vector, greville_augment, spectral_norm
+from .linalg import as_matrix, as_vector, block_rows, greville_augment, spectral_norm
 
 
 @dataclass(frozen=True)
@@ -55,18 +61,19 @@ class Weights:
 class KOperator:
     """First-order perturbation map at a solution.
 
-    gain is n x m, null_gram_inv n x n, constraint_gain n x p, adjoint_dir
-    the m-vector [-(aug-data @ aug-constraint-pinv).T @ residual; residual].
-    A zero residual forces adjoint_dir = 0 and gain =
+    null_gram_inv is n x n, constraint_gain n x p, adjoint_dir the m-vector
+    [-(aug-data @ aug-constraint-pinv).T @ residual; residual]. The n x m
+    gain (module docstring) is not stored: apply_k applies it from these
+    and problem.A, and the entrywise numbers form it a row block at a
+    time. A zero residual forces adjoint_dir = 0 and gain =
     -[constraint_gain, null_gram_inv @ A.T].
 
     gain_r (n x (p+k)) and adjoint_r are the same map on the k x (n+1) R
     of [A b] (module docstring): gain = gain_r @ W.T, adjoint_dir = W @
-    adjoint_r. The normwise numbers read these; apply_k and the entrywise
-    numbers read gain and adjoint_dir.
+    adjoint_r. The normwise numbers read these. problem is the solved
+    problem itself, held by reference (no copy).
     """
 
-    gain: np.ndarray
     null_gram_inv: np.ndarray
     constraint_gain: np.ndarray
     adjoint_dir: np.ndarray
@@ -74,6 +81,7 @@ class KOperator:
     rho: float
     gain_r: np.ndarray
     adjoint_r: np.ndarray
+    problem: TlseProblem = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -148,25 +156,28 @@ def build_k_operator(problem: TlseProblem, solution: TlseSolution) -> KOperator:
     adjoint_dir = np.concatenate([top, solution.residual])
     adjoint_r = np.concatenate([top, r_res])
     return KOperator(
-        gain=_gain(solution, adjoint_dir, problem.A),
         null_gram_inv=solution.null_gram_inv,
         constraint_gain=solution.constraint_gain,
         adjoint_dir=adjoint_dir,
         x=solution.x.copy(),
         rho=solution.rho,
-        gain_r=_gain(solution, adjoint_r, big_r[:, :-1]),
+        gain_r=_gain(solution, adjoint_r, big_r[:, :-1], problem.p),
         adjoint_r=adjoint_r,
+        problem=problem,
     )
 
 
-def _gain(solution: TlseSolution, adjoint: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """(2/rho^2) (N x) adjoint.T - [constraint_gain, N data.T], N = null_gram_inv,
-    assembled in its one output array."""
-    n_inv, p = solution.null_gram_inv, solution.constraint_gain.shape[1]
-    gain = np.outer(n_inv @ solution.x, adjoint)
-    gain *= 2.0 / solution.rho**2
-    gain[:, :p] -= solution.constraint_gain
-    gain[:, p:] -= n_inv @ data.T
+def _gain(src, adjoint, data, head, out=None, scratch=None) -> np.ndarray:
+    """(2/rho^2) (N x) adjoint.T - [constraint_gain[:, :head], N data.T],
+    N = null_gram_inv, with rho, x and the two matrices read off src (a
+    TlseSolution or a KOperator). Assembled in out (fresh if None); N
+    data.T passes through scratch (fresh if None)."""
+    n_inv = src.null_gram_inv
+    # np.outer without its per-call overhead, which shows on small problems
+    gain = np.multiply((n_inv @ src.x)[:, None], adjoint, out=out)
+    gain *= 2.0 / src.rho**2
+    gain[:, :head] -= src.constraint_gain[:, :head]
+    gain[:, head:] -= np.matmul(n_inv, data.T, out=scratch)
     return gain
 
 
@@ -180,16 +191,27 @@ def apply_k(op: KOperator, dL, dh) -> np.ndarray:
         )
     if dv.shape[0] != op.m:
         raise InputError(f"dh has length {dv.shape[0]}, expected {op.m}")
-    return op.gain @ (dl @ op.x - dv) - op.null_gram_inv @ (
-        dl.T @ op.adjoint_dir
+    # gain @ u = (2/rho^2) (N x)(t . u) - constraint_gain u[:p] - N A.T u[p:]
+    u = dl @ op.x - dv
+    t, n_inv, p = op.adjoint_dir, op.null_gram_inv, op.p
+    return (
+        (2.0 / op.rho**2) * float(t @ u) * (n_inv @ op.x)
+        - op.constraint_gain @ u[:p]
+        - n_inv @ (op.problem.A.T @ u[p:] + dl.T @ t)
     )
 
 
-def _flex_norm(L, h, w: Weights) -> float:
+def _sum_sq(a: np.ndarray) -> float:
+    flat = a.ravel(order="K")
+    return float(flat @ flat)
+
+
+def _flex_norm(problem: TlseProblem, w: Weights) -> float:
+    """||[alpha L, beta h]||_F, read from C, d, A, b without stacking them."""
     return float(
         np.sqrt(
-            w.alpha**2 * np.linalg.norm(L, "fro") ** 2
-            + w.beta**2 * np.linalg.norm(h) ** 2
+            w.alpha**2 * (_sum_sq(problem.C) + _sum_sq(problem.A))
+            + w.beta**2 * (_sum_sq(problem.d) + _sum_sq(problem.b))
         )
     )
 
@@ -201,7 +223,7 @@ def _solution_norm(op: KOperator) -> float:
     return nx
 
 
-def kappa_normwise_exact(op: KOperator, w: Weights, L, h) -> float:
+def kappa_normwise_exact(op: KOperator, w: Weights) -> float:
     """Normwise condition number, without forming K.
 
     With G = gain, N = null_gram_inv, t = adjoint_dir and the matrix-block
@@ -219,7 +241,7 @@ def kappa_normwise_exact(op: KOperator, w: Weights, L, h) -> float:
     of norm ||G||_2 sqrt(||x||^2/alpha^2 + 1/beta^2).
     """
     nx = _solution_norm(op)
-    scale = _flex_norm(L, h, w) / nx
+    scale = _flex_norm(op.problem, w) / nx
     alpha, beta = w.alpha, w.beta
     g, t = op.gain_r, op.adjoint_r
     nt = float(np.linalg.norm(t))
@@ -234,7 +256,7 @@ def kappa_normwise_exact(op: KOperator, w: Weights, L, h) -> float:
     return spectral_norm(np.hstack([z1, z2])) * scale
 
 
-def kappa_normwise_upper(op: KOperator, w: Weights, L, h) -> tuple[float, float]:
+def kappa_normwise_upper(op: KOperator, w: Weights) -> tuple[float, float]:
     """Kronecker-free upper bounds (tight, loose) on the normwise number.
 
     tight uses ||gain||_2 directly; loose additionally bounds the gain by
@@ -247,7 +269,7 @@ def kappa_normwise_upper(op: KOperator, w: Weights, L, h) -> tuple[float, float]
     alpha, beta = w.alpha, w.beta
     nt = float(np.linalg.norm(op.adjoint_r))
     factor = (
-        _flex_norm(L, h, w)
+        _flex_norm(op.problem, w)
         / nx
         * np.sqrt(max(1.0, beta**2 / alpha**2 + 1.0 / nx**2) + beta / alpha)
     )
@@ -288,36 +310,87 @@ def _mixed_componentwise(target: np.ndarray, x: np.ndarray) -> MixedComponentwis
     )
 
 
-def kappa_mixed_componentwise_exact(op: KOperator, L, h) -> MixedComponentwise:
+def _gain_blocks(op: KOperator):
+    """Stream the gain over row blocks of [C; A]: yield (gain_B, |L_B|,
+    |h_B|, t_B) block by block, with t = adjoint_dir.
+
+    A block holds block_rows(n) rows, or all m if fewer; as p < n <=
+    block_rows(n), the constraint rows all fall in the first. gain_B =
+    (2/rho^2) (N x) t_B.T - [constraint_gain | N A_B.T] is formed in one
+    reused n x block buffer; |L_B| and |h_B| are copied into reused
+    buffers, the first of which holds N A_B.T until gain_B is done. A short
+    last block takes the contiguous leading part of each buffer. The next
+    block overwrites all of them, and a consumer may overwrite gain_B.
+    """
+    problem = op.problem
+    n, p, m = op.n, op.p, op.m
+    rows = min(block_rows(n), m)
+    gain_buf, labs_buf = np.empty(n * rows), np.empty(n * rows)
+    habs_buf = np.empty(rows)
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        size = stop - start
+        head = max(p - start, 0)  # constraint rows in this block
+        a_rows = slice(start + head - p, stop - p)
+        t = op.adjoint_dir[start:stop]
+        gain = _gain(
+            op, t, problem.A[a_rows], head,
+            out=gain_buf[: n * size].reshape(n, size),
+            scratch=labs_buf[: n * (size - head)].reshape(n, size - head),
+        )
+        labs = labs_buf[: n * size].reshape(size, n)
+        np.abs(problem.C[:head], out=labs[:head])
+        np.abs(problem.A[a_rows], out=labs[head:])
+        habs = habs_buf[:size]
+        np.abs(problem.d[:head], out=habs[:head])
+        np.abs(problem.b[a_rows], out=habs[head:])
+        yield gain, labs, habs, t
+
+
+def kappa_mixed_componentwise_exact(op: KOperator) -> MixedComponentwise:
     """Exact mixed/componentwise condition numbers.
 
     Sums |K| vec(|[L h]|) = |G| |h| + sum_j |x_j G - N[:, j] t.T| |L[:, j]|
-    one n x m block of K at a time (notation of kappa_normwise_exact), in
-    two n x m buffers allocated once.
+    (notation of kappa_normwise_exact) over the row blocks of
+    _gain_blocks, one n x block part of K_j at a time, in two more
+    n x block buffers allocated once. The rank-one part N[:, j] t_B.T is
+    a BLAS rank-one update of a zeroed buffer, which rounds each product
+    once, as np.outer does.
     """
-    labs = np.abs(as_matrix(L))
-    target = np.abs(op.gain) @ np.abs(as_vector(h))
-    block, rank_one = np.empty_like(op.gain), np.empty_like(op.gain)
-    for j in range(op.n):
-        np.multiply(op.x[j], op.gain, out=block)
-        np.outer(op.null_gram_inv[:, j], op.adjoint_dir, out=rank_one)
-        block -= rank_one
-        target += np.abs(block, out=block) @ labs[:, j]
+    n = op.n
+    size = n * min(block_rows(n), op.m)
+    block_buf, rank_buf = np.empty(size), np.empty(size)
+    target = np.zeros(n)
+    for gain, labs, habs, t in _gain_blocks(op):
+        block = block_buf[: gain.size].reshape(gain.shape)
+        # Fortran-ordered view of the rank-one buffer, written in place by dger
+        rank_t = rank_buf[: gain.size].reshape(gain.shape).T
+        target += np.abs(gain, out=block) @ habs
+        for j in range(n):
+            np.multiply(op.x[j], gain, out=block)
+            # 0 + N[i, j] t_k rounds as np.outer does, at twice its speed
+            rank_t.fill(0.0)
+            rank_one = dger(1.0, t, op.null_gram_inv[:, j], a=rank_t, overwrite_a=1)
+            block -= rank_one.T
+            target += np.abs(block, out=block) @ labs[:, j]
     return _mixed_componentwise(target, op.x)
 
 
-def _upper_target(op: KOperator, L, h) -> np.ndarray:
-    labs = np.abs(as_matrix(L))
-    habs = np.abs(as_vector(h))
-    return np.abs(op.gain) @ (labs @ np.abs(op.x) + habs) + np.abs(
-        op.null_gram_inv
-    ) @ (labs.T @ np.abs(op.adjoint_dir))
+def kappa_mixed_componentwise_upper(op: KOperator) -> MixedComponentwise:
+    """Kronecker-free upper bounds on the mixed/componentwise numbers.
 
-
-def kappa_mixed_componentwise_upper(op: KOperator, L, h) -> tuple[float, float]:
-    """Kronecker-free upper bounds on (kappa_m, kappa_c)."""
-    upper = _mixed_componentwise(_upper_target(op, L, h), op.x)
-    return upper.kappa_m, upper.kappa_c
+    Bounds |K| vec(|[L h]|) by |G| (|L| |x| + |h|) + |N| |L|.T |t|, both
+    terms summed over the row blocks of _gain_blocks.
+    """
+    abs_x = np.abs(op.x)
+    target, weight = np.zeros(op.n), np.zeros(op.n)
+    for gain, labs, habs, t in _gain_blocks(op):
+        data = labs @ abs_x
+        data += habs
+        target += np.abs(gain, out=gain) @ data
+        weight += labs.T @ np.abs(t)
+    target += np.abs(op.null_gram_inv) @ weight
+    return _mixed_componentwise(target, op.x)
 
 
 def tls_specialization(
@@ -380,15 +453,11 @@ def condition_report(
     w = weights or Weights()
     sol = solution if solution is not None else solve_qr_svd(problem)
     op = build_k_operator(problem, sol)
-    big_l, big_h = problem.L, problem.h
-    tight, loose = kappa_normwise_upper(op, w, big_l, big_h)
-    upper = _mixed_componentwise(_upper_target(op, big_l, big_h), op.x)
-    if method == "upper":
-        mixed = upper
-    else:
-        mixed = kappa_mixed_componentwise_exact(op, big_l, big_h)
+    tight, loose = kappa_normwise_upper(op, w)
+    upper = kappa_mixed_componentwise_upper(op)
+    mixed = upper if method == "upper" else kappa_mixed_componentwise_exact(op)
     return ConditionReport(
-        kappa_n=float(kappa_normwise_exact(op, w, big_l, big_h)),
+        kappa_n=float(kappa_normwise_exact(op, w)),
         kappa_n_upper=tight,
         kappa_n_upper_loose=loose,
         kappa_m=mixed.kappa_m,

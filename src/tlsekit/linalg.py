@@ -70,7 +70,8 @@ def svd(m) -> SvdResult:
 
 
 def block_rows(cols: int) -> int:
-    """Height of r_factor's workspace for a stack of cols columns.
+    """Height of r_factor's workspace for a stack of cols columns, and of
+    the row blocks over which conditioning streams the gain (cols = n).
 
     BLOCK_BYTES of float64 rows, but never fewer than cols rows, so the
     first block always yields a square R.

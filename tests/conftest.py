@@ -1,9 +1,24 @@
 """Shared fixtures: seeded problem batteries reused across the suite."""
-import numpy as np
-import pytest
+import os
 
-from tlsekit import TlseProblem, solve_qr_svd
-from tlsekit.core import build_basis, check_genericity
+# One BLAS thread unless the caller chose otherwise: set before numpy is
+# imported, since the BLAS reads these once when it loads. Several threads
+# oversubscribe small hosts and make the suite about twice as slow.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+
+def pytest_configure(config):
+    # Any SciPy LinAlgWarning fails the suite. The filter is registered here
+    # rather than in pyproject.toml: pytest resolves an ini filter's warning
+    # class, importing scipy and numpy, before it loads this file.
+    config.addinivalue_line("filterwarnings", "error::scipy.linalg.LinAlgWarning")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from tlsekit import TlseProblem, solve_qr_svd  # noqa: E402
+from tlsekit.core import build_basis, check_genericity  # noqa: E402
 
 
 def make_battery(count: int, seed: int, p_min: int = 0) -> list[TlseProblem]:

@@ -6,12 +6,14 @@ algebraically identical layouts, and the condition numbers are read off it
 by their definitions, to check the structured formulas of
 tlsekit.conditioning on small problems.
 
-The explicit forms below evaluate those formulas on the n x m gain and the
-m-vector adjoint_dir, where the package reads the compressed gain_r and
-adjoint_r; they cost an SVD of an n x m matrix but no Kronecker product, so
-they serve as oracles at any size. explicit_mixed_target is the
-per-column sum with fresh temporaries, the reference for the package's
-in-place loop.
+The explicit forms below evaluate those formulas on the n x m gain
+(explicit_gain, which the package never forms) and the m-vector
+adjoint_dir, where the package reads the compressed gain_r and adjoint_r
+or streams the gain over row blocks; they cost an SVD of an n x m matrix
+but no Kronecker product, so they serve as oracles at any size.
+explicit_mixed_target and explicit_upper_target are the entrywise targets
+summed over all m rows at once with fresh temporaries, the references for
+the package's blocked sums.
 """
 import numpy as np
 
@@ -23,6 +25,14 @@ def vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=float).reshape(-1, order="F")
 
 
+def explicit_gain(op: KOperator) -> np.ndarray:
+    """The n x m gain (2/rho^2) (N x) t.T - [constraint_gain, N A.T], with
+    N = null_gram_inv, t = adjoint_dir and A = op.problem.A."""
+    n_inv = op.null_gram_inv
+    rank_one = (2.0 / op.rho**2) * np.outer(n_inv @ op.x, op.adjoint_dir)
+    return rank_one - np.hstack([op.constraint_gain, n_inv @ op.problem.A.T])
+
+
 def materialize_k(op: KOperator, form: str = "combined") -> np.ndarray:
     """Explicit n x m(n+1) matrix acting on vec([dL dh]).
 
@@ -31,16 +41,17 @@ def materialize_k(op: KOperator, form: str = "combined") -> np.ndarray:
     -gain].
     """
     n, m = op.n, op.m
+    gain = explicit_gain(op)
     if form == "combined":
         lift = np.kron(np.append(op.x, -1.0)[None, :], np.eye(m))
         selector = np.hstack([np.eye(n), np.zeros((n, 1))])
         adjoint_term = op.null_gram_inv @ np.kron(selector, op.adjoint_dir[None, :])
-        return op.gain @ lift - adjoint_term
+        return gain @ lift - adjoint_term
     if form == "split":
-        left = np.kron(op.x[None, :], op.gain) - op.null_gram_inv @ np.kron(
+        left = np.kron(op.x[None, :], gain) - op.null_gram_inv @ np.kron(
             np.eye(n), op.adjoint_dir[None, :]
         )
-        return np.hstack([left, -op.gain])
+        return np.hstack([left, -gain])
     raise ValueError(f"unknown form {form!r}, expected 'combined' or 'split'")
 
 
@@ -74,7 +85,9 @@ def kappa_normwise_block(op: KOperator, w: Weights, L, h, signs=(1, 1)) -> float
     block[:m, :m] = c1 * np.eye(m) - (c2 / nt**2) * np.outer(t, t)
     block[:m, m:] = (w.beta / w.alpha) * np.outer(t, op.x) / (nt * nx)
     block[m:, m:] = np.eye(n)
-    z = np.hstack([-(nx / w.beta) * op.gain, (nt / w.alpha) * op.null_gram_inv])
+    z = np.hstack(
+        [-(nx / w.beta) * explicit_gain(op), (nt / w.alpha) * op.null_gram_inv]
+    )
     return np.linalg.norm(z @ block, 2) * _data_norm(L, h, w) / nx
 
 
@@ -94,7 +107,7 @@ def kappa_normwise_explicit(op: KOperator, w: Weights, L, h) -> float:
     nx = float(np.linalg.norm(op.x))
     scale = _data_norm(L, h, w) / nx
     alpha, beta = w.alpha, w.beta
-    g, t = op.gain, op.adjoint_dir
+    g, t = explicit_gain(op), op.adjoint_dir
     nt = float(np.linalg.norm(t))
     if nt == 0.0:
         return _norm2(g) * np.sqrt(nx**2 / alpha**2 + 1.0 / beta**2) * scale
@@ -119,7 +132,7 @@ def kappa_normwise_upper_explicit(op: KOperator, w: Weights, L, h) -> tuple[floa
         * np.sqrt(max(1.0, beta**2 / alpha**2 + 1.0 / nx**2) + beta / alpha)
     )
     k_norm = _norm2(op.null_gram_inv)
-    tight = (nx / beta * _norm2(op.gain) + nt / alpha * k_norm) * factor
+    tight = (nx / beta * _norm2(explicit_gain(op)) + nt / alpha * k_norm) * factor
     a_block = np.asarray(L, dtype=float)[op.p :, :]
     split_norms = _norm2(op.constraint_gain) + _norm2(op.null_gram_inv @ a_block.T)
     loose = (
@@ -130,9 +143,24 @@ def kappa_normwise_upper_explicit(op: KOperator, w: Weights, L, h) -> tuple[floa
 
 def explicit_mixed_target(op: KOperator, L, h) -> np.ndarray:
     """|G| |h| + sum_j |x_j G - N[:, j] t.T| |L[:, j]|, one fresh block per j."""
-    labs = np.abs(L)
-    target = np.abs(op.gain) @ np.abs(h)
+    gain, labs = explicit_gain(op), np.abs(L)
+    target = np.abs(gain) @ np.abs(h)
     for j in range(op.n):
-        block = op.x[j] * op.gain - np.outer(op.null_gram_inv[:, j], op.adjoint_dir)
+        block = op.x[j] * gain - np.outer(op.null_gram_inv[:, j], op.adjoint_dir)
         target += np.abs(block) @ labs[:, j]
     return target
+
+
+def explicit_upper_target(op: KOperator, L, h) -> np.ndarray:
+    """|G| (|L| |x| + |h|) + |N| |L|.T |t|, the bound on |K| vec(|[L h]|)."""
+    labs = np.abs(L)
+    return np.abs(explicit_gain(op)) @ (labs @ np.abs(op.x) + np.abs(h)) + np.abs(
+        op.null_gram_inv
+    ) @ (labs.T @ np.abs(op.adjoint_dir))
+
+
+def explicit_apply_k(op: KOperator, dL, dh) -> np.ndarray:
+    """gain @ (dL x - dh) - N dL.T t on the explicit gain."""
+    return explicit_gain(op) @ (dL @ op.x - dh) - op.null_gram_inv @ (
+        dL.T @ op.adjoint_dir
+    )

@@ -79,7 +79,7 @@ def test_c04_normwise_formulas_agree(solved100):
     for problem, solution in solved100:
         op = build_k_operator(problem, solution)
         for weights in weight_grid:
-            exact = kappa_normwise_exact(op, weights, problem.L, problem.h)
+            exact = kappa_normwise_exact(op, weights)
             oracle = kron_oracle.kappa_normwise(op, weights, problem.L, problem.h)
             assert abs(oracle - exact) <= 1e-10 * exact
             for signs in sign_grid:

@@ -1,6 +1,7 @@
 """Perturbation operator and the three condition-number families."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from tlsekit import (
     solve_qr_svd,
     tls_specialization,
 )
+from tlsekit import conditioning
 from tlsekit.conditioning import _mixed_componentwise
 from tlsekit.errors import InputError, UndefinedConditionError
+from tlsekit.linalg import block_rows
 
 import kron_oracle
 from kron_oracle import materialize_k
@@ -125,7 +128,9 @@ class TestOperatorAssembly:
         op = build_k_operator(problem, solution)
         np.testing.assert_allclose(solution.x, x_oracle, rtol=1e-10)
         np.testing.assert_allclose(op.adjoint_dir, r, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(op.gain, gain_oracle, rtol=1e-8, atol=1e-12)
+        np.testing.assert_allclose(
+            kron_oracle.explicit_gain(op), gain_oracle, rtol=1e-8, atol=1e-12
+        )
         for form in ("combined", "split"):
             np.testing.assert_allclose(
                 materialize_k(op, form), mat_oracle, rtol=1e-8, atol=1e-12
@@ -139,7 +144,7 @@ class TestOperatorAssembly:
         expected = -np.hstack(
             [solution.constraint_gain, solution.null_gram_inv @ problem.A.T]
         )
-        np.testing.assert_allclose(op.gain, expected, atol=1e-12)
+        np.testing.assert_allclose(kron_oracle.explicit_gain(op), expected, atol=1e-12)
 
     @pytest.mark.parametrize("q", [6, 15])
     def test_compressed_pair_matches_explicit(self, q):
@@ -150,15 +155,16 @@ class TestOperatorAssembly:
         k = min(problem.q, problem.n + 1)
         assert op.gain_r.shape == (problem.n, problem.p + k)
         assert op.adjoint_r.shape == (problem.p + k,)
-        scale = np.linalg.norm(op.gain) ** 2
+        gain = kron_oracle.explicit_gain(op)
+        scale = np.linalg.norm(gain) ** 2
         np.testing.assert_allclose(
-            op.gain_r @ op.gain_r.T, op.gain @ op.gain.T, rtol=0, atol=1e-13 * scale
+            op.gain_r @ op.gain_r.T, gain @ gain.T, rtol=0, atol=1e-13 * scale
         )
         np.testing.assert_allclose(
             op.gain_r @ op.adjoint_r,
-            op.gain @ op.adjoint_dir,
+            gain @ op.adjoint_dir,
             rtol=0,
-            atol=1e-13 * np.linalg.norm(op.gain) * np.linalg.norm(op.adjoint_dir),
+            atol=1e-13 * np.linalg.norm(gain) * np.linalg.norm(op.adjoint_dir),
         )
         assert np.linalg.norm(op.adjoint_r) == pytest.approx(
             np.linalg.norm(op.adjoint_dir), rel=1e-13
@@ -222,7 +228,7 @@ class TestNormwise:
         # scalars, gives the structured exact value
         problem = seeded_problem(4)
         op = build_k_operator(problem, solve_qr_svd(problem))
-        exact = kappa_normwise_exact(op, weights, problem.L, problem.h)
+        exact = kappa_normwise_exact(op, weights)
         compact = kron_oracle.kappa_normwise_block(
             op, weights, problem.L, problem.h, signs=signs
         )
@@ -239,7 +245,7 @@ class TestNormwise:
             adjoint_r=np.zeros_like(op.adjoint_r),
         )
         for weights in WEIGHT_GRID:
-            exact = kappa_normwise_exact(op0, weights, problem.L, problem.h)
+            exact = kappa_normwise_exact(op0, weights)
             oracle = kron_oracle.kappa_normwise(op0, weights, problem.L, problem.h)
             assert exact == pytest.approx(oracle, rel=1e-12)
 
@@ -247,8 +253,8 @@ class TestNormwise:
     def test_upper_bounds_dominate(self, weights):
         problem = seeded_problem(5)
         op = build_k_operator(problem, solve_qr_svd(problem))
-        exact = kappa_normwise_exact(op, weights, problem.L, problem.h)
-        tight, loose = kappa_normwise_upper(op, weights, problem.L, problem.h)
+        exact = kappa_normwise_exact(op, weights)
+        tight, loose = kappa_normwise_upper(op, weights)
         assert exact <= tight * (1 + 1e-12)
         assert tight <= loose * (1 + 1e-12)
 
@@ -256,9 +262,9 @@ class TestNormwise:
         problem = zero_solution_problem()
         op = build_k_operator(problem, solve_qr_svd(problem))
         with pytest.raises(UndefinedConditionError):
-            kappa_normwise_exact(op, Weights(), problem.L, problem.h)
+            kappa_normwise_exact(op, Weights())
         with pytest.raises(UndefinedConditionError):
-            kappa_normwise_upper(op, Weights(), problem.L, problem.h)
+            kappa_normwise_upper(op, Weights())
 
 
 def tall_problem(seed: int = 14) -> TlseProblem:
@@ -277,10 +283,10 @@ COMPRESSION_CASES = {
 def assert_normwise_match_explicit(problem, op):
     for weights in WEIGHT_GRID:
         args = (op, weights, problem.L, problem.h)
-        assert kappa_normwise_exact(*args) == pytest.approx(
+        assert kappa_normwise_exact(op, weights) == pytest.approx(
             kron_oracle.kappa_normwise_explicit(*args), rel=1e-12
         )
-        tight, loose = kappa_normwise_upper(*args)
+        tight, loose = kappa_normwise_upper(op, weights)
         tight_x, loose_x = kron_oracle.kappa_normwise_upper_explicit(*args)
         assert tight == pytest.approx(tight_x, rel=1e-12)
         assert loose == pytest.approx(loose_x, rel=1e-12)
@@ -319,7 +325,7 @@ class TestAgainstKroneckerOracle:
         problem = ORACLE_CASES[case]
         op = build_k_operator(problem, solve_qr_svd(problem))
         for weights in WEIGHT_GRID:
-            exact = kappa_normwise_exact(op, weights, problem.L, problem.h)
+            exact = kappa_normwise_exact(op, weights)
             oracle = kron_oracle.kappa_normwise(op, weights, problem.L, problem.h)
             assert exact == pytest.approx(oracle, rel=1e-10)
 
@@ -329,7 +335,7 @@ class TestAgainstKroneckerOracle:
         op = build_k_operator(problem, solve_qr_svd(problem))
         target = kron_oracle.mixed_componentwise_target(op, problem.L, problem.h)
         ratios = target / np.abs(op.x)
-        mixed = kappa_mixed_componentwise_exact(op, problem.L, problem.h)
+        mixed = kappa_mixed_componentwise_exact(op)
         assert mixed.kappa_m == pytest.approx(
             target.max() / np.abs(op.x).max(), rel=1e-12
         )
@@ -341,7 +347,7 @@ class TestMixedComponentwise:
     def test_mixed_below_componentwise(self):
         problem = seeded_problem(6)
         op = build_k_operator(problem, solve_qr_svd(problem))
-        mixed = kappa_mixed_componentwise_exact(op, problem.L, problem.h)
+        mixed = kappa_mixed_componentwise_exact(op)
         assert mixed.kappa_m <= mixed.kappa_c
         assert mixed.kappa_c_finite <= mixed.kappa_c
 
@@ -349,29 +355,173 @@ class TestMixedComponentwise:
         "problem", [seeded_problem(6), column_scaled_problem(), tall_problem()]
     )
     def test_in_place_sum_equals_fresh_blocks(self, problem):
+        # one block: the same sums in the same order, so equal bit for bit;
+        # tall_problem (m = 2020) has seven blocks, whose partial sums add
+        # in another order
         op = build_k_operator(problem, solve_qr_svd(problem))
         reference = kron_oracle.explicit_mixed_target(op, problem.L, problem.h)
-        assert kappa_mixed_componentwise_exact(
-            op, problem.L, problem.h
-        ) == _mixed_componentwise(reference, op.x)
+        mixed = kappa_mixed_componentwise_exact(op)
+        expected = _mixed_componentwise(reference, op.x)
+        if problem.m <= block_rows(problem.n):
+            assert mixed == expected
+        else:
+            for got, want in zip(
+                dataclasses.astuple(mixed), dataclasses.astuple(expected)
+            ):
+                assert got == pytest.approx(want, rel=1e-13)
 
     def test_upper_bounds_dominate(self):
         problem = seeded_problem(6)
         op = build_k_operator(problem, solve_qr_svd(problem))
-        mixed = kappa_mixed_componentwise_exact(op, problem.L, problem.h)
-        upper_m, upper_c = kappa_mixed_componentwise_upper(
-            op, problem.L, problem.h
-        )
-        assert mixed.kappa_m <= upper_m * (1 + 1e-12)
-        assert mixed.kappa_c <= upper_c * (1 + 1e-12)
+        mixed = kappa_mixed_componentwise_exact(op)
+        upper = kappa_mixed_componentwise_upper(op)
+        assert mixed.kappa_m <= upper.kappa_m * (1 + 1e-12)
+        assert mixed.kappa_c <= upper.kappa_c * (1 + 1e-12)
 
     def test_zero_solution_is_undefined(self):
         problem = zero_solution_problem()
         op = build_k_operator(problem, solve_qr_svd(problem))
         with pytest.raises(UndefinedConditionError):
-            kappa_mixed_componentwise_exact(op, problem.L, problem.h)
+            kappa_mixed_componentwise_exact(op)
         with pytest.raises(UndefinedConditionError):
-            kappa_mixed_componentwise_upper(op, problem.L, problem.h)
+            kappa_mixed_componentwise_upper(op)
+
+
+BLOCK_N = 50
+#: rows of [C; A] per block of the streamed entrywise sums at n = BLOCK_N
+H = block_rows(BLOCK_N)
+
+
+def stacked_problem(seed: int, p: int, m: int, scaled: bool = False) -> TlseProblem:
+    # m rows of [C; A] with n = BLOCK_N; scaled spreads the columns over 10^+-3
+    rng = np.random.default_rng(seed)
+    C = rng.standard_normal((p, BLOCK_N))
+    A = rng.standard_normal((m - p, BLOCK_N))
+    if scaled:
+        cols = 10.0 ** rng.uniform(-3, 3, BLOCK_N)
+        C, A = C * cols, A * cols
+    return TlseProblem(C=C, d=rng.standard_normal(p), A=A, b=rng.standard_normal(m - p))
+
+
+BLOCK_CASES = {
+    "one-full-block": stacked_problem(20, p=4, m=H),
+    "one-row-last-block": stacked_problem(21, p=4, m=H + 1),
+    "short-last-block": stacked_problem(22, p=4, m=2 * H + 3),
+    "unconstrained": stacked_problem(23, p=0, m=2 * H + 3),
+    "column-scaled": stacked_problem(24, p=4, m=2 * H + 3, scaled=True),
+    "q-below-n+1": seeded_problem(3, q=6),
+    "zero-residual": hand_problem(),
+}
+
+#: The (p, q, n) shapes of the benchmark's kron workload
+#: (perfbench/workloads.py KRON_SHAPES), one block each.
+KRON_SHAPES = (
+    (8, 192, 30), (8, 212, 32), (10, 230, 34), (10, 240, 35), (10, 250, 36),
+    (10, 260, 37), (12, 258, 38), (12, 268, 39), (10, 270, 40), (10, 280, 40),
+)
+
+
+def streamed(op):
+    """(result, target) of the exact and of the upper mixed/componentwise
+    numbers, target being |K| vec(|[L h]|) or its bound as the package sums
+    it before reducing it to kappa_m and kappa_c."""
+    targets = []
+
+    def capture(target, x):
+        targets.append(target.copy())
+        return _mixed_componentwise(target, x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conditioning, "_mixed_componentwise", capture)
+        results = [
+            kappa_mixed_componentwise_exact(op),
+            kappa_mixed_componentwise_upper(op),
+        ]
+    return list(zip(results, targets))
+
+
+def explicit_targets(op):
+    """The same two targets summed over all m rows at once."""
+    big_l, big_h = op.problem.L, op.problem.h
+    return [
+        kron_oracle.explicit_mixed_target(op, big_l, big_h),
+        kron_oracle.explicit_upper_target(op, big_l, big_h),
+    ]
+
+
+def apply_k_magnitude(op, dl, dh) -> float:
+    """Norm of the sum of the absolute terms apply_k adds up; its rounding
+    scales with this, as the terms of gain @ u are summed before they
+    cancel."""
+    n_inv, p, t = op.null_gram_inv, op.p, np.abs(op.adjoint_dir)
+    u = np.abs(dl @ op.x - dh)
+    rank_one = (2.0 / op.rho**2) * float(t @ u) * np.abs(n_inv @ op.x)
+    rest = np.abs(op.constraint_gain) @ u[:p] + np.abs(n_inv) @ (
+        np.abs(op.problem.A).T @ u[p:] + np.abs(dl).T @ t
+    )
+    return float(np.linalg.norm(rank_one + rest))
+
+
+def assert_single_block_bitwise(op):
+    # within one block the streamed sums are the all-rows sums of the
+    # explicit forms, term for term and in the same order
+    assert op.m <= block_rows(op.n)
+    for (result, target), reference in zip(streamed(op), explicit_targets(op)):
+        np.testing.assert_array_equal(target, reference)
+        assert result == _mixed_componentwise(reference, op.x)
+
+
+class TestStreamedBlocks:
+    """The row-blocked gain against the explicit n x m forms."""
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_targets_and_apply_match_explicit(self, case):
+        problem = BLOCK_CASES[case]
+        op = build_k_operator(problem, solve_qr_svd(problem))
+        for (_, target), reference in zip(streamed(op), explicit_targets(op)):
+            np.testing.assert_allclose(target, reference, rtol=1e-13, atol=0)
+        rng = np.random.default_rng(30)
+        for _ in range(3):
+            dl = rng.standard_normal((problem.m, problem.n))
+            dh = rng.standard_normal(problem.m)
+            error = apply_k(op, dl, dh) - kron_oracle.explicit_apply_k(op, dl, dh)
+            assert np.linalg.norm(error) <= 1e-13 * apply_k_magnitude(op, dl, dh)
+
+    def test_single_block_batteries_bitwise(self, solved100, constrained20):
+        for problem, solution in solved100:
+            assert_single_block_bitwise(build_k_operator(problem, solution))
+        for problem in constrained20:
+            op = build_k_operator(problem, solve_qr_svd(problem))
+            assert_single_block_bitwise(op)
+
+    @pytest.mark.parametrize("shape", KRON_SHAPES)
+    def test_single_block_kron_shapes_bitwise(self, shape):
+        p, q, n = shape
+        problem = seeded_problem(sum(shape), p=p, n=n, q=q)
+        assert_single_block_bitwise(build_k_operator(problem, solve_qr_svd(problem)))
+
+    @pytest.mark.parametrize("method", ["upper", "exact"])
+    def test_report_peak_below_one_data_copy(self, method):
+        # (20, 3000, 100): ten blocks; one copy of [A b] is 2.42 MB, while
+        # an n x m gain alone is 2.4 MB
+        problem = seeded_problem(15, p=20, n=100, q=3000)
+        solution = solve_qr_svd(problem)
+        tracemalloc.start()
+        try:
+            condition_report(problem, solution=solution, method=method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < problem.A.nbytes + problem.b.nbytes
+
+    def test_operator_holds_no_m_sized_matrix(self):
+        problem = tall_problem()
+        op = build_k_operator(problem, solve_qr_svd(problem))
+        assert op.problem is problem
+        for f in dataclasses.fields(op):
+            value = getattr(op, f.name)
+            if isinstance(value, np.ndarray) and value.ndim == 2:
+                assert problem.m not in value.shape, f.name
 
 
 class TestFirstOrderFidelity:
