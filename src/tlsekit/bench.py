@@ -19,18 +19,18 @@ run_experiment solves a problem and its perturbed copy, measures forward
 errors against the first-order prediction, and attaches every condition
 number with its scaled bound. emit_table renders rows as CSV in the
 3-significant-digit scientific style ( 7.56e-5 ) or as full-precision JSON;
-parse_table inverts the JSON form.
+parse_table inverts the JSON form. save_problem writes problems as .npz.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
+import zipfile
 from dataclasses import dataclass, fields, replace
 from statistics import median
 
 import numpy as np
-import orjson
 
 from .conditioning import (
     Weights,
@@ -510,55 +510,36 @@ def parse_table(text: str) -> list[ExperimentRow]:
 
 
 def save_problem(problem: TlseProblem, path, meta=None) -> None:
-    """Write a problem as a compact JSON object of row-major nested lists.
+    """Write a problem as an uncompressed .npz file, at path as given.
 
-    Fields C, d, A and b, plus meta when given; load_problem and the stdlib
-    json read the numbers back bit-identically. orjson encodes the file.
-    Where it refuses meta (an integer beyond 64 bits, a non-string key), the
-    stdlib json writes the file instead, in its default layout. orjson
-    writes a non-finite float inside meta as null. The bytes are built
-    before the file is opened, so a meta that neither encoder takes raises
-    TypeError and leaves no file.
+    C, d, A and b read back bit-identically; meta, when given, is stored as
+    its json.dumps text in a 0-d unicode array, so no pickle is needed. The
+    bytes are built before the file is opened: a meta that json.dumps
+    refuses raises TypeError and leaves no file.
     """
     arrays = {"C": problem.C, "d": problem.d, "A": problem.A, "b": problem.b}
-    extra = {} if meta is None else {"meta": meta}
-    contiguous = {k: np.ascontiguousarray(v) for k, v in arrays.items()}
-    try:
-        data = orjson.dumps(
-            {**contiguous, **extra}, option=orjson.OPT_SERIALIZE_NUMPY
-        )
-    except orjson.JSONEncodeError:
-        lists = {k: v.tolist() for k, v in arrays.items()}
-        data = json.dumps({**lists, **extra}).encode()
+    if meta is not None:
+        arrays["meta"] = np.array(json.dumps(meta))
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
     with open(path, "wb") as fh:
-        fh.write(data)
+        fh.write(buf.getbuffer())
 
 
-def _parse_json(path):
-    """orjson on the file's bytes; the stdlib json where orjson refuses.
-
-    orjson refuses some JSON the stdlib reads: NaN/Infinity tokens, numbers
-    that overflow a double (TlseProblem then rejects both as non-finite) and
-    escaped lone surrogates. Retrying those with the stdlib keeps every
-    input it takes, and its error messages for the rest.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _npz_fields(path, fh) -> dict:
+    fields, name = {}, None
     try:
-        return orjson.loads(data)
-    except orjson.JSONDecodeError:
-        pass
-    try:
-        return json.loads(data.decode())
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise InputError(f"{path}: not valid JSON: {exc}") from exc
+        with np.load(fh, allow_pickle=False) as npz:
+            for name in "CdAb":
+                if name in npz.files:
+                    fields[name] = np.asarray(npz[name])  # a non-.npy member is bytes
+    except (zipfile.BadZipFile, OSError, ValueError) as exc:
+        what = "file" if name is None else f"field {name}"
+        raise InputError(f"{path}: {what} is not readable .npz: {exc}") from exc
+    return fields
 
 
 def _field_array(path, name: str, raw) -> np.ndarray:
-    if not isinstance(raw, list):
-        raise InputError(
-            f"{path}: field {name} must be a JSON list, got {type(raw).__name__}"
-        )
     try:
         return np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -567,31 +548,48 @@ def _field_array(path, name: str, raw) -> np.ndarray:
         ) from exc
 
 
-def load_problem(path) -> TlseProblem:
-    """Read a problem file written by save_problem (or by hand).
-
-    The file is a JSON object with A and b and optional C, d (row-major
-    nested lists) and meta, which is ignored. Any JSON the stdlib json reads
-    is accepted; NaN/Infinity entries are rejected as non-finite. A file that
-    is not such an object raises InputError naming the file and the field.
-    """
-    obj = _parse_json(path)
+def _json_fields(path, data: bytes) -> dict:
+    try:
+        obj = json.loads(data)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise InputError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError(
             f"{path}: top level must be a JSON object, got {type(obj).__name__}"
         )
-    missing = [k for k in ("A", "b") if k not in obj]
+    fields = {k: _field_array(path, k, obj[k]) for k in "CdAb" if k in obj}
+    # a C without rows is written [], which loses its column count
+    if "C" in fields and fields["C"].shape == (0,):
+        del fields["C"]
+    return fields
+
+
+def load_problem(path) -> TlseProblem:
+    """Read a problem file written by save_problem, or JSON written by hand.
+
+    The format is chosen by content: a file that starts with the zip magic
+    is read as .npz, without pickle, any other as a JSON object of row-major
+    nested lists through the stdlib json. A and b are required, C and d
+    optional, meta ignored. A file that is not such a problem (A or C not a
+    real matrix, b or d not a real vector, NaN/Infinity entries) raises
+    InputError naming the file and, where there is one, the field.
+    """
+    with open(path, "rb") as fh:
+        zipped = fh.read(4) == b"PK\x03\x04"
+        fh.seek(0)
+        read = _npz_fields(path, fh) if zipped else _json_fields(path, fh.read())
+    fields = {"C": np.zeros((0, 0)), "d": np.zeros(0), **read}
+    missing = [k for k in ("A", "b") if k not in fields]
     if missing:
         raise InputError(f"{path}: missing required fields {missing}")
-    a = _field_array(path, "A", obj["A"])
-    if a.ndim != 2:
-        raise InputError(f"{path}: A must be a nested list (matrix)")
-    n = a.shape[1]
-    raw_c = obj.get("C") or []
-    c = _field_array(path, "C", raw_c) if raw_c else np.zeros((0, n))
-    raw_d = obj.get("d") or []
-    d = _field_array(path, "d", raw_d) if raw_d else np.zeros(0)
-    return TlseProblem(C=c, d=d, A=a, b=_field_array(path, "b", obj["b"]))
+    for name, arr in fields.items():
+        ndim = 2 if name in ("C", "A") else 1
+        if arr.dtype.kind not in "iuf" or arr.ndim != ndim:
+            raise InputError(
+                f"{path}: field {name} must be a {ndim}-d array of real numbers, "
+                f"got {arr.dtype} of shape {arr.shape}"
+            )
+    return TlseProblem(**fields)
 
 
 def table1(

@@ -3,8 +3,8 @@
 Subcommands: solve, cond, table1, table2, table3, gen. Numeric output goes
 to stdout as CSV by default; --format json switches. Exit codes: 0 success,
 2 input/usage error (bad files, bad flags), 3 numerical failure (rank
-deficiency, genericity violation, factorization breakdown). Problem files
-are JSON objects with fields C, d, A, b as nested row-major lists.
+deficiency, genericity violation, factorization breakdown). gen writes
+problem files as .npz; --input also reads hand-written JSON (load_problem).
 """
 from __future__ import annotations
 

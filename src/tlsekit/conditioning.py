@@ -347,25 +347,31 @@ def _gain_blocks(op: KOperator):
         yield gain, labs, habs, t
 
 
-def kappa_mixed_componentwise_exact(op: KOperator) -> MixedComponentwise:
-    """Exact mixed/componentwise condition numbers.
-
-    Sums |K| vec(|[L h]|) = |G| |h| + sum_j |x_j G - N[:, j] t.T| |L[:, j]|
-    (notation of kappa_normwise_exact) over the row blocks of
-    _gain_blocks, one n x block part of K_j at a time, in two more
-    n x block buffers allocated once. The rank-one part N[:, j] t_B.T is
-    a BLAS rank-one update of a zeroed buffer, which rounds each product
-    once, as np.outer does.
+def _entrywise_targets(op: KOperator, exact: bool):
+    """|K| vec(|[L h]|) (zero unless exact) and its upper bound |G| (|L| |x|
+    + |h|) + |N| |L|.T |t| (notation of kappa_normwise_exact), in one pass
+    over _gain_blocks. The exact sum |G| |h| + sum_j |x_j G - N[:, j] t.T|
+    |L[:, j]| forms one n x block part of K_j at a time in a reused buffer;
+    its rank-one part N[:, j] t_B.T is a BLAS rank-one update of a zeroed
+    buffer, which rounds each product once, as np.outer does.
     """
     n = op.n
-    size = n * min(block_rows(n), op.m)
+    target, upper, weight = np.zeros(n), np.zeros(n), np.zeros(n)
+    size = n * min(block_rows(n), op.m) if exact else 0
     block_buf, rank_buf = np.empty(size), np.empty(size)
-    target = np.zeros(n)
     for gain, labs, habs, t in _gain_blocks(op):
-        block = block_buf[: gain.size].reshape(gain.shape)
+        # |G_B| overwrites G_B unless the exact sum still reads it
+        block = block_buf[: gain.size].reshape(gain.shape) if exact else gain
+        np.abs(gain, out=block)
+        data = labs @ np.abs(op.x)
+        data += habs
+        upper += block @ data
+        weight += labs.T @ np.abs(t)
+        if not exact:
+            continue
+        target += block @ habs
         # Fortran-ordered view of the rank-one buffer, written in place by dger
         rank_t = rank_buf[: gain.size].reshape(gain.shape).T
-        target += np.abs(gain, out=block) @ habs
         for j in range(n):
             np.multiply(op.x[j], gain, out=block)
             # 0 + N[i, j] t_k rounds as np.outer does, at twice its speed
@@ -373,24 +379,18 @@ def kappa_mixed_componentwise_exact(op: KOperator) -> MixedComponentwise:
             rank_one = dger(1.0, t, op.null_gram_inv[:, j], a=rank_t, overwrite_a=1)
             block -= rank_one.T
             target += np.abs(block, out=block) @ labs[:, j]
-    return _mixed_componentwise(target, op.x)
+    upper += np.abs(op.null_gram_inv) @ weight
+    return target, upper
+
+
+def kappa_mixed_componentwise_exact(op: KOperator) -> MixedComponentwise:
+    """Exact mixed/componentwise condition numbers (_entrywise_targets)."""
+    return _mixed_componentwise(_entrywise_targets(op, exact=True)[0], op.x)
 
 
 def kappa_mixed_componentwise_upper(op: KOperator) -> MixedComponentwise:
-    """Kronecker-free upper bounds on the mixed/componentwise numbers.
-
-    Bounds |K| vec(|[L h]|) by |G| (|L| |x| + |h|) + |N| |L|.T |t|, both
-    terms summed over the row blocks of _gain_blocks.
-    """
-    abs_x = np.abs(op.x)
-    target, weight = np.zeros(op.n), np.zeros(op.n)
-    for gain, labs, habs, t in _gain_blocks(op):
-        data = labs @ abs_x
-        data += habs
-        target += np.abs(gain, out=gain) @ data
-        weight += labs.T @ np.abs(t)
-    target += np.abs(op.null_gram_inv) @ weight
-    return _mixed_componentwise(target, op.x)
+    """Kronecker-free upper bounds on the mixed/componentwise numbers."""
+    return _mixed_componentwise(_entrywise_targets(op, exact=False)[1], op.x)
 
 
 def tls_specialization(
@@ -454,8 +454,9 @@ def condition_report(
     sol = solution if solution is not None else solve_qr_svd(problem)
     op = build_k_operator(problem, sol)
     tight, loose = kappa_normwise_upper(op, w)
-    upper = kappa_mixed_componentwise_upper(op)
-    mixed = upper if method == "upper" else kappa_mixed_componentwise_exact(op)
+    target, bound = _entrywise_targets(op, exact=method != "upper")
+    upper = _mixed_componentwise(bound, op.x)
+    mixed = upper if method == "upper" else _mixed_componentwise(target, op.x)
     return ConditionReport(
         kappa_n=float(kappa_normwise_exact(op, w)),
         kappa_n_upper=tight,

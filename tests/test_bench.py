@@ -1,4 +1,5 @@
 """Generators, perturbation harness, table emission, and persistence."""
+import io
 import json
 import math
 
@@ -376,17 +377,22 @@ class TestFormatting:
             parse_table("not json")
 
 
+def read_meta(path):
+    with np.load(path, allow_pickle=False) as npz:
+        return json.loads(npz["meta"][()])
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         problem = seeded_problem(3)
-        path = tmp_path / "problem.json"
+        path = tmp_path / "problem.npz"
         save_problem(problem, path, meta={"note": "round trip"})
         loaded = load_problem(path)
         np.testing.assert_array_equal(loaded.C, problem.C)
         np.testing.assert_array_equal(loaded.d, problem.d)
         np.testing.assert_array_equal(loaded.A, problem.A)
         np.testing.assert_array_equal(loaded.b, problem.b)
-        assert json.loads(path.read_text())["meta"] == {"note": "round trip"}
+        assert read_meta(path) == {"note": "round trip"}
 
     def test_round_trip_without_constraint(self, tmp_path):
         problem = TlseProblem(
@@ -395,11 +401,11 @@ class TestPersistence:
             A=np.array([[1.0], [0.0]]),
             b=np.array([1.0, 1.0]),
         )
-        path = tmp_path / "tls.json"
+        path = tmp_path / "tls.npz"
         save_problem(problem, path)
         loaded = load_problem(path)
         assert loaded.p == 0 and loaded.n == 1
-        np.testing.assert_array_equal(loaded.A, problem.A)
+        self.assert_bit_identical(loaded, problem)
 
     def test_load_validation(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -431,15 +437,14 @@ class TestPersistence:
         problem = TlseProblem(
             C=rng.standard_normal((p, n)) * cols, d=rng.standard_normal(p), A=A, b=b
         )
+        # a .json name, as the benchmark harness uses: the path is kept as given
         path = tmp_path / "extremes.json"
         save_problem(problem, path)
+        assert [f.name for f in tmp_path.iterdir()] == ["extremes.json"]
+        assert path.read_bytes()[:4] == b"PK\x03\x04"
         loaded = load_problem(path)
         self.assert_bit_identical(loaded, problem)
         assert np.signbit(loaded.A[0, 0]) and np.signbit(loaded.b[0])
-        # the file stays plain JSON: the stdlib reads the same bits
-        with open(path) as fh:
-            obj = json.load(fh)
-        assert np.asarray(obj["A"]).tobytes() == A.tobytes()
 
     @pytest.mark.parametrize("layout", ["fortran", "strided"])
     def test_round_trip_of_non_contiguous_data(self, tmp_path, layout):
@@ -453,7 +458,7 @@ class TestPersistence:
         b = rng.standard_normal(80)[::2]
         problem = TlseProblem(C=C, d=rng.standard_normal(2), A=A, b=b)
         assert not problem.A.flags.c_contiguous
-        path = tmp_path / f"{layout}.json"
+        path = tmp_path / f"{layout}.npz"
         save_problem(problem, path)
         self.assert_bit_identical(load_problem(path), problem)
 
@@ -467,6 +472,15 @@ class TestPersistence:
         assert ", " in path.read_text()
         self.assert_bit_identical(load_problem(path), problem)
 
+    def test_format_is_chosen_by_content(self, tmp_path):
+        problem = seeded_problem(7)
+        npz_named_json, json_named_npz = tmp_path / "a.json", tmp_path / "b.npz"
+        save_problem(problem, npz_named_json)
+        obj = {k: getattr(problem, k).tolist() for k in ("C", "d", "A", "b")}
+        json_named_npz.write_text(json.dumps(obj))
+        self.assert_bit_identical(load_problem(npz_named_json), problem)
+        self.assert_bit_identical(load_problem(json_named_npz), problem)
+
     def test_integer_entries_load_as_floats(self, tmp_path):
         path = tmp_path / "ints.json"
         path.write_text('{"C": [[1, 0]], "d": [2], "A": [[1, 0], [0, 1]], "b": [2, 3]}')
@@ -477,8 +491,7 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.b, [2.0, 3.0])
 
     def test_meta_beyond_64_bit_integers(self, tmp_path, capsys):
-        # a 71-bit seed is valid JSON that orjson cannot encode
-        path = tmp_path / "big_seed.json"
+        path = tmp_path / "big_seed.npz"
         seed = 2**70
         code = cli_main(
             ["gen", "--kind", "householder_spectrum", "--m", "12",
@@ -486,31 +499,68 @@ class TestPersistence:
         )
         capsys.readouterr()
         assert code == 0
-        assert json.loads(path.read_text())["meta"] == {
-            "kind": "householder_spectrum",
-            "seed": seed,
-        }
+        assert read_meta(path) == {"kind": "householder_spectrum", "seed": seed}
         assert load_problem(path).m == 12
 
     def test_meta_with_integer_keys_is_written_as_by_the_stdlib(self, tmp_path):
-        problem = seeded_problem(5)
         meta = {1: "one", 2: [3, 4], "name": "x"}
-        path = tmp_path / "int_keys.json"
-        save_problem(problem, path, meta=meta)
-        obj = {k: getattr(problem, k).tolist() for k in ("C", "d", "A", "b")}
-        obj["meta"] = meta
-        assert path.read_text() == json.dumps(obj)
-        assert json.loads(path.read_text())["meta"] == {
-            "1": "one",
-            "2": [3, 4],
-            "name": "x",
-        }
+        path = tmp_path / "int_keys.npz"
+        save_problem(seeded_problem(5), path, meta=meta)
+        with np.load(path, allow_pickle=False) as npz:
+            assert npz["meta"][()] == json.dumps(meta)
+        assert read_meta(path) == {"1": "one", "2": [3, 4], "name": "x"}
 
     def test_unencodable_meta_leaves_no_file(self, tmp_path):
-        path = tmp_path / "never.json"
+        path = tmp_path / "never.npz"
         with pytest.raises(TypeError):
             save_problem(seeded_problem(6), path, meta={"bad": object()})
         assert not path.exists()
+
+    @staticmethod
+    def npz_bytes(**arrays):
+        buf = io.BytesIO()
+        np.savez(buf, **arrays)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize(
+        "case, field",
+        [
+            ("truncated", None),
+            ("corrupt-A", "A"),
+            ("missing-A", None),
+            ("missing-b", None),
+            ("object-A", "A"),
+            ("complex-A", "A"),
+            ("text-b", "b"),
+            ("vector-A", "A"),
+            ("matrix-d", "d"),
+        ],
+    )
+    def test_malformed_npz(self, tmp_path, case, field):
+        C, d = np.array([[1.0, 0.0]]), np.array([2.0])
+        A, b = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([2.0, 3.0, 4.0])
+        good = self.npz_bytes(C=C, d=d, A=A, b=b)
+        data = {
+            "truncated": good[: len(good) // 2],
+            "corrupt-A": good.replace(A.tobytes(), A[::-1].tobytes()),
+            "missing-A": self.npz_bytes(C=C, d=d, b=b),
+            "missing-b": self.npz_bytes(C=C, d=d, A=A),
+            "object-A": self.npz_bytes(C=C, d=d, A=A.astype(object), b=b),
+            "complex-A": self.npz_bytes(C=C, d=d, A=A + 1j, b=b),
+            "text-b": self.npz_bytes(C=C, d=d, A=A, b=np.array(["2", "3", "4"])),
+            "vector-A": self.npz_bytes(C=C, d=d, A=A.ravel(), b=b),
+            "matrix-d": self.npz_bytes(C=C, d=d[:, None], A=A, b=b),
+        }[case]
+        path = tmp_path / "malformed.npz"
+        path.write_bytes(data)
+        with pytest.raises(InputError) as info:
+            load_problem(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}:")
+        if field is not None:
+            assert f"field {field} " in message
+        if case.startswith("missing"):
+            assert repr(case.split("-")[1]) in message
 
 
 class TestTables:

@@ -11,7 +11,7 @@ from tlsekit.cli import main
 @pytest.fixture()
 def hand_file(tmp_path):
     problem = TlseProblem(C=[[1.0, 0.0]], d=[2.0], A=np.eye(2), b=[2.0, 3.0])
-    path = tmp_path / "hand.json"
+    path = tmp_path / "hand.npz"
     save_problem(problem, path)
     return str(path)
 
@@ -24,9 +24,12 @@ def degenerate_file(tmp_path):
         A=np.array([[1.0], [0.0]]),
         b=np.array([0.0, 1.0]),
     )
-    path = tmp_path / "degenerate.json"
+    path = tmp_path / "degenerate.npz"
     save_problem(problem, path)
     return str(path)
+
+
+A_AND_B = '"A": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "b": [2.0, 3.0, 4.0]}'
 
 
 def run(capsys, *argv):
@@ -64,7 +67,7 @@ class TestSolve:
         assert payload["x[1]"] == pytest.approx(3.0, abs=1e-12)
 
     def test_randomized_method(self, capsys, tmp_path):
-        out_file = str(tmp_path / "generated.json")
+        out_file = str(tmp_path / "generated.npz")
         code, _, _ = run(
             capsys, "gen", "--kind", "equilibratory", "--seed", "2",
             "--out", out_file,
@@ -91,7 +94,7 @@ class TestSolve:
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(
-            capsys, "solve", "--input", str(tmp_path / "absent.json")
+            capsys, "solve", "--input", str(tmp_path / "absent.npz")
         )
         assert code == 2
         assert "error:" in err
@@ -131,8 +134,20 @@ class TestSolve:
                 '"b": "abc"}',
                 "b",
             ),
+            # a present C or d that is falsy is not "no constraint": without
+            # them A_AND_B is a valid problem
+            ('{"C": 0, ' + A_AND_B, "C"),
+            ('{"C": "", ' + A_AND_B, "C"),
+            ('{"C": {}, ' + A_AND_B, "C"),
+            ('{"C": false, ' + A_AND_B, "C"),
+            ('{"d": false, ' + A_AND_B, "d"),
+            ('{"d": "", ' + A_AND_B, "d"),
         ],
-        ids=["ragged-A", "non-numeric-A", "top-level-number", "scalar-d", "string-b"],
+        ids=[
+            "ragged-A", "non-numeric-A", "top-level-number", "scalar-d", "string-b",
+            "zero-C", "empty-string-C", "empty-object-C", "false-C", "false-d",
+            "empty-string-d",
+        ],
     )
     def test_malformed_problem_file_is_usage_error(
         self, capsys, tmp_path, text, field
@@ -196,7 +211,7 @@ class TestCond:
 
 class TestGen:
     def test_writes_problem_with_meta(self, capsys, tmp_path):
-        out_file = tmp_path / "pp.json"
+        out_file = tmp_path / "pp.npz"
         code, out, _ = run(
             capsys,
             "gen",
@@ -215,12 +230,12 @@ class TestGen:
         )
         assert code == 0
         assert out.strip() == str(out_file)
-        payload = json.loads(out_file.read_text())
-        assert payload["meta"] == {"kind": "piecewise_poly", "seed": 3}
-        assert len(payload["A"]) == 70
+        with np.load(out_file, allow_pickle=False) as npz:
+            assert json.loads(npz["meta"][()]) == {"kind": "piecewise_poly", "seed": 3}
+            assert npz["A"].shape == (70, 8)
 
     def test_gen_then_solve_pipeline(self, capsys, tmp_path):
-        out_file = str(tmp_path / "spectrum.json")
+        out_file = str(tmp_path / "spectrum.npz")
         code, _, _ = run(
             capsys,
             "gen",
