@@ -2,8 +2,10 @@
 
 Subcommands: solve, cond, table1, table2, table3, gen. Numeric output goes
 to stdout as CSV by default; --format json switches. Exit codes: 0 success,
-2 input/usage error (bad files, bad flags), 3 numerical failure (rank
-deficiency, genericity violation, factorization breakdown). gen writes
+1 stdout closed by its reader before the output was written (a broken
+pipe; no traceback is printed), 2 input/usage error (bad files, bad
+flags), 3 numerical failure (rank deficiency, genericity violation,
+factorization breakdown). gen writes
 problem files as .npz; --input also reads hand-written JSON (load_problem).
 """
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .bench import (
@@ -273,7 +276,15 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     if out:
-        print(out, end="" if out.endswith("\n") else "\n")
+        try:
+            print(out, end="" if out.endswith("\n") else "\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout early (``tlse ... | head``): send what
+            # is left to devnull, so the flush at exit cannot raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            return 1
     return 0
 
 

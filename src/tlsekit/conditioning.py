@@ -21,8 +21,13 @@ The data rows enter the normwise numbers only through the row space of
 [C; A]: with [A b] = Q R the solve's thin QR (R = solution.core.data_r)
 and W = blkdiag(I_p, Q), gain = gain_r @ W.T and adjoint_dir = W @
 adjoint_r, where gain_r and adjoint_r take R[:, :n] and R [x; -1] in
-place of A and the residual. W has orthonormal columns, so the normwise
-number and its upper bounds are norms of n x (p+n+1) matrices.
+place of A and the residual (k = min(q, n+1) rows). W has orthonormal
+columns, so the normwise number and its upper bounds are spectral norms
+of matrices of n rows and at most p+k+n columns, each the square root of
+the largest eigenvalue of an n x n Gram matrix (linalg.spectral_norm).
+The two norms the solve fixes in closed form, ||null_gram_inv||_2 and
+||null_gram_inv A.T||_2, are read off its restricted SVD
+(core.null_gram_inv_norm, core.data_map_norm) and need no eigenvalue.
 
 Entrywise absolute values do not commute with W, so the mixed and
 componentwise numbers read the data rows themselves. They are streamed
@@ -38,7 +43,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.blas import dger
 
-from .core import TlseProblem, TlseSolution, constraint_pinv, solve_qr_svd
+from .core import (
+    TlseProblem,
+    TlseSolution,
+    constraint_pinv,
+    data_map_norm,
+    null_gram_inv_norm,
+    solve_qr_svd,
+)
 from .errors import InputError, UndefinedConditionError
 from .linalg import as_matrix, as_vector, block_rows, greville_augment, spectral_norm
 
@@ -70,8 +82,11 @@ class KOperator:
 
     gain_r (n x (p+k)) and adjoint_r are the same map on the k x (n+1) R
     of [A b] (module docstring): gain = gain_r @ W.T, adjoint_dir = W @
-    adjoint_r. The normwise numbers read these. problem is the solved
-    problem itself, held by reference (no copy).
+    adjoint_r. The normwise numbers read these. null_gram_inv_norm and
+    data_map_norm are ||null_gram_inv||_2 and ||null_gram_inv A.T||_2, in
+    closed form from the solve's restricted SVD (core.null_gram_inv_norm,
+    core.data_map_norm). problem is the solved problem itself, held by
+    reference (no copy).
     """
 
     null_gram_inv: np.ndarray
@@ -81,6 +96,8 @@ class KOperator:
     rho: float
     gain_r: np.ndarray
     adjoint_r: np.ndarray
+    null_gram_inv_norm: float
+    data_map_norm: float
     problem: TlseProblem = field(repr=False, compare=False)
 
     @property
@@ -163,6 +180,8 @@ def build_k_operator(problem: TlseProblem, solution: TlseSolution) -> KOperator:
         rho=solution.rho,
         gain_r=_gain(solution, adjoint_r, big_r[:, :-1], problem.p),
         adjoint_r=adjoint_r,
+        null_gram_inv_norm=null_gram_inv_norm(solution.core),
+        data_map_norm=data_map_norm(solution.core),
         problem=problem,
     )
 
@@ -237,8 +256,10 @@ def kappa_normwise_exact(op: KOperator, w: Weights) -> float:
     its spectral norm is ||K_w||_2, which is normalized by the weighted
     data norm over ||x||. Z1 = Z1_r W.T, so [Z1_r Z2], built below from
     gain_r and adjoint_r, has that norm with p+k+n columns in place of m+n
-    (module docstring). A zero t leaves K_w = [x.T/alpha, -1/beta] kron G,
-    of norm ||G||_2 sqrt(||x||^2/alpha^2 + 1/beta^2).
+    (module docstring). spectral_norm(Z1_r, Z2) reads it from the n x n
+    Gram matrix Z1_r Z1_r.T + Z2 Z2.T; the two blocks are never stacked.
+    A zero t leaves K_w = [x.T/alpha, -1/beta] kron G, of norm ||G||_2
+    sqrt(||x||^2/alpha^2 + 1/beta^2).
     """
     nx = _solution_norm(op)
     scale = _flex_norm(op.problem, w) / nx
@@ -253,7 +274,7 @@ def kappa_normwise_exact(op: KOperator, w: Weights) -> float:
     gu = g @ u
     z1 = -(nx / beta) * (c1 * g - c2 * np.outer(gu, u))
     z2 = (nt / alpha) * op.null_gram_inv - np.outer(gu, op.x) / alpha
-    return spectral_norm(np.hstack([z1, z2])) * scale
+    return spectral_norm(z1, z2) * scale
 
 
 def kappa_normwise_upper(op: KOperator, w: Weights) -> tuple[float, float]:
@@ -261,9 +282,10 @@ def kappa_normwise_upper(op: KOperator, w: Weights) -> tuple[float, float]:
 
     tight uses ||gain||_2 directly; loose additionally bounds the gain by
     the sum of its constituent block norms, so tight <= loose and both
-    dominate the exact value. Both read the compressed gain_r, as
-    ||gain||_2 = ||gain_r||_2 and ||null_gram_inv A.T||_2 =
-    ||null_gram_inv R_A.T||_2.
+    dominate the exact value. ||gain||_2 = ||gain_r||_2 and
+    ||constraint_gain||_2 are the two spectral_norm calls;
+    ||null_gram_inv||_2 and ||null_gram_inv A.T||_2 are the closed forms
+    held by op (KOperator).
     """
     nx = _solution_norm(op)
     alpha, beta = w.alpha, w.beta
@@ -273,13 +295,9 @@ def kappa_normwise_upper(op: KOperator, w: Weights) -> tuple[float, float]:
         / nx
         * np.sqrt(max(1.0, beta**2 / alpha**2 + 1.0 / nx**2) + beta / alpha)
     )
-    k_norm = spectral_norm(op.null_gram_inv)
+    k_norm = op.null_gram_inv_norm
     tight = (nx / beta * spectral_norm(op.gain_r) + nt / alpha * k_norm) * factor
-    # null_gram_inv @ R_A.T: the data columns of gain_r less their rank-one term
-    data_map = (2.0 / op.rho**2) * np.outer(
-        op.null_gram_inv @ op.x, op.adjoint_r[op.p :]
-    ) - op.gain_r[:, op.p :]
-    split_norms = spectral_norm(op.constraint_gain) + spectral_norm(data_map)
+    split_norms = spectral_norm(op.constraint_gain) + op.data_map_norm
     loose = (
         nx / beta * split_norms + (2.0 / beta + 1.0 / alpha) * nt * k_norm
     ) * factor
@@ -402,26 +420,29 @@ def tls_specialization(
     """Sensitivities of the unconstrained (p = 0) problem.
 
     kappa_b scales the inverse-Gram-times-data map; kappa_A adds the
-    residual term. When perturbations are supplied the first-order estimate
-    kappa_b ||db||/||b|| + kappa_A ||dA||_2/||A||_2 is evaluated (missing
-    pieces count as zero).
+    residual term. Their three spectral norms come from the solve's
+    restricted SVD, with no further factorization: ||A||_2 = s[0],
+    ||inv_gram||_2 = 1/shifts[-1] and ||inv_gram A.T||_2 = max(s/shifts)
+    (core.null_gram_inv_norm, core.data_map_norm). When perturbations are
+    supplied the first-order estimate kappa_b ||db||/||b|| + kappa_A
+    ||dA||_2/||A||_2 is evaluated (missing pieces count as zero).
     """
     if problem.p != 0:
         raise InputError("tls_specialization requires a problem with p = 0")
-    inv_gram = solution.null_gram_inv
     # [A b] = Q R with orthonormal Q, so the q-row norms are read off R:
-    # ||A||_2 = ||R_A||_2 and ||A x - b|| = ||R [x; -1]||
-    r = solution.core.data_r
-    r_a = r[:, :-1]
-    data_map_norm = spectral_norm(inv_gram @ r_a.T)
+    # ||A x - b|| = ||R [x; -1]||, and with p = 0 the restricted SVD is that
+    # of R_A, so ||A||_2 = ||R_A||_2 is its largest singular value
+    core = solution.core
+    r = core.data_r
+    map_norm = data_map_norm(core)
     nx = float(np.linalg.norm(solution.x))
     if nx == 0.0:
         raise UndefinedConditionError("condition numbers need x != 0")
     nb = float(np.linalg.norm(problem.b))
-    na = spectral_norm(r_a)
-    nr = float(np.linalg.norm(r_a @ solution.x - r[:, -1]))
-    kappa_b = nb / nx * data_map_norm
-    kappa_a = na / nx * (nr * spectral_norm(inv_gram) + nx * data_map_norm)
+    na = float(core.restricted.s[0])
+    nr = float(np.linalg.norm(r[:, :-1] @ solution.x - r[:, -1]))
+    kappa_b = nb / nx * map_norm
+    kappa_a = na / nx * (nr * null_gram_inv_norm(core) + nx * map_norm)
     estimate = None
     if dA is not None or db is not None:
         est = 0.0

@@ -16,7 +16,9 @@ C x = d. The solver pipeline:
    core singular vector to -1 (solve_qr_svd), or from the restricted SVD as
    a filtered correction of the feasible point (solve_closed_form). The
    shifted Gram inverse comes from the restricted SVD too: no normal
-   equations are formed.
+   equations are formed. So do the spectral norms of that inverse and of
+   its product with A.T (null_gram_inv_norm, data_map_norm), in closed
+   form.
 
 Well-posedness requires the restricted data matrix (A on the null space of
 C) to have its smallest singular value strictly above sigma_min; this gap is
@@ -308,6 +310,19 @@ def _shifts(core: CoreSvd) -> np.ndarray:
     """s^2 - sigma_min^2 over the restricted singular values s, factored."""
     s = core.restricted.s
     return (s - core.sigma_min) * (s + core.sigma_min)
+
+
+def null_gram_inv_norm(core: CoreSvd) -> float:
+    """||null_gram_inv||_2 = 1/shifts[-1]: null_gram_inv = (N V)
+    diag(1/shifts) (N V).T, N = null_basis, with the smallest shift last."""
+    return float(1.0 / _shifts(core)[-1])
+
+
+def data_map_norm(core: CoreSvd) -> float:
+    """||null_gram_inv R_A.T||_2 = ||null_gram_inv A.T||_2 = max(s/shifts),
+    as null_gram_inv R_A.T = (N V) diag(s/shifts) U.T with U diag(s) V.T
+    the restricted SVD of R_A N (R_A = data_r[:, :-1], N = null_basis)."""
+    return float(np.max(core.restricted.s / _shifts(core)))
 
 
 def _filtered(core: CoreSvd, rhs: np.ndarray) -> np.ndarray:

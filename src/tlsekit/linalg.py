@@ -1,16 +1,17 @@
 """Dense matrix kernels shared by the rest of the package.
 
 Thin wrappers over LAPACK (via numpy and scipy), the streamed R factor of
-a stack of rows, and the Greville pseudoinverse update. No problem
-semantics live here; everything operates on plain float arrays and raises
-tlsekit errors on contract violations.
+a stack of rows, the largest singular value of blocks side by side from
+one eigenvalue of their Gram matrix, and the Greville pseudoinverse
+update. No problem semantics live here; everything operates on plain
+float arrays and raises tlsekit errors on contract violations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dtpqrt
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dsyevr, dtpqrt
 
 from .errors import InputError, NumericalError
 
@@ -24,6 +25,11 @@ BLOCK_BYTES = 256 * 1024
 #: Inner block size of the dtpqrt merge (16 was fastest or within 5% of it
 #: at 101 and 301 columns, one BLAS thread).
 MERGE_NB = 16
+
+#: spectral_norm scales its blocks only when their largest entry lies
+#: outside 2^(+-GRAM_EXP): squares of such entries stay far inside the
+#: float range (2^+-1022), with room for sums over many terms.
+GRAM_EXP = 400
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -145,6 +151,8 @@ def r_factor(*blocks, head=None) -> np.ndarray:
 
 
 def singular_values(m) -> np.ndarray:
+    """All singular values, nonincreasing, from an SVD; accurate for the
+    smallest ones too, which spectral_norm's Gram matrix cannot give."""
     arr = as_matrix(m)
     if 0 in arr.shape:
         return np.zeros(0)
@@ -154,10 +162,52 @@ def singular_values(m) -> np.ndarray:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
 
 
-def spectral_norm(m) -> float:
-    """Largest singular value; 0.0 for an empty matrix."""
-    s = singular_values(np.atleast_2d(np.asarray(m, dtype=float)))
-    return float(s[0]) if s.size else 0.0
+def spectral_norm(*blocks) -> float:
+    """Largest singular value of the blocks side by side; a 1-d block is
+    one column, as in r_factor. 0.0 when there are no entries.
+
+    Read as the square root of the largest eigenvalue of the smaller Gram
+    matrix, sum b b.T over the blocks, or b.T b for one block with more
+    rows than columns, which LAPACK dsyevr computes alone (range "I"); its
+    relative error is O(u), as sigma_max^2 is the Gram matrix's norm. The
+    blocks are neither stacked nor copied, unless their largest entry lies
+    outside 2^(+-GRAM_EXP): those are scaled by a power of two first, so
+    that the Gram matrix neither overflows nor underflows. The smallest
+    singular values do not come from a Gram matrix (singular_values).
+    """
+    mats = [np.asarray(b, dtype=float) for b in blocks]
+    mats = [b.reshape(-1, 1) if b.ndim == 1 else b for b in mats]
+    if any(b.ndim != 2 for b in mats):
+        raise InputError("spectral_norm blocks must be 1-d or 2-d")
+    if len({len(b) for b in mats}) > 1:
+        raise InputError("spectral_norm blocks must have equal row counts")
+    mats = [b for b in mats if b.size]
+    if not mats:
+        return 0.0
+    # max |entry| without an |b| temporary; np.max propagates NaN and inf
+    big = np.max([(b.max(), -b.min()) for b in mats])
+    if not np.isfinite(big):
+        raise InputError("spectral_norm blocks contain non-finite entries")
+    if big == 0.0:
+        return 0.0
+    exp = int(np.frexp(big)[1])
+    if abs(exp) > GRAM_EXP:
+        mats = [np.ldexp(b, -exp) for b in mats]
+    else:
+        exp = 0
+    if len(mats) == 1 and mats[0].shape[0] > mats[0].shape[1]:
+        gram = mats[0].T @ mats[0]
+    else:
+        gram = mats[0] @ mats[0].T
+        for b in mats[1:]:
+            gram += b @ b.T
+    k = len(gram)
+    w, _, _, _, info = dsyevr(
+        gram, compute_v=0, range="I", il=k, iu=k, overwrite_a=1
+    )
+    if info != 0:
+        raise NumericalError(f"eigenvalue solver failed (dsyevr info {info})")
+    return float(np.ldexp(np.sqrt(max(w[0], 0.0)), exp))
 
 
 def greville_augment(c_pinv, x_feas) -> np.ndarray:

@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, formats, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tlsekit
 from tlsekit import TlseProblem, save_problem
 from tlsekit.cli import main
 
@@ -299,3 +304,26 @@ class TestTables:
         code, _, err = run(capsys, "table1", "--kappa-c", "1e2,junk")
         assert code == 2
         assert "error:" in err
+
+
+class TestClosedStdout:
+    def test_reader_gone_exits_1_without_traceback(self, hand_file):
+        # as in `tlse solve ... | true`: the pipe has no reader when the
+        # process writes, so the write fails with a broken pipe
+        src = Path(tlsekit.__file__).resolve().parent.parent
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tlsekit", "solve", "--input", hand_file,
+                 "--format", "json"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": path},
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 1

@@ -12,6 +12,8 @@ from tlsekit.core import (
     build_basis,
     check_genericity,
     constraint_pinv,
+    data_map_norm,
+    null_gram_inv_norm,
     validate_stationarity,
 )
 from tlsekit.errors import IllPosedError, InputError, RankError
@@ -340,6 +342,31 @@ class TestGramInverse:
         np.testing.assert_allclose(
             solution.constraint_gain, expected, rtol=1e-8, atol=1e-10
         )
+
+
+class TestClosedFormNorms:
+    """||null_gram_inv||_2 and ||null_gram_inv R_A.T||_2 from the restricted
+    SVD, against the SVD of the formed matrices."""
+
+    @staticmethod
+    def _check(solution):
+        core = solution.core
+        r_a = core.data_r[:, :-1]
+        assert null_gram_inv_norm(core) == pytest.approx(
+            np.linalg.norm(solution.null_gram_inv, 2), rel=1e-13
+        )
+        assert data_map_norm(core) == pytest.approx(
+            np.linalg.norm(solution.null_gram_inv @ r_a.T, 2), rel=1e-13
+        )
+
+    def test_battery(self, solved100):
+        assert {problem.p == 0 for problem, _ in solved100} == {True, False}
+        for _, solution in solved100:
+            self._check(solution)
+
+    def test_constrained(self, constrained20):
+        for problem in constrained20:
+            self._check(solve_qr_svd(problem))
 
 
 class TestDataFactor:

@@ -1,9 +1,11 @@
-"""Dense kernel tests: validation, SVD wrappers, the streamed R factor,
-the Greville update."""
+"""Dense kernel tests: validation, SVD wrappers, the spectral norm of
+blocks side by side, the streamed R factor, the Greville update."""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qr_oracle import dgeqrf_r, stack_of
 from tlsekit.errors import InputError
@@ -55,6 +57,88 @@ def test_spectral_norm_matches_numpy():
     rng = np.random.default_rng(2)
     arr = rng.standard_normal((5, 4))
     assert spectral_norm(arr) == pytest.approx(np.linalg.norm(arr, 2), rel=1e-13)
+
+
+def _side_by_side_cases():
+    """(case id, blocks) for spectral_norm against the SVD of the hstack."""
+    rng = np.random.default_rng(12)
+    rand = rng.standard_normal
+    cases = {
+        "one-tall": [rand((9, 4))],
+        "one-wide": [rand((4, 9))],
+        "one-square": [rand((6, 6))],
+        "random-blocks": [rand((5, 3)), rand((5, 7)), rand((5, 2))],
+        "tall-blocks": [rand((12, 3)), rand((12, 2))],
+        "rank-one": [np.outer(rand(6), rand(4)), np.outer(rand(6), rand(3))],
+        "zero-and-random": [np.zeros((4, 3)), rand((4, 5))],
+        "all-zero": [np.zeros((4, 3)), np.zeros((4, 2))],
+        "empty-blocks": [np.zeros((5, 0)), rand((5, 3)), np.zeros((5, 0))],
+        "1xk": [rand((1, 6))],
+        "1xk-blocks": [rand((1, 3)), rand((1, 4))],
+        "kx1": [rand((7, 1))],
+        "kx1-blocks": [rand((7, 1)), rand((7, 1))],
+        "1-d-as-column": [rand((6, 3)), rand(6)],
+    }
+    cols = 10.0 ** rng.uniform(-3, 3, 10)
+    scaled = rand((8, 10)) * cols
+    cases["column-scaled"] = [scaled]
+    cases["column-scaled-blocks"] = [scaled[:, :4], scaled[:, 4:]]
+    for exp in (200, -200):
+        cases[f"1e{exp:+d}"] = [rand((5, 3)) * 10.0**exp, rand((5, 4)) * 10.0**exp]
+        cases[f"1e{exp:+d}-tall"] = [rand((9, 3)) * 10.0**exp]
+    return list(cases.items())
+
+
+@pytest.mark.parametrize(
+    "blocks", [b for _, b in _side_by_side_cases()],
+    ids=[name for name, _ in _side_by_side_cases()],
+)
+def test_spectral_norm_of_blocks_side_by_side(blocks):
+    before = [b.copy() for b in blocks]
+    stack = np.hstack([b.reshape(len(b), -1) for b in blocks])
+    # abs=0: approx's default absolute slack would pass 0.0 for 1e-200
+    assert spectral_norm(*blocks) == pytest.approx(
+        np.linalg.norm(stack, 2), rel=1e-13, abs=0.0
+    )
+    for b, old in zip(blocks, before):
+        np.testing.assert_array_equal(b, old)
+
+
+def test_spectral_norm_of_empty_blocks_is_zero():
+    assert spectral_norm(np.zeros((3, 0)), np.zeros((3, 0))) == 0.0
+    assert spectral_norm(np.zeros((0, 2)), np.zeros((0, 4))) == 0.0
+    assert spectral_norm(np.zeros(0)) == 0.0
+
+
+def test_spectral_norm_rejects_bad_blocks():
+    with pytest.raises(InputError, match="equal row counts"):
+        spectral_norm(np.ones((3, 2)), np.ones((4, 2)))
+    with pytest.raises(InputError, match="non-finite"):
+        spectral_norm(np.ones((3, 2)), np.array([[1.0], [np.nan], [0.0]]))
+    with pytest.raises(InputError, match="non-finite"):
+        spectral_norm(np.array([[np.inf, 1.0]]))
+    with pytest.raises(InputError, match="1-d or 2-d"):
+        spectral_norm(np.ones((2, 2, 2)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.integers(1, 7),
+    widths=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+    exponent=st.integers(-900, 900),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectral_norm_property(rows, widths, exponent, seed):
+    # power-of-two scaling is exact, so both sides see the same entries
+    rng = np.random.default_rng(seed)
+    blocks = [
+        np.ldexp(rng.standard_normal((rows, w)) * 10.0 ** rng.uniform(-3, 3, w),
+                 exponent)
+        for w in widths
+    ]
+    stack = np.hstack(blocks)
+    expected = np.linalg.norm(stack, 2) if stack.size else 0.0
+    assert spectral_norm(*blocks) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_greville_augment_single_row():
