@@ -39,7 +39,7 @@ from .conditioning import (
     build_k_operator,
     condition_report,
 )
-from .core import TlseProblem, solve_closed_form, solve_qr_svd
+from .core import TlseProblem, TlseSolution, solve_closed_form, solve_qr_svd
 from .errors import (
     IllPosedError,
     InputError,
@@ -48,7 +48,7 @@ from .errors import (
     RankError,
 )
 from .linalg import spectral_norm
-from .wtls import NwtlsConfig, solve_nwtls
+from .wtls import NwtlsConfig, _nystrom, embed, solve_nwtls
 
 GENERATOR_KINDS = ("equilibratory", "householder_spectrum", "piecewise_poly")
 
@@ -374,6 +374,7 @@ def run_experiment(
     weights: Weights | None = None,
     label: str = "",
     nwtls_cfg: NwtlsConfig | None = None,
+    solution: TlseSolution | None = None,
 ) -> ExperimentRow:
     """Solve, perturb, re-solve, and assemble one table row.
 
@@ -383,9 +384,9 @@ def run_experiment(
     solve that fails genericity flags the row degenerate instead of raising.
     When nwtls_cfg is given the row also records the relative deviation of
     the randomized solver from the reference solution on the unperturbed
-    problem.
+    problem. A given solution must be solve_qr_svd(problem); it saves that solve.
     """
-    sol = solve_qr_svd(problem)
+    sol = solution if solution is not None else solve_qr_svd(problem)
     report = condition_report(problem, solution=sol, weights=weights, method="exact")
     big_l, big_h = problem.L, problem.h
     stack_norm = np.sqrt(
@@ -636,11 +637,15 @@ def table2(
     """Prescribed-spectrum sweep with randomized-solver deviation medians.
 
     The nwtls_dev column holds the median relative deviation of the
-    randomized solver from the QR-SVD solution over `trials` seeds. By
-    default the sketch width is n-p+1 plus the oversample; passing `sketch`
-    pins the sample size to that width, which is how the delta-sensitivity
-    of a genuinely low-rank sketch is exposed.
+    randomized solver from the QR-SVD solution over `trials` (>= 1) seeds;
+    all trials share one weighted R factor, and each equals solve_nwtls
+    with its seed. By default the sketch width is n-p+1 plus the
+    oversample; passing `sketch` pins the sample size to that width, which
+    is how the delta-sensitivity of a genuinely low-rank sketch is exposed.
     """
+    if trials < 1:
+        raise InputError(f"trials must be at least 1, got {trials}")
+    cfg = NwtlsConfig(eps=eps, oversample=oversample, sample_size=sketch)
     rows = []
     for mi, m in enumerate(ms):
         for di, delta in enumerate(deltas):
@@ -654,21 +659,15 @@ def table2(
             sample = perturb(
                 problem, "normwise", scale, derive_seed(seed, mi, di, 1)
             )
+            sol = solve_qr_svd(problem)
             row = run_experiment(
-                problem, sample, label=f"m={m} delta={delta:.0e}"
+                problem, sample, label=f"m={m} delta={delta:.0e}", solution=sol
             )
-            x_ref = solve_qr_svd(problem).x
-            ref_norm = np.linalg.norm(x_ref)
-            devs = []
-            for s in range(trials):
-                cfg = NwtlsConfig(
-                    eps=eps,
-                    oversample=oversample,
-                    sample_size=sketch,
-                    seed=derive_seed(seed, mi, di, 2, s),
-                )
-                x_rand = solve_nwtls(problem, cfg)
-                devs.append(float(np.linalg.norm(x_rand - x_ref) / ref_norm))
+            width = cfg.resolve(problem.n, problem.p)
+            seeds = [derive_seed(seed, mi, di, 2, s) for s in range(trials)]
+            xs = _nystrom(embed(problem, eps).r, width, seeds)
+            ref_norm = np.linalg.norm(sol.x)
+            devs = [float(np.linalg.norm(x - sol.x) / ref_norm) for x in xs]
             rows.append(replace(row, nwtls_dev=median(devs)))
     return rows
 

@@ -5,7 +5,8 @@ ordinary TLS problem whose solution tends to the constrained one as
 eps -> 0. This module provides the embedding, its direct SVD solution, an
 admissibility bound on eps, convergence diagnostics against the constrained
 solver, and the randomized Nystrom solver that sketches the inverse Gram
-operator of the stacked matrix.
+operator of the stacked matrix. Its kernel takes a batch of seeds on one R
+factor, so table2 factors each problem once for all its trials.
 
 Every route works on R factors, never on the weighted stack itself. The
 embedding is the R of [[C d]/eps; [A b]], factored with the heavy
@@ -279,6 +280,54 @@ def wtls_limit_diagnostics(problem: TlseProblem, eps_grid) -> list[LimitRow]:
     return rows
 
 
+def _nystrom(r: np.ndarray, width: int, seeds) -> list[np.ndarray]:
+    """Randomized Nystrom solutions on the weighted R factor, one per seed.
+
+    The seeds' test matrices, then their Q factors, sit side by side, so
+    each inverse-Gram solve is one pair of triangular solves for all seeds.
+    The rest runs per seed, and each x equals the one of its seed alone.
+    """
+    n = r.shape[1] - 1
+    diag = np.abs(np.diag(r))
+    if diag.size == 0 or diag.min() <= np.finfo(float).tiny * diag.max():
+        raise NumericalError("stacked matrix is rank deficient; Gram solve fails")
+
+    def gram_solve(blocks):
+        # a batch of one goes in as it is, without the copy of a join
+        rhs = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+        tmp = scipy.linalg.solve_triangular(r, rhs, trans="T", lower=False)
+        out = scipy.linalg.solve_triangular(r, tmp, lower=False)
+        return [out[:, t : t + width] for t in range(0, out.shape[1], width)]
+
+    sketches = gram_solve(
+        [np.random.default_rng(s).standard_normal((n + 1, width)) for s in seeds]
+    )
+    q_ss = [np.linalg.qr(sk, mode="reduced")[0] for sk in sketches]
+    xs = []
+    for q_s, y in zip(q_ss, gram_solve(q_ss)):
+        z = q_s.T @ y
+        z = 0.5 * (z + z.T)
+        try:
+            low = np.linalg.cholesky(z)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                "sketch compression is not positive definite; increase "
+                "oversample or the sample size"
+            ) from exc
+        k_factor = scipy.linalg.solve_triangular(low, y.T, lower=True).T
+        u, _, _ = np.linalg.svd(k_factor, full_matrices=False)
+        v = u[:, 0]
+        if abs(v[n]) < 1e-12:
+            raise NonGenericError(
+                f"normalizing component {v[n]:.3e} of the sketched direction "
+                "is numerically zero"
+            )
+        if v[n] > 0:
+            v = -v
+        xs.append(v[:n] / (-v[n]))
+    return xs
+
+
 def solve_nwtls(problem: TlseProblem, cfg: NwtlsConfig | None = None) -> np.ndarray:
     """Randomized Nystrom solve of the weighted problem.
 
@@ -287,42 +336,9 @@ def solve_nwtls(problem: TlseProblem, cfg: NwtlsConfig | None = None) -> np.ndar
     normalizes the dominant left singular vector of the compressed factor.
     Inverse-Gram solves go through embed's R factor of the stack with two
     triangular solves; neither the stack, its Q nor its Gram matrix is
-    formed. cfg.eps must be finite and positive (InputError otherwise).
+    formed. table2 runs the same kernel on a batch of seeds. cfg.eps must
+    be finite and positive (InputError otherwise).
     """
     cfg = cfg or NwtlsConfig()
-    n = problem.n
-    width = cfg.resolve(n, problem.p)
-    r = embed(problem, cfg.eps).r
-    rng = np.random.default_rng(cfg.seed)
-    omega = rng.standard_normal((n + 1, width))
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag.min() <= np.finfo(float).tiny * diag.max():
-        raise NumericalError("stacked matrix is rank deficient; Gram solve fails")
-
-    def gram_solve(rhs):
-        tmp = scipy.linalg.solve_triangular(r, rhs, trans="T", lower=False)
-        return scipy.linalg.solve_triangular(r, tmp, lower=False)
-
-    sketch = gram_solve(omega)
-    q_s, _ = np.linalg.qr(sketch, mode="reduced")
-    y = gram_solve(q_s)
-    z = q_s.T @ y
-    z = 0.5 * (z + z.T)
-    try:
-        low = np.linalg.cholesky(z)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "sketch compression is not positive definite; increase "
-            "oversample or the sample size"
-        ) from exc
-    k_factor = scipy.linalg.solve_triangular(low, y.T, lower=True).T
-    u, _, _ = np.linalg.svd(k_factor, full_matrices=False)
-    v = u[:, 0]
-    if abs(v[n]) < 1e-12:
-        raise NonGenericError(
-            f"normalizing component {v[n]:.3e} of the sketched direction "
-            "is numerically zero"
-        )
-    if v[n] > 0:
-        v = -v
-    return v[:n] / (-v[n])
+    width = cfg.resolve(problem.n, problem.p)
+    return _nystrom(embed(problem, cfg.eps).r, width, [cfg.seed])[0]

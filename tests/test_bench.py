@@ -32,6 +32,7 @@ from tlsekit.cli import main as cli_main
 from tlsekit.conditioning import _max_ratio
 from tlsekit.core import build_basis, check_genericity
 from tlsekit.errors import InputError
+from table2_oracle import table2_per_trial
 
 
 def seeded_problem(seed: int, p: int = 3, n: int = 8, q: int = 15) -> TlseProblem:
@@ -305,6 +306,12 @@ class TestRunExperiment:
         with pytest.raises(InputError):
             run_experiment(problem, sample, method="direct")
 
+    def test_given_solution_replaces_the_solve(self):
+        problem = seeded_problem(2)
+        sample = perturb(problem, "normwise", 1e-8, seed=5)
+        given = run_experiment(problem, sample, solution=solve_qr_svd(problem))
+        assert given == run_experiment(problem, sample)
+
     def test_prediction_bounds_cover_forward_errors(self):
         problem = seeded_problem(2)
         sample = perturb(problem, "normwise", 1e-8, seed=5)
@@ -577,6 +584,22 @@ class TestTables:
         assert rows[0].label == "m=14 delta=1e-03"
         assert rows[0].nwtls_dev is not None
         assert rows[0].nwtls_dev >= 0.0
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("sketch", [None, 2, 5])
+    @pytest.mark.parametrize("ms", [(14,), (50,), (14, 50)])
+    def test_table2_matches_the_per_trial_oracle(self, ms, sketch, seed):
+        # one shared R factor and batched Gram solves change no bit of any
+        # row; m = 14 (n = 3) rejects sketch 5 in both
+        kwargs = dict(ms=ms, deltas=(1e-2, 1e-4), seed=seed, sketch=sketch)
+        try:
+            expected = table2_per_trial(**kwargs)
+        except InputError:
+            with pytest.raises(InputError):
+                table2(**kwargs)
+            return
+        rows = table2(**kwargs)
+        assert emit_table(rows, "json") == emit_table(expected, "json")
 
     def test_table3_uses_componentwise_noise(self):
         rows = table3(a_list=(0.5,), seed=1, m_pts=30, n_pts=70, scale=1e-8)

@@ -284,6 +284,15 @@ class TestTables:
         assert code == 0
         assert first == second
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_table2_without_trials_is_usage_error(self, capsys, trials):
+        code, out, err = run(
+            capsys, "table2", "--m", "14", "--delta", "1e-3", "--trials", trials
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: trials must be at least 1")
+
     def test_table3_csv(self, capsys):
         code, out, _ = run(
             capsys,

@@ -1,6 +1,7 @@
 """Weighted embedding, its direct solver, limit diagnostics, randomized solve."""
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from tlsekit import (
 from tlsekit.core import build_basis, check_genericity
 from tlsekit.errors import IllPosedError, InputError, NumericalError
 from tlsekit.linalg import r_factor, spectral_norm
+from tlsekit.wtls import _nystrom
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -464,3 +466,52 @@ class TestNwtlsStreamed:
         finally:
             tracemalloc.stop()
         assert peak < 1.2e6
+
+
+class TestNystromBatch:
+    """The batch kernel behind table2 against one solve_nwtls per seed."""
+
+    SEEDS = [0, 7, 7, 123, 2**40]
+
+    @pytest.mark.parametrize(
+        "shape, sample_size",
+        [
+            ((3, 15, 8), None),
+            ((3, 15, 8), 2),
+            ((3, 15, 8), 5),
+            ((3, 15, 8), 9),
+            ((0, 12, 6), None),
+            ((5, 3000, 30), None),  # streamed R, Fortran-ordered
+        ],
+    )
+    def test_each_x_is_its_single_seed_solve(self, shape, sample_size):
+        p, q, n = shape
+        problem = seeded_problem(q + n, p=p, n=n, q=q)
+        cfg = NwtlsConfig(sample_size=sample_size)
+        width = cfg.resolve(problem.n, problem.p)
+        xs = _nystrom(embed(problem, cfg.eps).r, width, self.SEEDS)
+        assert len(xs) == len(self.SEEDS)
+        for seed, x in zip(self.SEEDS, xs):
+            np.testing.assert_array_equal(
+                x, solve_nwtls(problem, replace(cfg, seed=seed))
+            )
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            # consistent data: the stack is exactly rank deficient
+            TlseProblem(C=[[1.0, 0.0]], d=[2.0], A=np.eye(2), b=[2.0, 3.0]),
+            TlseProblem(
+                C=np.zeros((0, 2)),
+                d=np.zeros(0),
+                A=np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+                b=np.zeros(3),
+            ),
+        ],
+    )
+    def test_rank_deficient_r_raises_for_a_batch(self, problem):
+        r = embed(problem, 1e-8).r
+        with pytest.raises(NumericalError):
+            _nystrom(r, 3, [0])
+        with pytest.raises(NumericalError):
+            _nystrom(r, 3, self.SEEDS)
