@@ -39,7 +39,7 @@ from .conditioning import (
     build_k_operator,
     condition_report,
 )
-from .core import TlseProblem, TlseSolution, solve_closed_form, solve_qr_svd
+from .core import TlseProblem, TlseSolution, solve_qr_svd
 from .errors import (
     IllPosedError,
     InputError,
@@ -48,7 +48,7 @@ from .errors import (
     RankError,
 )
 from .linalg import spectral_norm
-from .wtls import NwtlsConfig, _nystrom, embed, solve_nwtls
+from .wtls import NwtlsConfig, _nystrom, embed
 
 GENERATOR_KINDS = ("equilibratory", "householder_spectrum", "piecewise_poly")
 
@@ -84,10 +84,10 @@ class GeneratorSpec:
                 f"unknown generator kind {self.kind!r}, expected one of "
                 f"{GENERATOR_KINDS}"
             )
-        if self.kappa_c <= 1:
-            raise InputError(f"kappa_c must exceed 1, got {self.kappa_c}")
-        if self.delta <= 0:
-            raise InputError(f"delta must be positive, got {self.delta}")
+        if not (np.isfinite(self.kappa_c) and self.kappa_c > 1):
+            raise InputError(f"kappa_c must be finite and exceed 1, got {self.kappa_c}")
+        if not (np.isfinite(self.delta) and self.delta > 0):
+            raise InputError(f"delta must be finite and positive, got {self.delta}")
         if not 0 < self.knot < 1:
             raise InputError(f"knot must lie in (0,1), got {self.knot}")
 
@@ -329,8 +329,8 @@ def perturb(
     componentwise: entrywise uniform factors times the data itself, with the
     constraint right-hand side left exact (its perturbation is zero).
     """
-    if scale <= 0:
-        raise InputError(f"scale must be positive, got {scale}")
+    if not (np.isfinite(scale) and scale > 0):
+        raise InputError(f"scale must be finite and positive, got {scale}")
     rng = _rng(seed)
     m, n, p = problem.m, problem.n, problem.p
     draw = rng.random((m, n + 1))
@@ -357,34 +357,21 @@ def apply_sample(problem: TlseProblem, sample: PerturbationSample) -> TlseProble
     )
 
 
-def _solve_with(problem: TlseProblem, method: str, cfg: NwtlsConfig | None):
-    if method == "qr-svd":
-        return solve_qr_svd(problem).x
-    if method == "closed":
-        return solve_closed_form(problem)
-    if method == "nwtls":
-        return solve_nwtls(problem, cfg or NwtlsConfig())
-    raise InputError(f"unknown method {method!r}")
-
-
 def run_experiment(
     problem: TlseProblem,
     sample: PerturbationSample,
-    method: str = "qr-svd",
     weights: Weights | None = None,
     label: str = "",
-    nwtls_cfg: NwtlsConfig | None = None,
     solution: TlseSolution | None = None,
 ) -> ExperimentRow:
     """Solve, perturb, re-solve, and assemble one table row.
 
-    The condition numbers and the first-order prediction always come from
-    the stable QR-SVD solve; `method` only selects which solver produces the
-    solutions whose difference is reported as forward error. A perturbed
-    solve that fails genericity flags the row degenerate instead of raising.
-    When nwtls_cfg is given the row also records the relative deviation of
-    the randomized solver from the reference solution on the unperturbed
-    problem. A given solution must be solve_qr_svd(problem); it saves that solve.
+    Both solves, of the problem and of its perturbed copy, are QR-SVD
+    solves; their difference is the reported forward error, and the same
+    solution gives the condition numbers and the first-order prediction. A
+    perturbed solve that fails genericity flags the row degenerate instead
+    of raising. The nwtls_dev column stays None (table2 fills it). A given
+    solution must be solve_qr_svd(problem); it saves that solve.
     """
     sol = solution if solution is not None else solve_qr_svd(problem)
     report = condition_report(problem, solution=sol, weights=weights, method="exact")
@@ -401,32 +388,23 @@ def run_experiment(
         np.hstack([big_l, big_h[:, None]]),
     )
     flags = list(sol.core.warnings)
-    x_base = sol.x if method == "qr-svd" else _solve_with(problem, method, nwtls_cfg)
     fwd2 = fwdinf = fwdcw = eta = None
     try:
-        x_pert = _solve_with(apply_sample(problem, sample), method, nwtls_cfg)
+        dx = solve_qr_svd(apply_sample(problem, sample)).x - sol.x
     except (IllPosedError, NonGenericError, NumericalError):
         flags.append("degenerate")
-        x_pert = None
-    if x_pert is not None:
-        dx = x_pert - x_base
-        fwd2 = float(np.linalg.norm(dx) / np.linalg.norm(x_base))
+    else:
+        fwd2 = float(np.linalg.norm(dx) / np.linalg.norm(sol.x))
         fwdinf = float(
-            np.abs(dx).max(initial=0.0) / np.abs(x_base).max(initial=0.0)
+            np.abs(dx).max(initial=0.0) / np.abs(sol.x).max(initial=0.0)
         )
-        fwdcw, _ = _max_ratio(dx, x_base)
+        fwdcw, _ = _max_ratio(dx, sol.x)
         norm_dx = np.linalg.norm(dx)
         if norm_dx > 0:
             predicted = apply_k(build_k_operator(problem, sol), sample.dL, sample.dh)
             eta = float(np.linalg.norm(dx - predicted) / norm_dx)
         else:
             eta = 0.0
-    nwtls_dev = None
-    if nwtls_cfg is not None:
-        x_rand = solve_nwtls(problem, nwtls_cfg)
-        nwtls_dev = float(
-            np.linalg.norm(x_rand - sol.x) / np.linalg.norm(sol.x)
-        )
     core_sigma = sol.core.sigma
     core_cond = float(core_sigma[0] / core_sigma[-1]) if core_sigma[-1] > 0 else float("inf")
     return ExperimentRow(
@@ -446,7 +424,6 @@ def run_experiment(
         kappa_c_finite=report.kappa_c_finite,
         constraint_gain_norm=float(spectral_norm(sol.constraint_gain)),
         core_cond=core_cond,
-        nwtls_dev=nwtls_dev,
         flags=";".join(flags),
     )
 

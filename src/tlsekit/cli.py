@@ -18,6 +18,7 @@ import os
 import sys
 
 from .bench import (
+    GENERATOR_KINDS,
     GeneratorSpec,
     emit_table,
     generate,
@@ -76,27 +77,21 @@ def _emit_pairs(pairs, fmt: str) -> str:
 
 def _cmd_solve(args) -> str:
     problem = load_problem(args.input)
+    extra = []
     if args.method == "qr-svd":
         sol = solve_qr_svd(problem)
-        pairs = [(f"x[{i}]", float(v)) for i, v in enumerate(sol.x)]
-        pairs += [
+        x = sol.x
+        extra = [
             ("sigma_min", sol.sigma_min),
             ("rho", sol.rho),
             ("warnings", ";".join(sol.core.warnings)),
         ]
     elif args.method == "closed":
         x = solve_closed_form(problem)
-        pairs = [(f"x[{i}]", float(v)) for i, v in enumerate(x)]
-    elif args.method == "nwtls":
-        cfg = NwtlsConfig(
-            eps=args.eps,
-            oversample=args.oversample,
-            seed=args.seed,
-        )
+    else:  # nwtls, the last of the argparse choices
+        cfg = NwtlsConfig(eps=args.eps, oversample=args.oversample, seed=args.seed)
         x = solve_nwtls(problem, cfg)
-        pairs = [(f"x[{i}]", float(v)) for i, v in enumerate(x)]
-    else:
-        raise InputError(f"unknown method {args.method!r}")
+    pairs = [(f"x[{i}]", float(v)) for i, v in enumerate(x)] + extra
     return _emit_pairs(pairs, args.format)
 
 
@@ -242,11 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_t3.set_defaults(func=_cmd_table3)
 
     p_gen = sub.add_parser("gen", help="generate a problem file")
-    p_gen.add_argument(
-        "--kind",
-        required=True,
-        choices=("equilibratory", "householder_spectrum", "piecewise_poly"),
-    )
+    p_gen.add_argument("--kind", required=True, choices=GENERATOR_KINDS)
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--p", type=int, default=None)

@@ -57,15 +57,23 @@ from .linalg import as_matrix, as_vector, block_rows, greville_augment, spectral
 
 @dataclass(frozen=True)
 class Weights:
-    """Positive weights (alpha on the matrix block, beta on the right side)."""
+    """Positive weights (alpha on the matrix block, beta on the right side).
+
+    alpha, beta, their squares and (beta/alpha)^2 must be finite and
+    nonzero in float64: the formulas divide by each of them.
+    """
 
     alpha: float = 1.0
     beta: float = 1.0
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
+        with np.errstate(all="ignore"):
+            a, b = np.float64(self.alpha), np.float64(self.beta)
+            terms = (a, b, a * a, b * b, (b / a) ** 2)
+        if not all(0 < t < np.inf for t in terms):
             raise InputError(
-                f"weights must be positive, got ({self.alpha}, {self.beta})"
+                "weights must be positive, with finite nonzero squares and "
+                f"(beta/alpha)^2, got ({self.alpha}, {self.beta})"
             )
 
 

@@ -209,24 +209,12 @@ class StationarityReport:
 def build_basis(problem: TlseProblem) -> ConstraintBasis:
     """QR of C.T plus the feasible-point quantities derived from it.
 
-    For p = 0 the null basis is the identity, x_feas = 0, aug_scale = 1 and
-    the augmented basis is [[I, 0], [0, -1]].
+    p = 0 takes the same path: the complete QR of the n x 0 matrix C.T is
+    Q = I, so the null basis is I, x_feas = 0, aug_scale = 1 and the
+    augmented basis is [[I, 0], [0, -1]].
     """
     n = problem.n
     p = problem.p
-    if p == 0:
-        aug = np.zeros((n + 1, n + 1))
-        aug[:n, :n] = np.eye(n)
-        aug[n, n] = -1.0
-        return ConstraintBasis(
-            q1=np.zeros((n, 0)),
-            null_basis=np.eye(n),
-            r1=np.zeros((0, 0)),
-            x_feas=np.zeros(n),
-            aug_scale=1.0,
-            aug_null_basis=aug,
-            problem=problem,
-        )
     q, r = np.linalg.qr(problem.C.T, mode="complete")
     q1, null_basis = q[:, :p], q[:, p:]
     r1 = r[:p, :]
@@ -258,8 +246,6 @@ def build_basis(problem: TlseProblem) -> ConstraintBasis:
 def constraint_pinv(basis: ConstraintBasis) -> np.ndarray:
     """Pseudoinverse of C assembled from the already-built QR factors."""
     p = basis.q1.shape[1]
-    if p == 0:
-        return np.zeros((basis.null_basis.shape[0], 0))
     inv_rt = scipy.linalg.solve_triangular(
         basis.r1, np.eye(p), trans="T", lower=False
     )
@@ -331,15 +317,8 @@ def _filtered(core: CoreSvd, rhs: np.ndarray) -> np.ndarray:
     return res.v @ (res.s / _shifts(core) * (res.u.T @ rhs).T).T
 
 
-def solve_qr_svd(problem: TlseProblem) -> TlseSolution:
-    """Solve by lifting the trailing core singular vector and normalizing.
-
-    Sign convention: the lifted vector is flipped so its last component is
-    negative, and rho = +sqrt(1 + ||x||^2). Raises IllPosedError when the
-    genericity gap fails, NonGenericError when the normalizing component is
-    numerically zero. The data are read once, by the streamed QR of [A b];
-    solution.residual reads them again only when it is first accessed.
-    """
+def _posed(problem: TlseProblem) -> tuple[ConstraintBasis, CoreSvd]:
+    """build_basis and check_genericity; IllPosedError when the gap fails."""
     basis = build_basis(problem)
     core = check_genericity(basis, problem)
     if not core.satisfied:
@@ -348,15 +327,33 @@ def solve_qr_svd(problem: TlseProblem) -> TlseSolution:
             f"{core.restricted_min_sv:.6e} does not exceed core sigma_min "
             f"{core.sigma_min:.6e}"
         )
-    lifted = basis.aug_null_basis @ core.right[:, -1]
-    if abs(lifted[-1]) < LAST_COMPONENT_TOL:
+    return basis, core
+
+
+def _x_from_direction(v: np.ndarray) -> np.ndarray:
+    """x with [x; -1] parallel to v, the same for v and -v bit for bit.
+
+    Raises NonGenericError when |v[-1]| < LAST_COMPONENT_TOL.
+    """
+    if abs(v[-1]) < LAST_COMPONENT_TOL:
         raise NonGenericError(
-            f"normalizing component {lifted[-1]:.3e} is below "
+            f"normalizing component {v[-1]:.3e} is below "
             f"{LAST_COMPONENT_TOL:g}; solution direction is not generic"
         )
-    if lifted[-1] > 0:
-        lifted = -lifted
-    x = lifted[:-1] / (-lifted[-1])
+    return v[:-1] / -v[-1]
+
+
+def solve_qr_svd(problem: TlseProblem) -> TlseSolution:
+    """Solve by lifting the trailing core singular vector and normalizing.
+
+    rho = +sqrt(1 + ||x||^2). Raises IllPosedError when the genericity gap
+    fails, NonGenericError when the normalizing component is below
+    LAST_COMPONENT_TOL. The data are read once, by the streamed QR of
+    [A b]; solution.residual reads them again only when it is first
+    accessed.
+    """
+    basis, core = _posed(problem)
+    x = _x_from_direction(basis.aug_null_basis @ core.right[:, -1])
     rho = float(np.sqrt(1.0 + x @ x))
     v, null_basis = core.restricted.v, basis.null_basis
     gram_inv = v @ (v.T / _shifts(core)[:, None])
@@ -385,12 +382,7 @@ def solve_closed_form(problem: TlseProblem) -> np.ndarray:
     solve_qr_svd but does not use the core singular vectors, so the two act
     as cross-checks. Returns the solution vector only.
     """
-    basis = build_basis(problem)
-    core = check_genericity(basis, problem)
-    if not core.satisfied:
-        raise IllPosedError(
-            "genericity gap violated: cannot invert the shifted Gram matrix"
-        )
+    basis, core = _posed(problem)
     r = core.data_r
     step = _filtered(core, r[:, :-1] @ basis.x_feas - r[:, -1])
     return basis.x_feas - basis.null_basis @ step
@@ -411,10 +403,7 @@ def validate_stationarity(
     a, b, c, d = problem.A, problem.b, problem.C, problem.d
     s2 = solution.sigma_min**2
     grad_rhs = s2 * x - a.T @ (a @ x) + a.T @ b
-    if problem.p:
-        multiplier = np.linalg.lstsq(c.T, grad_rhs, rcond=None)[0]
-    else:
-        multiplier = np.zeros(0)
+    multiplier = np.linalg.lstsq(c.T, grad_rhs, rcond=None)[0]
     grad = a.T @ (a @ x) - a.T @ b + c.T @ multiplier - s2 * x
     coupling = float(b @ (a @ x) - b @ b + d @ multiplier + s2)
     constraint = c @ x - d

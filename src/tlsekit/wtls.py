@@ -20,7 +20,9 @@ and is useless in float64 below roughly eps = 1e-4. solve_wtls_direct
 therefore normalizes the trailing right singular vector of the weighted R,
 and wtls_limit_diagnostics evaluates the resolvent through block
 elimination in the constraint QR basis, where every 1/eps^2 appears only
-as a benign multiplicative factor.
+as a benign multiplicative factor. Both weighted routes read x off their
+direction as solve_qr_svd does, with one tolerance
+(core.LAST_COMPONENT_TOL), and p = 0 runs the same code as p > 0.
 """
 from __future__ import annotations
 
@@ -30,13 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import TlseProblem, build_basis, solve_qr_svd
-from .errors import (
-    IllPosedError,
-    InputError,
-    NonGenericError,
-    NumericalError,
-)
+from .core import TlseProblem, _x_from_direction, solve_qr_svd
+from .errors import IllPosedError, InputError, NumericalError
 from .linalg import r_factor, singular_values, spectral_norm, svd
 
 
@@ -141,15 +138,13 @@ def check_eps_bound(problem: TlseProblem, eps: float, core) -> EpsBound:
     """Admissibility test 2 eps^2 ||pinv([C d])||^2 ||[A b]||^2 < gap.
 
     core must come from check_genericity on the same problem: ||[A b]||_2 is
-    taken from core.data_r, its R factor of [A b]. With p = 0 the left side
-    is zero and the test reduces to a positive gap.
+    taken from core.data_r, its R factor of [A b]. With p = 0, [C d] has
+    no singular values, its pseudoinverse norm is 0 and the test reduces to
+    a positive gap.
     """
     eps = _positive_eps(eps)
-    if problem.p:
-        aug_c = problem.aug_constraint()
-        pinv_norm = 1.0 / float(singular_values(aug_c)[-1])
-    else:
-        pinv_norm = 0.0
+    sv_min = singular_values(problem.aug_constraint()).min(initial=np.inf)
+    pinv_norm = 1.0 / float(sv_min)
     data_norm = spectral_norm(core.data_r)
     lhs = 2.0 * eps**2 * pinv_norm**2 * data_norm**2
     gap = float(core.gap)
@@ -161,7 +156,8 @@ def solve_wtls_direct(emb: WeightedEmbedding) -> tuple[np.ndarray, float]:
 
     Returns (x, sigma) where sigma is the smallest singular value of the
     stack. Normalizes the trailing right singular vector instead of forming
-    normal equations (see module docstring).
+    normal equations (see module docstring); NonGenericError when its last
+    component is below core.LAST_COMPONENT_TOL in magnitude.
     """
     r = emb.r
     n = r.shape[1] - 1
@@ -173,15 +169,7 @@ def solve_wtls_direct(emb: WeightedEmbedding) -> tuple[np.ndarray, float]:
             f"{coef_min:.6e} does not exceed sigma_min of the stack "
             f"{res.s[-1]:.6e}"
         )
-    v = res.v[:, -1]
-    if abs(v[n]) < 1e-12:
-        raise NonGenericError(
-            f"normalizing component {v[n]:.3e} of the weighted solution "
-            "direction is numerically zero"
-        )
-    if v[n] > 0:
-        v = -v
-    return v[:n] / (-v[n]), float(res.s[-1])
+    return _x_from_direction(res.v[:, -1]), float(res.s[-1])
 
 
 def _pos_inv(mat, what):
@@ -207,11 +195,8 @@ def _blockwise_resolvent(r_a, basis, sigma_eps, eps):
     analytically before anything is inverted, so the computation stays
     accurate for eps far below the breakdown point of the naive formation.
     """
-    n, p = basis.q1.shape
+    n = r_a.shape[1]
     shifted = r_a.T @ r_a - sigma_eps**2 * np.eye(n)
-    if p == 0:
-        resolvent = _pos_inv(shifted, "shifted Gram matrix")
-        return resolvent, resolvent @ r_a.T
     q1, q2, r1 = basis.q1, basis.null_basis, basis.r1
     z11 = q1.T @ shifted @ q1
     z12 = q1.T @ shifted @ q2
@@ -316,15 +301,7 @@ def _nystrom(r: np.ndarray, width: int, seeds) -> list[np.ndarray]:
             ) from exc
         k_factor = scipy.linalg.solve_triangular(low, y.T, lower=True).T
         u, _, _ = np.linalg.svd(k_factor, full_matrices=False)
-        v = u[:, 0]
-        if abs(v[n]) < 1e-12:
-            raise NonGenericError(
-                f"normalizing component {v[n]:.3e} of the sketched direction "
-                "is numerically zero"
-            )
-        if v[n] > 0:
-            v = -v
-        xs.append(v[:n] / (-v[n]))
+        xs.append(_x_from_direction(u[:, 0]))
     return xs
 
 
@@ -337,7 +314,9 @@ def solve_nwtls(problem: TlseProblem, cfg: NwtlsConfig | None = None) -> np.ndar
     Inverse-Gram solves go through embed's R factor of the stack with two
     triangular solves; neither the stack, its Q nor its Gram matrix is
     formed. table2 runs the same kernel on a batch of seeds. cfg.eps must
-    be finite and positive (InputError otherwise).
+    be finite and positive (InputError otherwise). NonGenericError when the
+    last component of the sketched direction is below
+    core.LAST_COMPONENT_TOL in magnitude.
     """
     cfg = cfg or NwtlsConfig()
     width = cfg.resolve(problem.n, problem.p)

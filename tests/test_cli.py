@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tlsekit
-from tlsekit import TlseProblem, save_problem
+from tlsekit import GeneratorSpec, TlseProblem, gen_equilibratory, save_problem
 from tlsekit.cli import main
 
 
@@ -31,6 +32,13 @@ def degenerate_file(tmp_path):
     )
     path = tmp_path / "degenerate.npz"
     save_problem(problem, path)
+    return str(path)
+
+
+@pytest.fixture()
+def equilibratory_file(tmp_path):
+    path = tmp_path / "equilibratory.npz"
+    save_problem(gen_equilibratory(GeneratorSpec(kind="equilibratory", seed=1)), path)
     return str(path)
 
 
@@ -213,6 +221,48 @@ class TestCond:
         assert payload["alpha"] == 10.0
         assert payload["kappa_m"] == payload["kappa_m_upper"]
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--alpha", "1e-200"),
+            ("--alpha", "1e-160"),
+            ("--alpha", "1e200"),
+            ("--alpha", "inf"),
+            ("--alpha", "nan"),
+            ("--beta", "inf"),
+            ("--beta", "0"),
+        ],
+    )
+    def test_weights_outside_float_range_are_usage_errors(
+        self, capsys, equilibratory_file, flag, value
+    ):
+        # past these weights the formulas divide by zero or overflow; the
+        # rejection must come before any of them runs, with no warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(
+                capsys, "cond", "--input", equilibratory_file, flag, value
+            )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: weights must be positive")
+        assert err.count("\n") == 1
+        assert caught == []
+
+    @pytest.mark.parametrize("flag, value", [("--alpha", "1e-100"), ("--beta", "1e150")])
+    def test_extreme_weights_inside_float_range(
+        self, capsys, equilibratory_file, flag, value
+    ):
+        code, out, err = run(
+            capsys, "cond", "--input", equilibratory_file, flag, value,
+            "--format", "json",
+        )
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert all(
+            np.isfinite(v) and v > 0 for k, v in payload.items() if k.startswith("kappa")
+        )
+
 
 class TestGen:
     def test_writes_problem_with_meta(self, capsys, tmp_path):
@@ -308,6 +358,22 @@ class TestTables:
         )
         assert code == 0
         assert out.splitlines()[1].startswith("a=0.5")
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("table1", "--kappa-c", "nan"), "kappa_c"),
+            (("table1", "--kappa-c", "inf"), "kappa_c"),
+            (("table1", "--scale", "nan"), "scale"),
+            (("table1", "--scale", "inf"), "scale"),
+            (("table2", "--m", "14", "--delta", "nan"), "delta"),
+        ],
+    )
+    def test_non_finite_parameters_are_usage_errors(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {name} must be finite")
 
     def test_bad_list_argument_is_usage_error(self, capsys):
         code, _, err = run(capsys, "table1", "--kappa-c", "1e2,junk")

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,32 @@ class TestWeights:
     def test_rejects_non_positive(self, bad):
         with pytest.raises(InputError):
             Weights(*bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (1e-200, 1.0),  # alpha^2 underflows to 0
+            (1e-160, 1.0),  # (beta/alpha)^2 overflows
+            (1e200, 1.0),  # alpha^2 overflows
+            (math.inf, 1.0),
+            (1.0, math.inf),
+            (math.nan, 1.0),
+            (1e-100, 1e150),  # each fine alone, (beta/alpha)^2 overflows
+        ],
+    )
+    def test_rejects_weights_outside_float_range(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="weights must be positive"):
+                Weights(*bad)
+
+    @pytest.mark.parametrize("weights", [Weights(alpha=1e-100), Weights(beta=1e150)])
+    @pytest.mark.parametrize("method", ["exact", "upper"])
+    def test_extreme_weights_inside_float_range(self, weights, method):
+        report = condition_report(seeded_problem(0), weights=weights, method=method)
+        for name in ("kappa_n", "kappa_n_upper", "kappa_m", "kappa_c"):
+            value = getattr(report, name)
+            assert np.isfinite(value) and value > 0
 
 
 class TestOperatorAssembly:

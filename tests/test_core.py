@@ -9,6 +9,7 @@ import tlsekit.core
 from qr_oracle import one_shot_r, stack_of
 from tlsekit import TlseProblem, solve_closed_form, solve_qr_svd
 from tlsekit.core import (
+    _x_from_direction,
     build_basis,
     check_genericity,
     constraint_pinv,
@@ -16,7 +17,7 @@ from tlsekit.core import (
     null_gram_inv_norm,
     validate_stationarity,
 )
-from tlsekit.errors import IllPosedError, InputError, RankError
+from tlsekit.errors import IllPosedError, InputError, NonGenericError, RankError
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -128,14 +129,27 @@ class TestConstraintBasis:
         )
 
     def test_unconstrained_basis_is_trivial(self):
-        problem = golden_problem()
-        basis = build_basis(problem)
-        np.testing.assert_array_equal(basis.null_basis, np.eye(1))
-        np.testing.assert_array_equal(basis.x_feas, [0.0])
-        assert basis.aug_scale == 1.0
-        np.testing.assert_array_equal(
-            basis.aug_null_basis, [[1.0, 0.0], [0.0, -1.0]]
+        # p = 0 runs the general QR path; its complete QR of the n x 0
+        # matrix C.T is exactly the identity
+        rng = np.random.default_rng(6)
+        wide = TlseProblem(
+            C=np.zeros((0, 6)),
+            d=np.zeros(0),
+            A=rng.standard_normal((10, 6)),
+            b=rng.standard_normal(10),
         )
+        for problem in (golden_problem(), wide):
+            n = problem.n
+            basis = build_basis(problem)
+            assert basis.q1.shape == (n, 0)
+            assert basis.r1.shape == (0, 0)
+            assert constraint_pinv(basis).shape == (n, 0)
+            np.testing.assert_array_equal(basis.null_basis, np.eye(n))
+            np.testing.assert_array_equal(basis.x_feas, np.zeros(n))
+            assert basis.aug_scale == 1.0
+            aug = np.eye(n + 1)
+            aug[n, n] = -1.0
+            np.testing.assert_array_equal(basis.aug_null_basis, aug)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_geometry_invariants(self, seed):
@@ -282,6 +296,24 @@ class TestSolvers:
         scaled = lifted / (-lifted[-1])
         np.testing.assert_allclose(scaled[:-1], solution.x, atol=1e-10)
         assert scaled[-1] == pytest.approx(-1.0)
+
+    def test_read_off_rejects_a_small_last_component(self):
+        tol = tlsekit.core.LAST_COMPONENT_TOL
+        for last in (0.0, tol / 2, -np.nextafter(tol, 0.0)):
+            with pytest.raises(NonGenericError):
+                _x_from_direction(np.array([0.6, 0.8, last]))
+
+    def test_read_off_is_sign_invariant_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            v = rng.standard_normal(7) * 10.0 ** rng.uniform(-8, 8, 7)
+            assert _x_from_direction(v).tobytes() == _x_from_direction(-v).tobytes()
+
+    def test_read_off_accepts_the_tolerance_itself(self):
+        tol = tlsekit.core.LAST_COMPONENT_TOL
+        for last in (tol, -tol):
+            x = _x_from_direction(np.array([3.0 * tol, -tol, last]))
+            np.testing.assert_array_equal(x, [-3.0, 1.0] if last > 0 else [3.0, -1.0])
 
     def test_ill_posed_raises_in_both_routes(self):
         problem = degenerate_problem()
