@@ -32,13 +32,7 @@ from statistics import median
 
 import numpy as np
 
-from .conditioning import (
-    Weights,
-    _max_ratio,
-    apply_k,
-    build_k_operator,
-    condition_report,
-)
+from .conditioning import Weights, _max_ratio, _report, apply_k, build_k_operator
 from .core import TlseProblem, TlseSolution, solve_qr_svd
 from .errors import (
     IllPosedError,
@@ -374,7 +368,8 @@ def run_experiment(
     solution must be solve_qr_svd(problem); it saves that solve.
     """
     sol = solution if solution is not None else solve_qr_svd(problem)
-    report = condition_report(problem, solution=sol, weights=weights, method="exact")
+    op = build_k_operator(problem, sol)
+    report = _report(op, weights or Weights(), "exact")
     big_l, big_h = problem.L, problem.h
     stack_norm = np.sqrt(
         np.linalg.norm(big_l, "fro") ** 2 + np.linalg.norm(big_h) ** 2
@@ -401,7 +396,7 @@ def run_experiment(
         fwdcw, _ = _max_ratio(dx, sol.x)
         norm_dx = np.linalg.norm(dx)
         if norm_dx > 0:
-            predicted = apply_k(build_k_operator(problem, sol), sample.dL, sample.dh)
+            predicted = apply_k(op, sample.dL, sample.dh)
             eta = float(np.linalg.norm(dx - predicted) / norm_dx)
         else:
             eta = 0.0

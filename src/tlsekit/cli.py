@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -174,7 +175,11 @@ def _cmd_gen(args) -> str:
     return args.out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The tlse parser, built once per process: argparse queries the
+    terminal size for every argument it adds, a few ms in all, and
+    parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="tlse",
         description="Equality-constrained total least squares toolkit",

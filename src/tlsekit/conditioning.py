@@ -38,6 +38,7 @@ whatever m is. Blocking only regroups the sums over the rows.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,16 +60,23 @@ from .linalg import as_matrix, as_vector, block_rows, greville_augment, spectral
 class Weights:
     """Positive weights (alpha on the matrix block, beta on the right side).
 
-    alpha, beta, their squares and (beta/alpha)^2 must be finite and
-    nonzero in float64: the formulas divide by each of them.
+    alpha and beta must be real numbers (a string is not converted), and
+    they, their squares and (beta/alpha)^2 must be finite and nonzero in
+    float64: the formulas divide by each of them.
     """
 
     alpha: float = 1.0
     beta: float = 1.0
 
     def __post_init__(self):
+        pair = (self.alpha, self.beta)
+        if not all(isinstance(v, numbers.Real) for v in pair):
+            raise InputError(f"weights must be real numbers, got {pair!r}")
         with np.errstate(all="ignore"):
-            a, b = np.float64(self.alpha), np.float64(self.beta)
+            try:
+                a, b = map(np.float64, pair)
+            except OverflowError:  # an int beyond the float range
+                a = b = np.float64(np.inf)
             terms = (a, b, a * a, b * b, (b / a) ** 2)
         if not all(0 < t < np.inf for t in terms):
             raise InputError(
@@ -479,9 +487,12 @@ def condition_report(
         raise InputError(
             f"method must be exact|compact|upper, got {method!r}"
         )
-    w = weights or Weights()
     sol = solution if solution is not None else solve_qr_svd(problem)
-    op = build_k_operator(problem, sol)
+    return _report(build_k_operator(problem, sol), weights or Weights(), method)
+
+
+def _report(op: KOperator, w: Weights, method: str) -> ConditionReport:
+    """condition_report's numbers on a built K, for a valid method."""
     tight, loose = kappa_normwise_upper(op, w)
     target, bound = _entrywise_targets(op, exact=method != "upper")
     upper = _mixed_componentwise(bound, op.x)

@@ -30,10 +30,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IllPosedError, InputError, NonGenericError, RankError
-from .linalg import RANK_TOL, SvdResult, as_matrix, as_vector, r_factor, svd
+from .linalg import (
+    RANK_TOL, SvdResult, as_matrix, as_vector, r_factor, solve_triangular, svd,
+)
 
 #: Hard ill-posedness warning when gap <= GAP_WARN_FACTOR * eps * sigma_bar^2.
 GAP_WARN_FACTOR = 1e3
@@ -226,7 +227,7 @@ def build_basis(problem: TlseProblem) -> ConstraintBasis:
             f"C is rank deficient: triangular diagonal {bad[0]} is "
             f"{diag[bad[0]]:.3e} against scale {scale:.3e}"
         )
-    x_feas = q1 @ scipy.linalg.solve_triangular(r1, problem.d, trans="T")
+    x_feas = q1 @ solve_triangular(r1, problem.d, trans=1)
     aug_scale = 1.0 / np.sqrt(1.0 + float(x_feas @ x_feas))
     aug = np.zeros((n + 1, n - p + 1))
     aug[:n, : n - p] = null_basis
@@ -245,11 +246,7 @@ def build_basis(problem: TlseProblem) -> ConstraintBasis:
 
 def constraint_pinv(basis: ConstraintBasis) -> np.ndarray:
     """Pseudoinverse of C assembled from the already-built QR factors."""
-    p = basis.q1.shape[1]
-    inv_rt = scipy.linalg.solve_triangular(
-        basis.r1, np.eye(p), trans="T", lower=False
-    )
-    return basis.q1 @ inv_rt
+    return basis.q1 @ solve_triangular(basis.r1, np.eye(len(basis.r1)), trans=1)
 
 
 def check_genericity(basis: ConstraintBasis, problem: TlseProblem) -> CoreSvd:

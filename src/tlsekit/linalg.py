@@ -1,17 +1,18 @@
 """Dense matrix kernels shared by the rest of the package.
 
-Thin wrappers over LAPACK (via numpy and scipy), the streamed R factor of
-a stack of rows, the largest singular value of blocks side by side from
-one eigenvalue of their Gram matrix, and the Greville pseudoinverse
-update. No problem semantics live here; everything operates on plain
-float arrays and raises tlsekit errors on contract violations.
+Thin wrappers over LAPACK (via numpy and scipy), triangular solves by
+dtrtrs alone, the streamed R factor of a stack of rows, the largest
+singular value of blocks side by side from one eigenvalue of their Gram
+matrix, and the Greville pseudoinverse update. No problem semantics live
+here; everything operates on plain float arrays and raises tlsekit errors
+on contract violations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dsyevr, dtpqrt
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dsyevr, dtpqrt, dtrtrs
 
 from .errors import InputError, NumericalError
 
@@ -73,6 +74,25 @@ def svd(m) -> SvdResult:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
     return SvdResult(u=u, s=s, v=vt.T)
+
+
+def solve_triangular(a, b, trans: int = 0, lower: bool = False) -> np.ndarray:
+    """x with a x = b (trans 0) or a.T x = b (trans 1), a square triangular.
+
+    scipy.linalg.solve_triangular without its per-call checks, which cost
+    several times the LAPACK dtrtrs call on small systems; a and b must be
+    finite float64 arrays. A C-ordered a goes in as the Fortran-ordered a.T
+    with lower and trans flipped, as SciPy does, so results match it bit for
+    bit. An empty b (a 0 x 0 a, the p = 0 case) returns at once.
+    """
+    if not b.size:
+        return np.empty(b.shape)
+    if not a.flags.f_contiguous:
+        a, lower, trans = a.T, not lower, 1 - trans
+    x, info = dtrtrs(a, b, lower=lower, trans=trans)
+    if info != 0:
+        raise NumericalError(f"triangular solve failed (dtrtrs info {info})")
+    return x
 
 
 def block_rows(cols: int) -> int:

@@ -6,7 +6,8 @@ eps -> 0. This module provides the embedding, its direct SVD solution, an
 admissibility bound on eps, convergence diagnostics against the constrained
 solver, and the randomized Nystrom solver that sketches the inverse Gram
 operator of the stacked matrix. Its kernel takes a batch of seeds on one R
-factor, so table2 factors each problem once for all its trials.
+factor, so table2 factors each problem once for all its trials, and runs
+one stacked QR, Cholesky and SVD for all of them.
 
 Every route works on R factors, never on the weighted stack itself. The
 embedding is the R of [[C d]/eps; [A b]], factored with the heavy
@@ -34,7 +35,7 @@ import scipy.linalg
 
 from .core import TlseProblem, _x_from_direction, solve_qr_svd
 from .errors import IllPosedError, InputError, NumericalError
-from .linalg import r_factor, singular_values, spectral_norm, svd
+from .linalg import r_factor, singular_values, solve_triangular, spectral_norm, svd
 
 
 @dataclass(frozen=True)
@@ -123,9 +124,13 @@ def _positive_eps(eps) -> float:
 def _weighted(problem: TlseProblem, eps: float, *blocks) -> WeightedEmbedding:
     """R of [[C d]/eps; blocks side by side], the heavy rows first.
 
-    blocks are A and b, or any R with the Gram matrix of [A b].
+    blocks are A and b, or any R with the Gram matrix of [A b]. InputError
+    when eps is so small that [C d]/eps overflows.
     """
-    head = problem.aug_constraint() / eps
+    with np.errstate(over="ignore"):
+        head = problem.aug_constraint() / eps
+    if not np.isfinite(head).all():
+        raise InputError(f"eps {eps} is too small: [C d]/eps overflows")
     return WeightedEmbedding(eps=eps, r=r_factor(*blocks, head=head))
 
 
@@ -270,39 +275,34 @@ def _nystrom(r: np.ndarray, width: int, seeds) -> list[np.ndarray]:
 
     The seeds' test matrices, then their Q factors, sit side by side, so
     each inverse-Gram solve is one pair of triangular solves for all seeds.
-    The rest runs per seed, and each x equals the one of its seed alone.
+    The QR, Cholesky and SVD each run once on the stack of all seeds'
+    matrices: NumPy's stacked calls give each matrix the LAPACK call it
+    gets alone, so each x equals the one of its seed alone.
     """
-    n = r.shape[1] - 1
+    n, k = r.shape[1] - 1, len(seeds)
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag.min() <= np.finfo(float).tiny * diag.max():
         raise NumericalError("stacked matrix is rank deficient; Gram solve fails")
 
-    def gram_solve(blocks):
-        # a batch of one goes in as it is, without the copy of a join
-        rhs = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
-        tmp = scipy.linalg.solve_triangular(r, rhs, trans="T", lower=False)
-        out = scipy.linalg.solve_triangular(r, tmp, lower=False)
-        return [out[:, t : t + width] for t in range(0, out.shape[1], width)]
+    def gram_solve(rhs):
+        # the Fortran-ordered (n+1, k*width) solution as a (k, n+1, width) view
+        out = solve_triangular(r, solve_triangular(r, rhs, trans=1))
+        return out.reshape(n + 1, width, k, order="F").transpose(2, 0, 1)
 
-    sketches = gram_solve(
-        [np.random.default_rng(s).standard_normal((n + 1, width)) for s in seeds]
-    )
-    q_ss = [np.linalg.qr(sk, mode="reduced")[0] for sk in sketches]
-    xs = []
-    for q_s, y in zip(q_ss, gram_solve(q_ss)):
-        z = q_s.T @ y
-        z = 0.5 * (z + z.T)
-        try:
-            low = np.linalg.cholesky(z)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                "sketch compression is not positive definite; increase "
-                "oversample or the sample size"
-            ) from exc
-        k_factor = scipy.linalg.solve_triangular(low, y.T, lower=True).T
-        u, _, _ = np.linalg.svd(k_factor, full_matrices=False)
-        xs.append(_x_from_direction(u[:, 0]))
-    return xs
+    draws = [np.random.default_rng(s).standard_normal((n + 1, width)) for s in seeds]
+    q = np.linalg.qr(gram_solve(draws[0] if k == 1 else np.hstack(draws)))[0]
+    y = gram_solve(q.transpose(1, 0, 2).reshape(n + 1, k * width))
+    z = q.transpose(0, 2, 1) @ y
+    try:
+        low = np.linalg.cholesky(0.5 * (z + z.transpose(0, 2, 1)))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            "sketch compression is not positive definite; increase "
+            "oversample or the sample size"
+        ) from exc
+    k_factors = [solve_triangular(f, y_s.T, lower=True).T for f, y_s in zip(low, y)]
+    u = np.linalg.svd(np.stack(k_factors), full_matrices=False)[0]
+    return [_x_from_direction(u_s) for u_s in u[:, :, 0]]
 
 
 def solve_nwtls(problem: TlseProblem, cfg: NwtlsConfig | None = None) -> np.ndarray:

@@ -11,7 +11,7 @@ import pytest
 
 import tlsekit
 from tlsekit import GeneratorSpec, TlseProblem, gen_equilibratory, save_problem
-from tlsekit.cli import main
+from tlsekit.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -375,10 +375,57 @@ class TestTables:
         assert out == ""
         assert err.startswith(f"error: {name} must be finite")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table2", "--m", "14", "--delta", "1e-3", "--trials", "2"),
+            ("solve", "--method", "nwtls"),
+        ],
+    )
+    def test_overflowing_eps_is_usage_error(self, capsys, hand_file, argv):
+        if argv[0] == "solve":
+            argv += ("--input", hand_file)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv, "--eps", "1e-320")
+        assert code == 2
+        assert out == ""
+        assert err == "error: eps 1e-320 is too small: [C d]/eps overflows\n"
+
     def test_bad_list_argument_is_usage_error(self, capsys):
         code, _, err = run(capsys, "table1", "--kappa-c", "1e2,junk")
         assert code == 2
         assert "error:" in err
+
+
+class TestRepeatedMain:
+    """main called again and again in one process: the parser is built
+    once, and no call may see the state of an earlier one."""
+
+    CALLS = [
+        ("table1", "--seed", "5"),
+        ("table1",),
+        ("table1", "--trials", "x"),  # argparse usage error, exit 2
+        ("table1",),
+    ]
+
+    @staticmethod
+    def call(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_each_output_matches_a_fresh_parser(self, capsys):
+        repeated = [self.call(capsys, argv) for argv in self.CALLS]
+        assert [code for code, _, _ in repeated] == [0, 0, 2, 0]
+        assert "invalid int value" in repeated[2][2]
+        for argv, result in zip(self.CALLS, repeated):
+            build_parser.cache_clear()
+            assert self.call(capsys, argv) == result
+        assert build_parser() is build_parser()
 
 
 class TestClosedStdout:

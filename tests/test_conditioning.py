@@ -117,6 +117,22 @@ class TestWeights:
             with pytest.raises(InputError, match="weights must be positive"):
                 Weights(*bad)
 
+    @pytest.mark.parametrize("bad", [("2", 1.0), (1.0, b"3"), (None, 1.0), (1j, 1.0)])
+    def test_rejects_non_real_types_before_converting(self, bad):
+        with pytest.raises(InputError, match="weights must be real numbers"):
+            Weights(*bad)
+
+    @pytest.mark.parametrize("bad", [(10**400, 1.0), (1.0, -(10**400))])
+    def test_int_beyond_float_range_is_input_error(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="weights must be positive"):
+                Weights(*bad)
+
+    def test_accepts_numpy_and_python_reals(self):
+        w = Weights(alpha=np.float32(2.0), beta=3)
+        assert condition_report(seeded_problem(0), weights=w).weights is w
+
     @pytest.mark.parametrize("weights", [Weights(alpha=1e-100), Weights(beta=1e150)])
     @pytest.mark.parametrize("method", ["exact", "upper"])
     def test_extreme_weights_inside_float_range(self, weights, method):

@@ -1,14 +1,16 @@
 """Dense kernel tests: validation, SVD wrappers, the spectral norm of
-blocks side by side, the streamed R factor, the Greville update."""
+blocks side by side, the streamed R factor, the Greville update, the
+direct triangular solve."""
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qr_oracle import dgeqrf_r, stack_of
-from tlsekit.errors import InputError
+from tlsekit.errors import InputError, NumericalError
 from tlsekit.linalg import (
     as_matrix,
     as_vector,
@@ -16,6 +18,7 @@ from tlsekit.linalg import (
     greville_augment,
     r_factor,
     singular_values,
+    solve_triangular,
     spectral_norm,
     svd,
 )
@@ -280,3 +283,47 @@ class TestStreamedRFactor:
             r_factor(np.ones((4, 2)), np.ones(5))
         with pytest.raises(InputError, match="head must have 3 columns"):
             r_factor(np.ones((4, 2)), np.ones(4), head=np.ones((1, 2)))
+
+
+class TestSolveTriangular:
+    """The direct dtrtrs call against scipy.linalg.solve_triangular, the
+    oracle it must match bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 5, 16])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("lower", [False, True])
+    @pytest.mark.parametrize("trans", [0, 1])
+    @pytest.mark.parametrize("rhs", [(), (1,), (7,)])
+    def test_matches_scipy_bitwise(self, n, order, lower, trans, rhs):
+        rng = np.random.default_rng([n, trans, len(rhs)])
+        tri = np.tril if lower else np.triu
+        a = np.array(tri(rng.standard_normal((n, n))) + 4 * np.eye(n), order=order)
+        b = rng.standard_normal((n, *rhs))
+        got = solve_triangular(a, b, trans=trans, lower=lower)
+        want = scipy.linalg.solve_triangular(a, b, trans=trans, lower=lower)
+        assert got.shape == want.shape == b.shape
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("rhs", [(), (0,), (3,)])
+    def test_empty_system(self, rhs):
+        a, b = np.zeros((0, 0)), np.zeros((0, *rhs))
+        got = solve_triangular(a, b, trans=1)
+        want = scipy.linalg.solve_triangular(a, b, trans=1)
+        assert got.shape == want.shape == b.shape
+        assert got.dtype == want.dtype
+
+    def test_streamed_r_factor_is_fortran_ordered(self):
+        # r_factor's merged R reaches the non-transposed branch
+        rng = np.random.default_rng(3)
+        r = r_factor(rng.standard_normal((3000, 12)))
+        assert r.flags.f_contiguous and not r.flags.c_contiguous
+        b = rng.standard_normal((12, 4))
+        for trans in (0, 1):
+            np.testing.assert_array_equal(
+                solve_triangular(r, b, trans=trans),
+                scipy.linalg.solve_triangular(r, b, trans=trans),
+            )
+
+    def test_singular_raises(self):
+        with pytest.raises(NumericalError):
+            solve_triangular(np.triu(np.ones((3, 3))) - np.eye(3), np.ones(3))

@@ -1,6 +1,7 @@
 """Weighted embedding, its direct solver, limit diagnostics, randomized solve."""
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -515,3 +516,30 @@ class TestNystromBatch:
             _nystrom(r, 3, [0])
         with pytest.raises(NumericalError):
             _nystrom(r, 3, self.SEEDS)
+
+
+class TestOverflowingEps:
+    """An eps so small that [C d]/eps overflows is an input error naming
+    eps, raised before the weighted stack is factored and with no
+    RuntimeWarning."""
+
+    def raises(self, fn, *args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="eps 1e-320 is too small"):
+                fn(*args)
+
+    def test_embed(self):
+        self.raises(embed, seeded_problem(1), 1e-320)
+
+    def test_solve_nwtls(self):
+        self.raises(solve_nwtls, seeded_problem(1), NwtlsConfig(eps=1e-320))
+
+    def test_limit_diagnostics_grid(self):
+        self.raises(wtls_limit_diagnostics, seeded_problem(7), [1e-2, 1e-320])
+
+    def test_unconstrained_problem_has_nothing_to_scale(self):
+        problem = seeded_problem(3, p=0, n=6, q=20)
+        np.testing.assert_array_equal(
+            embed(problem, 1e-320).r, r_factor(problem.A, problem.b)
+        )
