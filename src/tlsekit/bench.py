@@ -56,7 +56,8 @@ class GeneratorSpec:
     n = 0.2 m). kappa_c targets the condition number of [C d]
     (equilibratory), delta the smallest prescribed singular value
     (householder), knot the breakpoint in (0,1) with m_pts/n_pts sample
-    counts (piecewise). seed makes generation deterministic.
+    counts (piecewise). seed makes generation deterministic. InputError
+    for a negative size.
     """
 
     kind: str
@@ -84,6 +85,10 @@ class GeneratorSpec:
             raise InputError(f"delta must be finite and positive, got {self.delta}")
         if not 0 < self.knot < 1:
             raise InputError(f"knot must lie in (0,1), got {self.knot}")
+        for name in ("p", "q", "n", "m", "m_pts", "n_pts"):
+            size = getattr(self, name)
+            if size is not None and size < 0:
+                raise InputError(f"{name} must be non-negative, got {size}")
 
 
 @dataclass(frozen=True)

@@ -289,10 +289,11 @@ def check_genericity(basis: ConstraintBasis, problem: TlseProblem) -> CoreSvd:
     )
 
 
-def _shifts(core: CoreSvd) -> np.ndarray:
-    """s^2 - sigma_min^2 over the restricted singular values s, factored."""
-    s = core.restricted.s
-    return (s - core.sigma_min) * (s + core.sigma_min)
+def _shifts(core: CoreSvd, shift: float | None = None) -> np.ndarray:
+    """s^2 - shift^2 over the restricted singular values s, factored; the
+    shift defaults to sigma_min."""
+    s, shift = core.restricted.s, core.sigma_min if shift is None else shift
+    return (s - shift) * (s + shift)
 
 
 def null_gram_inv_norm(core: CoreSvd) -> float:
@@ -308,10 +309,16 @@ def data_map_norm(core: CoreSvd) -> float:
     return float(np.max(core.restricted.s / _shifts(core)))
 
 
-def _filtered(core: CoreSvd, rhs: np.ndarray) -> np.ndarray:
+def _filtered(core: CoreSvd, rhs: np.ndarray, shift: float | None = None) -> np.ndarray:
     """V diag(s/shifts) U.T rhs, i.e. gram_inv (A N).T on R's coordinates."""
     res = core.restricted
-    return res.v @ (res.s / _shifts(core) * (res.u.T @ rhs).T).T
+    return res.v @ (res.s / _shifts(core, shift) * (res.u.T @ rhs).T).T
+
+
+def _gram_inv(core: CoreSvd, shift: float | None = None) -> np.ndarray:
+    """V diag(1/shifts) V.T, the inverse of (A N).T (A N) - shift^2 I."""
+    v = core.restricted.v
+    return v @ (v.T / _shifts(core, shift)[:, None])
 
 
 def _posed(problem: TlseProblem) -> tuple[ConstraintBasis, CoreSvd]:
@@ -352,8 +359,8 @@ def solve_qr_svd(problem: TlseProblem) -> TlseSolution:
     basis, core = _posed(problem)
     x = _x_from_direction(basis.aug_null_basis @ core.right[:, -1])
     rho = float(np.sqrt(1.0 + x @ x))
-    v, null_basis = core.restricted.v, basis.null_basis
-    gram_inv = v @ (v.T / _shifts(core)[:, None])
+    null_basis = basis.null_basis
+    gram_inv = _gram_inv(core)
     pinv = constraint_pinv(basis)
     # (I - null_gram_inv A.T A) pinv, with A.T A = R_A.T R_A kept spectral
     gain = pinv - null_basis @ _filtered(core, core.data_r[:, :-1] @ pinv)

@@ -19,21 +19,21 @@ Numerical note: the textbook route through the normal equations
 (L_eps.T L_eps - sigma^2 I)^{-1} L_eps.T h_eps squares the 1/eps weighting
 and is useless in float64 below roughly eps = 1e-4. solve_wtls_direct
 therefore normalizes the trailing right singular vector of the weighted R,
-and wtls_limit_diagnostics evaluates the resolvent through block
-elimination in the constraint QR basis, where every 1/eps^2 appears only
-as a benign multiplicative factor. Both weighted routes read x off their
-direction as solve_qr_svd does, with one tolerance
-(core.LAST_COMPONENT_TOL), and p = 0 runs the same code as p > 0.
+and wtls_limit_diagnostics eliminates the resolvent onto its p x p
+constraint block in the constraint QR basis, reading the null block from
+the solve's restricted SVD: no Gram matrix of the data is formed, and
+every 1/eps^2 appears only as an eps^2 factor or cancels analytically.
+Both weighted routes read x off their direction as solve_qr_svd does,
+with one tolerance (core.LAST_COMPONENT_TOL), and p = 0 runs the same
+code as p > 0.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .core import TlseProblem, _x_from_direction, solve_qr_svd
+from .core import TlseProblem, _filtered, _gram_inv, _x_from_direction, solve_qr_svd
 from .errors import IllPosedError, InputError, NumericalError
 from .linalg import r_factor, singular_values, solve_triangular, spectral_norm, svd
 
@@ -57,13 +57,18 @@ class NwtlsConfig:
 
     sample_size is the sketch width; it defaults to n - p + 1 + oversample,
     clamped to n + 1. The Gaussian test matrix is drawn from a generator
-    seeded with `seed`, so runs are reproducible.
+    seeded with `seed`, so runs are reproducible; InputError for a
+    negative seed.
     """
 
     eps: float = 1e-8
     oversample: int = 5
     sample_size: int | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
 
     def resolve(self, n: int, p: int) -> int:
         """The sketch width for a problem of width n with p constraints.
@@ -177,59 +182,38 @@ def solve_wtls_direct(emb: WeightedEmbedding) -> tuple[np.ndarray, float]:
     return _x_from_direction(res.v[:, -1]), float(res.s[-1])
 
 
-def _pos_inv(mat, what):
-    """Inverse of a positive definite matrix; IllPosedError when Cholesky
-    breaks down or rcond < eps (which SciPy would only warn about)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-        try:
-            return scipy.linalg.solve(mat, np.eye(mat.shape[0]), assume_a="pos")
-        except scipy.linalg.LinAlgWarning as exc:
-            raise IllPosedError(f"{what} is numerically singular: {exc}") from exc
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-            raise IllPosedError(f"{what} is not positive definite: {exc}") from exc
-
-
-def _blockwise_resolvent(r_a, basis, sigma_eps, eps):
+def _resolvent(core, basis, sigma_eps, eps):
     """Inverse of (C.T C / eps^2 + A.T A - sigma_eps^2 I) and its gain map.
 
-    r_a is the R factor of A (A.T A = r_a.T r_a). Block elimination in the
-    orthogonal basis [q1, null_basis] of the constraint QR. Returns
-    (resolvent, gain) where gain is the n x (p + rows of r_a) map
-    resolvent @ [C.T/eps^2, r_a.T]. All 1/eps^2 factors cancel
-    analytically before anything is inverted, so the computation stays
-    accurate for eps far below the breakdown point of the naive formation.
+    Block elimination onto the p x p constraint block in the basis
+    [q1, N] of the constraint QR (C.T = q1 r1, N = null_basis). The null
+    block comes from the solve's restricted SVD R_A N = U diag(s) V.T,
+    with shifts (s - sigma_eps)(s + sigma_eps): with W = R_A q1 and
+    F = V diag(s/shifts) U.T W, the Schur complement times eps^2 is
+
+        M = r1 r1.T + eps^2 (W.T W - sigma_eps^2 I - W.T U diag(s) V.T F),
+
+    and the resolvent is eps^2 (q1 - N F) M^-1 (q1 - N F).T plus
+    N V diag(1/shifts) V.T N.T. Returns (resolvent, gain) where gain is
+    the n x (p + rows of r_a) map resolvent @ [C.T/eps^2, r_a.T]; in its
+    constraint block (q1 - N F) M^-1 r1 the 1/eps^2 cancels analytically.
+    No Gram matrix of the data is formed. IllPosedError when M is singular.
     """
-    n = r_a.shape[1]
-    shifted = r_a.T @ r_a - sigma_eps**2 * np.eye(n)
-    q1, q2, r1 = basis.q1, basis.null_basis, basis.r1
-    z11 = q1.T @ shifted @ q1
-    z12 = q1.T @ shifted @ q2
-    z22 = q2.T @ shifted @ q2
-    b2 = r1 @ r1.T + eps**2 * z11
-    b2_inv = _pos_inv(b2, "constraint block")
-    schur = z22 - eps**2 * (z12.T @ b2_inv @ z12)
-    schur_inv = _pos_inv(schur, "null-space Schur complement")
-    # T^{-1} blocks in the QR basis; t11 carries the eps^2 cancellation
-    t12 = -(eps**2) * (b2_inv @ z12 @ schur_inv)
-    t11 = eps**2 * b2_inv + eps**2 * (b2_inv @ z12) @ schur_inv @ (
-        eps**2 * z12.T @ b2_inv
-    )
-    t22 = schur_inv
-    resolvent = (
-        q1 @ t11 @ q1.T + q1 @ t12 @ q2.T + q2 @ t12.T @ q1.T + q2 @ t22 @ q2.T
-    )
-    # constraint block of the gain: resolvent @ C.T / eps^2 with C.T = q1 r1
-    top = b2_inv @ r1 + eps**2 * (
-        b2_inv @ z12 @ schur_inv @ z12.T @ b2_inv @ r1
-    )
-    bottom = -(schur_inv @ z12.T @ b2_inv @ r1)
-    gain_c = q1 @ top + q2 @ bottom
-    # data block: resolvent @ r_a.T applied blockwise
-    w1 = q1.T @ r_a.T
-    w2 = q2.T @ r_a.T
-    gain_a = q1 @ (t11 @ w1 + t12 @ w2) + q2 @ (t12.T @ w1 + t22 @ w2)
-    return resolvent, np.hstack([gain_c, gain_a])
+    r_a, res = core.data_r[:, :-1], core.restricted
+    q1, null, r1 = basis.q1, basis.null_basis, basis.r1
+    w = r_a @ q1
+    f = _filtered(core, w, sigma_eps)
+    coupling = (w.T @ res.u * res.s) @ (res.v.T @ f)
+    schur = r1 @ r1.T + eps**2 * (w.T @ w - sigma_eps**2 * np.eye(len(r1)) - coupling)
+    lift = q1 - null @ f
+    try:
+        solved = np.linalg.solve(schur, np.hstack([lift.T, r1]))
+    except np.linalg.LinAlgError as exc:
+        raise IllPosedError(f"weighted constraint block is singular: {exc}") from exc
+    n = len(lift)
+    null_block = null @ _gram_inv(core, sigma_eps) @ null.T
+    resolvent = eps**2 * (lift @ solved[:, :n]) + null_block
+    return resolvent, np.hstack([lift @ solved[:, n:], resolvent @ r_a.T])
 
 
 def wtls_limit_diagnostics(problem: TlseProblem, eps_grid) -> list[LimitRow]:
@@ -238,10 +222,11 @@ def wtls_limit_diagnostics(problem: TlseProblem, eps_grid) -> list[LimitRow]:
     eps_grid must be strictly decreasing and positive. Each row reports the
     solution error, the shift error, and the spectral-norm errors of the
     resolvent and gain maps against their constrained limits. Solver errors
-    at a grid point propagate to the caller, including IllPosedError when a
-    block of the resolvent is numerically singular. The data enter only
-    through the solve's R factor of [A b]: each grid point factors
-    [[C d]/eps; R], which has the Gram matrix of the weighted stack.
+    at a grid point propagate to the caller. The data enter only through
+    the solve's R factor of [A b]: each grid point factors [[C d]/eps; R],
+    which has the Gram matrix of the weighted stack, and builds the
+    resolvent from the solve's restricted SVD (_resolvent), with no Gram
+    matrix of the data.
     """
     grid = [_positive_eps(e) for e in eps_grid]
     if not grid:
@@ -255,16 +240,14 @@ def wtls_limit_diagnostics(problem: TlseProblem, eps_grid) -> list[LimitRow]:
     rows = []
     for eps in grid:
         x_eps, sigma_eps = solve_wtls_direct(_weighted(problem, eps, data_r))
-        resolvent, gain = _blockwise_resolvent(r_a, sol.basis, sigma_eps, eps)
+        resolvent, gain = _resolvent(sol.core, sol.basis, sigma_eps, eps)
         rows.append(
             LimitRow(
                 eps=eps,
                 x_err=float(np.linalg.norm(x_eps - sol.x)),
                 sigma_err=abs(sigma_eps - sol.sigma_min),
-                resolvent_err=float(
-                    np.linalg.norm(resolvent - sol.null_gram_inv, 2)
-                ),
-                gain_err=float(np.linalg.norm(gain - gain_limit, 2)),
+                resolvent_err=spectral_norm(resolvent - sol.null_gram_inv),
+                gain_err=spectral_norm(gain - gain_limit),
             )
         )
     return rows

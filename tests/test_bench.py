@@ -73,6 +73,12 @@ class TestGeneratorSpec:
         with pytest.raises(InputError, match=name):
             GeneratorSpec(kind="equilibratory", **{name: value})
 
+    @pytest.mark.parametrize("name", ["p", "q", "n", "m", "m_pts", "n_pts"])
+    def test_rejects_negative_sizes(self, name):
+        # -1 rows would otherwise reach NumPy, or slice rows off a stack
+        with pytest.raises(InputError, match=f"^{name} must be non-negative"):
+            GeneratorSpec(kind="householder_spectrum", **{name: -1})
+
 
 class TestDeriveSeed:
     def test_deterministic_and_key_sensitive(self):

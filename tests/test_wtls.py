@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tlsekit.wtls
+from mp_oracle import shifted_inverse
 from qr_oracle import one_shot_r, stack_of
 from tlsekit import (
     NwtlsConfig,
@@ -23,7 +24,7 @@ from tlsekit import (
 from tlsekit.core import build_basis, check_genericity
 from tlsekit.errors import IllPosedError, InputError, NumericalError
 from tlsekit.linalg import r_factor, spectral_norm
-from tlsekit.wtls import _nystrom
+from tlsekit.wtls import _nystrom, _resolvent
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -33,6 +34,10 @@ U = np.finfo(float).eps / 2
 #: The constant c of the bound ||x_eps - x_oracle|| <= c u (kappa_n + 1/eps)
 #: ||x_oracle|| on the weighted solve of the limit diagnostics.
 C_LIMIT = 100
+
+#: The constant c of the bound ||R - R_ref|| <= c u kappa_2(C) ||A||_2
+#: max(s/shifts) ||R_ref|| on the weighted resolvent (assert_resolvent_bound).
+C_RESOLVENT = 6
 
 
 def seeded_problem(seed: int, p: int = 3, n: int = 8, q: int = 15) -> TlseProblem:
@@ -54,16 +59,47 @@ def golden_problem():
     )
 
 
-def gaussian(seed, p, q, n, scaled):
-    """Gaussian problem; scaled multiplies the columns by 10^U(-3, 3)."""
+def gaussian(seed, p, q, n, scaled, decades=3):
+    """Gaussian problem; scaled multiplies the columns by 10^U(-decades,
+    decades)."""
     rng = np.random.default_rng([seed, p, q, n])
-    scale = 10.0 ** rng.uniform(-3, 3, n) if scaled else np.ones(n)
+    scale = 10.0 ** rng.uniform(-decades, decades, n) if scaled else np.ones(n)
     return TlseProblem(
         C=rng.standard_normal((p, n)) * scale,
         d=rng.standard_normal(p),
         A=rng.standard_normal((q, n)) * scale,
         b=rng.standard_normal(q),
     )
+
+
+def assert_resolvent_bound(problem, eps):
+    """||R - R_ref|| <= c u kappa_2(C) ||A||_2 max(s/shifts) ||R_ref||, with
+    c = C_RESOLVENT, R the weighted resolvent at sigma_eps and R_ref its
+    60-digit value built from the same sigma_eps.
+
+    Why: R is computed from R_A N = U diag(s) V.T, with R_A the R
+    factor of [A b] and N the null basis of the constraint QR. The backward
+    errors of those three factorizations move R_A N by E with ||E|| of order
+    u (||A||_2 + s_1 + kappa_2(C) ||A q1||_2) <= 3 u kappa_2(C) ||A||_2: the
+    QR of C.T turns ker(C) by an angle of order u kappa_2(C), and R_A maps
+    that turn through q1. To first order the null block (R_A N).T R_A N -
+    sigma_eps^2 I, whose inverse V diag(1/shifts) V.T dominates R, then moves
+    its inverse by at most 2 ||E|| max(s/shifts) / min(shifts) =
+    2 ||E|| max(s/shifts) ||R_ref||, shifts = s^2 - sigma_eps^2; the p x p
+    constraint block enters R scaled by eps^2. That gives c = 2 * 3, up to
+    the factorizations' own modest constants; kappa_2(C) is 1 for p = 0.
+    On the batteries below the ratio to c = 1 was at most 0.61.
+    """
+    sol = solve_qr_svd(problem)
+    sigma = solve_wtls_direct(embed(problem, eps))[1]
+    resolvent = _resolvent(sol.core, sol.basis, sigma, eps)[0]
+    ref = shifted_inverse(problem, sigma, eps)
+    s = sol.core.restricted.s
+    kappa_c = np.linalg.cond(problem.C) if problem.p else 1.0
+    amplification = np.max(s / ((s - sigma) * (s + sigma)))
+    bound = C_RESOLVENT * U * kappa_c * np.linalg.norm(problem.A, 2)
+    bound *= amplification
+    assert np.linalg.norm(resolvent - ref, 2) <= bound * np.linalg.norm(ref, 2)
 
 
 def weighted_stack(problem, eps):
@@ -230,9 +266,9 @@ class TestLimitDiagnostics:
             assert row.resolvent_err <= 1e-10
             assert row.gain_err <= 1e-10
 
-    def test_numerically_singular_block_raises(self):
-        # columns over twelve decades leave a resolvent block with rcond far
-        # below eps; SciPy would only warn about it
+    def test_twelve_decade_columns_meet_the_bound(self):
+        # columns over twelve decades: a Gram matrix of the data would have
+        # rcond near 1e-18, and the constraint basis turns by u kappa_2(C)
         rng = np.random.default_rng(0)
         p, q, n = 3, 40, 10
         scales = 10.0 ** np.linspace(-6, 6, n)
@@ -242,8 +278,23 @@ class TestLimitDiagnostics:
             A=rng.standard_normal((q, n)) * scales,
             b=rng.standard_normal(q),
         )
-        with pytest.raises(IllPosedError, match="numerically singular.*rcond"):
-            wtls_limit_diagnostics(problem, [1e-2, 1e-5, 1e-8])
+        grid = [1e-2, 1e-5, 1e-8]
+        wtls_limit_diagnostics(problem, grid)
+        for eps in grid:
+            assert_resolvent_bound(problem, eps)
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-6])
+    @pytest.mark.parametrize("p, q", [(0, 16), (3, 20)])
+    def test_column_scaled_resolvent_meets_the_bound(self, p, q, eps):
+        for seed in range(8):
+            assert_resolvent_bound(gaussian(seed, p, q, 12, True, decades=4), eps)
+
+    def test_column_scaled_unconstrained_problems_run(self):
+        # columns scaled by 10^U(-4, 4) put cond(A) near 1e8, so a Gram
+        # matrix of the data would be numerically singular
+        for seed in range(40):
+            problem = gaussian(seed, 0, 16, 12, True, decades=4)
+            assert len(wtls_limit_diagnostics(problem, [1e-2, 1e-4, 1e-6])) == 3
 
     @pytest.mark.parametrize(
         "shape",
@@ -349,6 +400,10 @@ class TestNwtlsConfig:
         for oversample in (0, -10):
             with pytest.raises(InputError):
                 NwtlsConfig(oversample=oversample).resolve(8, 3)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InputError, match="seed must be non-negative"):
+            NwtlsConfig(seed=-1)
 
 
 class TestNwtlsSolver:
