@@ -39,9 +39,7 @@ from .errors import (
     InputError,
     NonGenericError,
     NumericalError,
-    RankError,
 )
-from .linalg import spectral_norm
 from .wtls import NwtlsConfig, _nystrom, embed
 
 GENERATOR_KINDS = ("equilibratory", "householder_spectrum", "piecewise_poly")
@@ -214,14 +212,20 @@ def gen_equilibratory(spec: GeneratorSpec) -> TlseProblem:
 
     [C d] = Y [D 0] Z.T where Y, Z are reflectors and D's last diagonal is
     max(D)/kappa_c; draws are rejected until the rest of D stays above that
-    floor, so cond([C d]) equals kappa_c exactly. Rank-deficient draws (a
-    measure-zero event) also retry on the next substream.
+    floor, so cond([C d]) equals kappa_c exactly. InputError, before any
+    draw, for p < 2, p >= n or q < n - p + 1.
     """
     p = spec.p if spec.p is not None else 5
     q = spec.q if spec.q is not None else 20
     n = spec.n if spec.n is not None else 15
     if p < 2:
         raise InputError("equilibratory generator needs p >= 2")
+    if p >= n:
+        raise InputError(f"equilibratory generator needs p < n, got p={p}, n={n}")
+    if q < n - p + 1:
+        raise InputError(
+            f"equilibratory generator needs q >= n - p + 1 = {n - p + 1}, got q={q}"
+        )
     for attempt in range(100):
         rng = _rng(spec.seed, attempt)
         lead = rng.random(p - 1)
@@ -235,12 +239,7 @@ def gen_equilibratory(spec: GeneratorSpec) -> TlseProblem:
         body[:, :p] = np.diag(diag)
         aug_c = y @ body @ z.T
         ab = rng.random((q, n + 1))
-        try:
-            return TlseProblem(
-                C=aug_c[:, :n], d=aug_c[:, n], A=ab[:, :n], b=ab[:, n]
-            )
-        except (InputError, RankError):
-            continue
+        return TlseProblem(C=aug_c[:, :n], d=aug_c[:, n], A=ab[:, :n], b=ab[:, n])
     raise NumericalError("equilibratory generator failed to draw a valid problem")
 
 
@@ -422,7 +421,7 @@ def run_experiment(
         kappa_c=report.kappa_c,
         kappa_c_upper=report.kappa_c_upper,
         kappa_c_finite=report.kappa_c_finite,
-        constraint_gain_norm=float(spectral_norm(sol.constraint_gain)),
+        constraint_gain_norm=op.constraint_gain_norm,
         core_cond=core_cond,
         flags=";".join(flags),
     )

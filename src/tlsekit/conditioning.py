@@ -34,7 +34,11 @@ componentwise numbers read the data rows themselves. They are streamed
 over row blocks of [C; A] of block_rows(n) rows (the row streaming of
 linalg.r_factor): each block of the gain is formed in one reused n x block
 buffer and consumed at once, so these numbers cost O(n * block) memory
-whatever m is. Blocking only regroups the sums over the rows.
+whatever m is. Blocking only regroups the sums over the rows. The exact
+sum takes one solution row i at a time: over (data row k, column j) the
+entries of K in row i form the rank-two block x_j G[i, k] - N[i, j] t_k,
+written by one product of inner dimension 2 into a single n x block
+workspace and reduced against |L| by one dot.
 """
 from __future__ import annotations
 
@@ -42,7 +46,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dger
 
 from .core import (
     TlseProblem,
@@ -101,7 +104,8 @@ class KOperator:
     adjoint_r. The normwise numbers read these. null_gram_inv_norm and
     data_map_norm are ||null_gram_inv||_2 and ||null_gram_inv A.T||_2, in
     closed form from the solve's restricted SVD (core.null_gram_inv_norm,
-    core.data_map_norm). problem is the solved problem itself, held by
+    core.data_map_norm); constraint_gain_norm is ||constraint_gain||_2
+    (linalg.spectral_norm). problem is the solved problem itself, held by
     reference (no copy).
     """
 
@@ -114,6 +118,7 @@ class KOperator:
     adjoint_r: np.ndarray
     null_gram_inv_norm: float
     data_map_norm: float
+    constraint_gain_norm: float
     problem: TlseProblem = field(repr=False, compare=False)
 
     @property
@@ -198,6 +203,7 @@ def build_k_operator(problem: TlseProblem, solution: TlseSolution) -> KOperator:
         adjoint_r=adjoint_r,
         null_gram_inv_norm=null_gram_inv_norm(solution.core),
         data_map_norm=data_map_norm(solution.core),
+        constraint_gain_norm=spectral_norm(solution.constraint_gain),
         problem=problem,
     )
 
@@ -298,10 +304,9 @@ def kappa_normwise_upper(op: KOperator, w: Weights) -> tuple[float, float]:
 
     tight uses ||gain||_2 directly; loose additionally bounds the gain by
     the sum of its constituent block norms, so tight <= loose and both
-    dominate the exact value. ||gain||_2 = ||gain_r||_2 and
-    ||constraint_gain||_2 are the two spectral_norm calls;
-    ||null_gram_inv||_2 and ||null_gram_inv A.T||_2 are the closed forms
-    held by op (KOperator).
+    dominate the exact value. ||gain||_2 = ||gain_r||_2 is the one
+    spectral_norm call; ||constraint_gain||_2, ||null_gram_inv||_2 and
+    ||null_gram_inv A.T||_2 are held by op (KOperator).
     """
     nx = _solution_norm(op)
     alpha, beta = w.alpha, w.beta
@@ -313,7 +318,7 @@ def kappa_normwise_upper(op: KOperator, w: Weights) -> tuple[float, float]:
     )
     k_norm = op.null_gram_inv_norm
     tight = (nx / beta * spectral_norm(op.gain_r) + nt / alpha * k_norm) * factor
-    split_norms = spectral_norm(op.constraint_gain) + op.data_map_norm
+    split_norms = op.constraint_gain_norm + op.data_map_norm
     loose = (
         nx / beta * split_norms + (2.0 / beta + 1.0 / alpha) * nt * k_norm
     ) * factor
@@ -384,15 +389,23 @@ def _gain_blocks(op: KOperator):
 def _entrywise_targets(op: KOperator, exact: bool):
     """|K| vec(|[L h]|) (zero unless exact) and its upper bound |G| (|L| |x|
     + |h|) + |N| |L|.T |t| (notation of kappa_normwise_exact), in one pass
-    over _gain_blocks. The exact sum |G| |h| + sum_j |x_j G - N[:, j] t.T|
-    |L[:, j]| forms one n x block part of K_j at a time in a reused buffer;
-    its rank-one part N[:, j] t_B.T is a BLAS rank-one update of a zeroed
-    buffer, which rounds each product once, as np.outer does.
+    over _gain_blocks.
+
+    The exact sum |G| |h| + sum_j |x_j G - N[:, j] t.T| |L[:, j]| is taken
+    one solution row i at a time: over (data row k, column j) the entries
+    of K in row i form the rank-two block E_kj = x_j G_B[i, k] - N[i, j] t_k
+    = [G_B[i]; -t_B].T [x; N[i]], so target[i] += |E| . |L_B| is one
+    product of inner dimension 2 into the n x block buffer that held |G_B|,
+    and one dot of two flat buffers. That buffer and the 2 x block and
+    2 x n factors are allocated only when exact.
     """
     n = op.n
     target, upper, weight = np.zeros(n), np.zeros(n), np.zeros(n)
-    size = n * min(block_rows(n), op.m) if exact else 0
-    block_buf, rank_buf = np.empty(size), np.empty(size)
+    if exact:
+        rows = min(block_rows(n), op.m)
+        block_buf, pair_buf = np.empty(n * rows), np.empty(2 * rows)
+        right = np.empty((2, n))
+        right[0] = op.x
     for gain, labs, habs, t in _gain_blocks(op):
         # |G_B| overwrites G_B unless the exact sum still reads it
         block = block_buf[: gain.size].reshape(gain.shape) if exact else gain
@@ -404,15 +417,17 @@ def _entrywise_targets(op: KOperator, exact: bool):
         if not exact:
             continue
         target += block @ habs
-        # Fortran-ordered view of the rank-one buffer, written in place by dger
-        rank_t = rank_buf[: gain.size].reshape(gain.shape).T
-        for j in range(n):
-            np.multiply(op.x[j], gain, out=block)
-            # 0 + N[i, j] t_k rounds as np.outer does, at twice its speed
-            rank_t.fill(0.0)
-            rank_one = dger(1.0, t, op.null_gram_inv[:, j], a=rank_t, overwrite_a=1)
-            block -= rank_one.T
-            target += np.abs(block, out=block) @ labs[:, j]
+        pair = pair_buf[: 2 * t.size].reshape(2, t.size)
+        np.negative(t, out=pair[1])
+        # E in the layout of labs (block row k, column j)
+        rank_two = block.reshape(labs.shape)
+        flat, labs_flat = block.ravel(), labs.ravel()
+        for i in range(n):
+            pair[0] = gain[i]
+            right[1] = op.null_gram_inv[i]
+            np.matmul(pair.T, right, out=rank_two)
+            np.abs(rank_two, out=rank_two)
+            target[i] += flat @ labs_flat
     upper += np.abs(op.null_gram_inv) @ weight
     return target, upper
 

@@ -7,6 +7,8 @@ the reference is exact to float64 working accuracy.
 import mpmath
 import numpy as np
 
+from tlsekit import conditioning
+
 #: Decimal digits of the reference arithmetic.
 DIGITS = 60
 
@@ -20,3 +22,35 @@ def shifted_inverse(problem, sigma, eps) -> np.ndarray:
             c = mpmath.matrix(problem.C.tolist())
             mat += c.T * c / mpmath.mpf(eps) ** 2
         return np.array(mpmath.inverse(mat).tolist(), dtype=float)
+
+
+def mixed_target(op) -> np.ndarray:
+    """|G| |h| + sum_j |x_j G - N[:, j] t.T| |L[:, j]|, the exact
+    mixed/componentwise target of a KOperator.
+
+    G is the float n x m gain that the package streams, formed from op's
+    factors by conditioning._gain over all m rows of [C; A] (at n <= 12 that
+    is the package's one block, bit for bit); N = null_gram_inv, t =
+    adjoint_dir, x, L and h are op's float factors. Everything after G runs
+    at DIGITS, where each product of two doubles and each difference
+    x_j G[i, k] - N[i, j] t_k is exact.
+    """
+    problem = op.problem
+    gain = conditioning._gain(op, op.adjoint_dir, problem.A, op.p)
+    labs, habs = np.abs(problem.L), np.abs(problem.h)
+    n, m = op.n, op.m
+    target = np.empty(n)
+    with mpmath.workdps(DIGITS):
+        x = [mpmath.mpf(v) for v in op.x]
+        t = [mpmath.mpf(v) for v in op.adjoint_dir]
+        for i in range(n):
+            g = [mpmath.mpf(v) for v in gain[i]]
+            row = [mpmath.mpf(v) for v in op.null_gram_inv[i]]
+            terms = [abs(g[k]) * mpmath.mpf(habs[k]) for k in range(m)]
+            terms += [
+                abs(x[j] * g[k] - row[j] * t[k]) * mpmath.mpf(labs[k, j])
+                for k in range(m)
+                for j in range(n)
+            ]
+            target[i] = float(mpmath.fsum(terms))
+    return target

@@ -112,6 +112,25 @@ class TestEquilibratory:
         with pytest.raises(InputError):
             gen_equilibratory(GeneratorSpec(kind="equilibratory", p=1, seed=0))
 
+    @pytest.mark.parametrize(
+        "sizes, match",
+        [
+            ({"n": 0}, "p < n, got p=5, n=0"),
+            ({"p": 4, "n": 4}, "p < n, got p=4, n=4"),
+            ({"q": 0}, "q >= n - p \\+ 1 = 11, got q=0"),
+            ({"p": 2, "q": 13}, "q >= n - p \\+ 1 = 14, got q=13"),
+        ],
+    )
+    def test_rejects_sizes_before_drawing(self, sizes, match):
+        with pytest.raises(InputError, match=match):
+            gen_equilibratory(GeneratorSpec(kind="equilibratory", seed=0, **sizes))
+
+    def test_smallest_sizes_draw(self):
+        problem = gen_equilibratory(
+            GeneratorSpec(kind="equilibratory", p=2, q=14, n=15, seed=0)
+        )
+        assert (problem.p, problem.q, problem.n) == (2, 14, 15)
+
     def test_generic_on_almost_every_seed(self):
         good = 0
         for seed in range(100):

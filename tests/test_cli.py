@@ -308,6 +308,24 @@ class TestGen:
         assert code == 0
         assert out.startswith("field,value")
 
+    @pytest.mark.parametrize(
+        "flag, value, name", [("--n", "0", "n=0"), ("--q", "0", "q=0")]
+    )
+    def test_equilibratory_size_is_usage_error(
+        self, capsys, tmp_path, flag, value, name
+    ):
+        # the sizes are checked before the first draw: no NumPy traceback
+        # (n = 0) and no 100 rejected draws ending in exit 3 (q = 0)
+        out_file = tmp_path / "bad.npz"
+        code, out, err = run(
+            capsys, "gen", "--kind", "equilibratory", flag, value,
+            "--out", str(out_file),
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert name in err
+        assert not out_file.exists()
+
 
 class TestTables:
     def test_table1_csv(self, capsys):

@@ -26,6 +26,7 @@ from tlsekit.errors import InputError, UndefinedConditionError
 from tlsekit.linalg import block_rows
 
 import kron_oracle
+import mp_oracle
 from kron_oracle import materialize_k
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -398,20 +399,55 @@ class TestMixedComponentwise:
         "problem", [seeded_problem(6), column_scaled_problem(), tall_problem()]
     )
     def test_in_place_sum_equals_fresh_blocks(self, problem):
-        # one block: the same sums in the same order, so equal bit for bit;
-        # tall_problem (m = 2020) has seven blocks, whose partial sums add
-        # in another order
+        # the package sums K one solution row at a time, the oracle one
+        # column at a time, so the sums agree up to their order; tall_problem
+        # (m = 2020) has seven blocks, whose partial sums add in another order
         op = build_k_operator(problem, solve_qr_svd(problem))
         reference = kron_oracle.explicit_mixed_target(op, problem.L, problem.h)
         mixed = kappa_mixed_componentwise_exact(op)
         expected = _mixed_componentwise(reference, op.x)
-        if problem.m <= block_rows(problem.n):
-            assert mixed == expected
-        else:
-            for got, want in zip(
-                dataclasses.astuple(mixed), dataclasses.astuple(expected)
-            ):
-                assert got == pytest.approx(want, rel=1e-13)
+        for got, want in zip(
+            dataclasses.astuple(mixed), dataclasses.astuple(expected)
+        ):
+            assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            column_scaled_problem(),
+            column_scaled_problem(seed=13),
+            tls_problem(),
+            seeded_problem(3, q=6),
+            hand_problem(),
+        ],
+        ids=["scaled", "scaled-13", "p0", "q-below-n+1", "zero-residual"],
+    )
+    def test_exact_target_within_rounding_of_60_digit_sum(self, problem):
+        """The exact target against mp_oracle.mixed_target, entrywise
+        within c u upper_i, c = m n + 5.
+
+        With n <= 12 the m rows of [C; A] are one block, and the package and
+        the oracle start from the same float gain G. Row i of the exact
+        target is then fl(fl(|G_i| . |h|) + fl(|E~| . |L|)), E~_kj = fl(x_j
+        G_ik - N_ij t_k) from a product of inner dimension 2, so |E~ - E|
+        <= gamma_2 (|x_j G_ik| + |N_ij t_k|). Both dots sum non-negative
+        terms, m and m n of them, so in any order each is within gamma_m
+        and gamma_mn of its exact value relative to itself. With S = |E| .
+        |L| <= M_i = |G_i| . |L| |x| + |N_i| . |L|.T |t|, the dot of E~ is
+        within (gamma_2 + gamma_mn (1 + gamma_2)) M_i <= gamma_{mn+2} M_i
+        of S, the final addition adds one rounding, and U_i = |G_i| . |h|
+        + M_i bounds the exact target, so the error is at most
+        gamma_{mn+3} U_i. The oracle's one rounding to float adds at most
+        u U_i, and U_i is the upper target, which the package computes to
+        far better than u relative, hence c = m n + 5. The constraint rows,
+        a zero residual (t = 0) and q < n+1 change none of these counts.
+        """
+        op = build_k_operator(problem, solve_qr_svd(problem))
+        assert op.n <= 12 and op.m <= block_rows(op.n)
+        target, upper = conditioning._entrywise_targets(op, True)
+        reference = mp_oracle.mixed_target(op)
+        c = op.m * op.n + 5
+        assert np.all(np.abs(target - reference) <= c * np.finfo(float).eps / 2 * upper)
 
     def test_upper_bounds_dominate(self):
         problem = seeded_problem(6)
@@ -506,12 +542,19 @@ def apply_k_magnitude(op, dl, dh) -> float:
 
 
 def assert_single_block_bitwise(op):
-    # within one block the streamed sums are the all-rows sums of the
-    # explicit forms, term for term and in the same order
+    # within one block the streamed upper target is the all-rows sum of the
+    # explicit form, term for term and in the same order, so equal bit for
+    # bit; the exact target sums the same terms row by row where the oracle
+    # sums them column by column, so it agrees to rounding only
     assert op.m <= block_rows(op.n)
-    for (result, target), reference in zip(streamed(op), explicit_targets(op)):
-        np.testing.assert_array_equal(target, reference)
-        assert result == _mixed_componentwise(reference, op.x)
+    (exact, target), (upper, bound) = streamed(op)
+    reference, upper_reference = explicit_targets(op)
+    np.testing.assert_allclose(target, reference, rtol=1e-13, atol=0)
+    expected = _mixed_componentwise(reference, op.x)
+    for got, want in zip(dataclasses.astuple(exact), dataclasses.astuple(expected)):
+        assert got == pytest.approx(want, rel=1e-13)
+    np.testing.assert_array_equal(bound, upper_reference)
+    assert upper == _mixed_componentwise(upper_reference, op.x)
 
 
 class TestStreamedBlocks:
