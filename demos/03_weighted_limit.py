@@ -55,7 +55,7 @@ def main():
 
     # Drive eps down a grid and watch all four diagnostics decay.
     grid = [1e-1, 1e-2, 1e-3, 1e-4]
-    rows = wtls_limit_diagnostics(problem, grid)
+    rows = wtls_limit_diagnostics(problem, grid, solution=reference)
     print("\n%-8s %-12s %-12s %-12s %-12s"
           % ("eps", "x_err", "sigma_err", "resolvent", "gain"))
     for row in rows:

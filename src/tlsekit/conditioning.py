@@ -34,11 +34,14 @@ componentwise numbers read the data rows themselves. They are streamed
 over row blocks of [C; A] of block_rows(n) rows (the row streaming of
 linalg.r_factor): each block of the gain is formed in one reused n x block
 buffer and consumed at once, so these numbers cost O(n * block) memory
-whatever m is. Blocking only regroups the sums over the rows. The exact
-sum takes one solution row i at a time: over (data row k, column j) the
-entries of K in row i form the rank-two block x_j G[i, k] - N[i, j] t_k,
-written by one product of inner dimension 2 into a single n x block
-workspace and reduced against |L| by one dot.
+whatever m is: two n x block buffers for the upper bounds, three for the
+exact numbers, plus O(n^2 + m). No broadcast or strided ufunc runs on a
+block-sized operand, since NumPy's buffered iterator would allocate 64 KiB
+per operand on top of them (_gain). Blocking only regroups the sums over
+the rows. The exact sum takes one solution row i at a time: over (data
+row k, column j) the entries of K in row i form the rank-two block
+x_j G[i, k] - N[i, j] t_k, written by one product of inner dimension 2
+into the third n x block workspace and reduced against |L| by one dot.
 """
 from __future__ import annotations
 
@@ -211,14 +214,22 @@ def build_k_operator(problem: TlseProblem, solution: TlseSolution) -> KOperator:
 def _gain(src, adjoint, data, head, out=None, scratch=None) -> np.ndarray:
     """(2/rho^2) (N x) adjoint.T - [constraint_gain[:, :head], N data.T],
     N = null_gram_inv, with rho, x and the two matrices read off src (a
-    TlseSolution or a KOperator). Assembled in out (fresh if None); N
-    data.T passes through scratch (fresh if None)."""
+    TlseSolution or a KOperator). Assembled in out and the bracket in
+    scratch, both n x len(adjoint) (fresh if None).
+
+    A broadcast or strided ufunc would run NumPy's buffered iterator,
+    which allocates 64 KiB per operand on block-sized operands. So the
+    outer product is an einsum (the products of np.multiply), N data.T a
+    matmul into a strided view (the bits of a fresh product), and the one
+    subtraction is of contiguous arrays: none of them allocates."""
     n_inv = src.null_gram_inv
-    # np.outer without its per-call overhead, which shows on small problems
-    gain = np.multiply((n_inv @ src.x)[:, None], adjoint, out=out)
+    gain = np.einsum("i,j->ij", n_inv @ src.x, adjoint, out=out)
     gain *= 2.0 / src.rho**2
-    gain[:, :head] -= src.constraint_gain[:, :head]
-    gain[:, head:] -= np.matmul(n_inv, data.T, out=scratch)
+    if scratch is None:
+        scratch = np.empty(gain.shape)
+    scratch[:, :head] = src.constraint_gain[:, :head]
+    np.matmul(n_inv, data.T, out=scratch[:, head:])
+    gain -= scratch
     return gain
 
 
@@ -357,9 +368,11 @@ def _gain_blocks(op: KOperator):
     block_rows(n), the constraint rows all fall in the first. gain_B =
     (2/rho^2) (N x) t_B.T - [constraint_gain | N A_B.T] is formed in one
     reused n x block buffer; |L_B| and |h_B| are copied into reused
-    buffers, the first of which holds N A_B.T until gain_B is done. A short
-    last block takes the contiguous leading part of each buffer. The next
-    block overwrites all of them, and a consumer may overwrite gain_B.
+    buffers, the first of which holds the bracket of _gain until gain_B is
+    done. These two n x block buffers are the whole block-sized workspace:
+    no call here allocates a NumPy iterator buffer (_gain). A short last
+    block takes the contiguous leading part of each buffer. The next block
+    overwrites all of them, and a consumer may overwrite gain_B.
     """
     problem = op.problem
     n, p, m = op.n, op.p, op.m
@@ -375,7 +388,7 @@ def _gain_blocks(op: KOperator):
         gain = _gain(
             op, t, problem.A[a_rows], head,
             out=gain_buf[: n * size].reshape(n, size),
-            scratch=labs_buf[: n * (size - head)].reshape(n, size - head),
+            scratch=labs_buf[: n * size].reshape(n, size),
         )
         labs = labs_buf[: n * size].reshape(size, n)
         np.abs(problem.C[:head], out=labs[:head])
@@ -389,15 +402,29 @@ def _gain_blocks(op: KOperator):
 def _entrywise_targets(op: KOperator, exact: bool):
     """|K| vec(|[L h]|) (zero unless exact) and its upper bound |G| (|L| |x|
     + |h|) + |N| |L|.T |t| (notation of kappa_normwise_exact), in one pass
-    over _gain_blocks.
+    over _gain_blocks (_block_sums).
+
+    Block-sized memory is the two n x block buffers of _gain_blocks, and a
+    third when exact; the rest is O(n^2 + m). The n x n |N| is formed
+    after _block_sums has returned, when no block buffer is referenced.
+    """
+    target, upper, weight = _block_sums(op, exact)
+    upper += np.abs(op.null_gram_inv) @ weight
+    return target, upper
+
+
+def _block_sums(op: KOperator, exact: bool):
+    """The exact target (zero unless exact), the |G| (|L| |x| + |h|) part
+    of the upper one, and the weight |L|.T |t| of its |N| part
+    (_entrywise_targets), summed over _gain_blocks.
 
     The exact sum |G| |h| + sum_j |x_j G - N[:, j] t.T| |L[:, j]| is taken
     one solution row i at a time: over (data row k, column j) the entries
     of K in row i form the rank-two block E_kj = x_j G_B[i, k] - N[i, j] t_k
     = [G_B[i]; -t_B].T [x; N[i]], so target[i] += |E| . |L_B| is one
     product of inner dimension 2 into the n x block buffer that held |G_B|,
-    and one dot of two flat buffers. That buffer and the 2 x block and
-    2 x n factors are allocated only when exact.
+    and one dot of two flat buffers. That buffer, the third n x block one,
+    and the 2 x block and 2 x n factors are allocated only when exact.
     """
     n = op.n
     target, upper, weight = np.zeros(n), np.zeros(n), np.zeros(n)
@@ -428,8 +455,7 @@ def _entrywise_targets(op: KOperator, exact: bool):
             np.matmul(pair.T, right, out=rank_two)
             np.abs(rank_two, out=rank_two)
             target[i] += flat @ labs_flat
-    upper += np.abs(op.null_gram_inv) @ weight
-    return target, upper
+    return target, upper, weight
 
 
 def kappa_mixed_componentwise_exact(op: KOperator) -> MixedComponentwise:

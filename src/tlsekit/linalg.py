@@ -33,13 +33,27 @@ MERGE_NB = 16
 GRAM_EXP = 400
 
 
+def _check_finite(arr: np.ndarray, name: str) -> None:
+    """InputError unless every entry of the 1-d or 2-d arr is finite.
+
+    Checked over row blocks of block_rows(cols) rows (BLOCK_BYTES / 8
+    entries of a vector), so the boolean temporary is one block: a mask of
+    a memory-mapped arr would be the one large allocation.
+    """
+    if not arr.size:
+        return
+    step = block_rows(arr.shape[1]) if arr.ndim == 2 else BLOCK_BYTES // 8
+    for start in range(0, len(arr), step):
+        if not np.isfinite(arr[start : start + step]).all():
+            raise InputError(f"{name} contains non-finite entries")
+
+
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Validate and convert to a finite 2-d float64 array."""
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2:
         raise InputError(f"{name} must be 2-d, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise InputError(f"{name} contains non-finite entries")
+    _check_finite(arr, name)
     return arr
 
 
@@ -49,8 +63,7 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     if sum(dim != 1 for dim in arr.shape) > 1:
         raise InputError(f"{name} must be a vector, got shape {arr.shape}")
     arr = arr.reshape(-1)
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise InputError(f"{name} contains non-finite entries")
+    _check_finite(arr, name)
     return arr
 
 
@@ -106,11 +119,23 @@ def block_rows(cols: int) -> int:
 
 
 def _upper(m) -> np.ndarray:
-    """np.triu(m) for m with no more rows than columns, at a lower call
-    cost than np.triu's mask construction (r_factor runs once per solve,
-    so this shows on many small problems)."""
-    j = np.arange(m.shape[1])
-    return np.where(j[: m.shape[0], None] <= j, m, 0.0)
+    """np.triu(m) in C order, for a nonempty m with no more rows than
+    columns. C order keeps every product with R bit for bit.
+
+    A C-ordered copy is the one allocation of R's size. A broadcast
+    comparison with np.where (or np.triu) would build a k x cols mask and
+    run NumPy's buffered iterator over the Fortran-ordered m, whose
+    buffers outweigh R at the sizes of a solve. Here the mask is a
+    Toeplitz view, below[i, j] = flags[k - 1 - i + j], of k - 1 + cols
+    flags, true exactly where j < i, and one masked copyto zeroes them.
+    """
+    r = np.ascontiguousarray(m)
+    k, cols = r.shape
+    flags = np.zeros(k - 1 + cols, dtype=bool)
+    flags[: k - 1] = True
+    below = np.ndarray((k, cols), bool, buffer=flags, offset=k - 1, strides=(-1, 1))
+    np.copyto(r, 0.0, where=below)
+    return r
 
 
 def r_factor(*blocks, head=None) -> np.ndarray:

@@ -33,7 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TlseProblem, _filtered, _gram_inv, _x_from_direction, solve_qr_svd
+from .core import (
+    TlseProblem,
+    TlseSolution,
+    _filtered,
+    _gram_inv,
+    _x_from_direction,
+    solve_qr_svd,
+)
 from .errors import IllPosedError, InputError, NumericalError
 from .linalg import r_factor, singular_values, solve_triangular, spectral_norm, svd
 
@@ -216,7 +223,9 @@ def _resolvent(core, basis, sigma_eps, eps):
     return resolvent, np.hstack([lift @ solved[:, n:], resolvent @ r_a.T])
 
 
-def wtls_limit_diagnostics(problem: TlseProblem, eps_grid) -> list[LimitRow]:
+def wtls_limit_diagnostics(
+    problem: TlseProblem, eps_grid, solution: TlseSolution | None = None
+) -> list[LimitRow]:
     """Convergence of the weighted solve to the constrained one over a grid.
 
     eps_grid must be strictly decreasing and positive. Each row reports the
@@ -226,14 +235,15 @@ def wtls_limit_diagnostics(problem: TlseProblem, eps_grid) -> list[LimitRow]:
     the solve's R factor of [A b]: each grid point factors [[C d]/eps; R],
     which has the Gram matrix of the weighted stack, and builds the
     resolvent from the solve's restricted SVD (_resolvent), with no Gram
-    matrix of the data.
+    matrix of the data. solution, if given, is solve_qr_svd(problem),
+    reused as in condition_report.
     """
     grid = [_positive_eps(e) for e in eps_grid]
     if not grid:
         raise InputError("eps grid must not be empty")
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise InputError("eps grid must be strictly decreasing")
-    sol = solve_qr_svd(problem)
+    sol = solution if solution is not None else solve_qr_svd(problem)
     data_r = sol.core.data_r
     r_a = data_r[:, :-1]
     gain_limit = np.hstack([sol.constraint_gain, sol.null_gram_inv @ r_a.T])

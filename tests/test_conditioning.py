@@ -610,6 +610,67 @@ class TestStreamedBlocks:
                 assert problem.m not in value.shape, f.name
 
 
+#: Constants of the report's memory budget (report_budget), in float64
+#: words: C1 per n^2 entry, C2 per entry of m + n (p + k), C0 in all.
+#: The n^2 terms are |N| and the n x n Gram matrices of spectral_norm and
+#: kappa_normwise_exact; the m + n (p + k) terms are adjoint_dir, gain_r
+#: and its scratch, and z1 of kappa_normwise_exact. Each weighed about
+#: one word per entry at the kron shapes and 0.7 at (20, 1000, 100); C0
+#: holds the Python objects of one call, up to 0.9 K words on the
+#: smallest battery problems.
+C1, C2, C0 = 2, 2, 2048
+
+
+def report_budget(problem: TlseProblem, method: str) -> int:
+    """Bytes condition_report may peak at: its w block workspaces of n x
+    block (w = 2 for upper, 3 for exact) plus C1 n^2 + C2 (m + n (p + k))
+    + C0 words, k = min(q, n + 1) the rows of R."""
+    n, p, m = problem.n, problem.p, problem.m
+    k = min(problem.q, n + 1)
+    w = 2 if method == "upper" else 3
+    block = min(block_rows(n), m)
+    return 8 * (w * n * block + C1 * n * n + C2 * (m + n * (p + k)) + C0)
+
+
+def report_peak(problem: TlseProblem, solution, method: str) -> int:
+    tracemalloc.start()
+    try:
+        condition_report(problem, solution=solution, method=method)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def assert_report_within_budget(problem, solution, method):
+    peak, budget = report_peak(problem, solution, method), report_budget(problem, method)
+    assert peak <= budget, (problem.p, problem.q, problem.n)
+
+
+@pytest.mark.parametrize("method", ["upper", "exact"])
+class TestReportMemoryBudget:
+    """Only the named workspaces are block-sized: no NumPy iterator buffer
+    (64 KiB per operand) and no n x n temporary on top of live blocks. At
+    (10, 280, 40) the exact report peaked at 0.44 MB with two such
+    buffers in _gain, above its 0.36 MB budget; it now peaks at 0.32 MB."""
+
+    @pytest.mark.parametrize("shape", KRON_SHAPES)
+    def test_kron_shapes(self, shape, method):
+        p, q, n = shape
+        problem = seeded_problem(sum(shape), p=p, n=n, q=q)
+        assert_report_within_budget(problem, solve_qr_svd(problem), method)
+
+    def test_multi_block_shape(self, method):
+        problem = seeded_problem(16, p=20, n=100, q=1000)
+        assert problem.m > 3 * block_rows(problem.n)
+        assert_report_within_budget(problem, solve_qr_svd(problem), method)
+
+    def test_batteries(self, method, solved100, constrained20):
+        for problem, solution in solved100:
+            assert_report_within_budget(problem, solution, method)
+        for problem in constrained20:
+            assert_report_within_budget(problem, solve_qr_svd(problem), method)
+
+
 class TestFirstOrderFidelity:
     def test_prediction_error_shrinks_linearly(self):
         problem = seeded_problem(7)

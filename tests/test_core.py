@@ -113,6 +113,28 @@ class TestProblemValidation:
         with pytest.raises(InputError):
             TlseProblem(C=[[np.nan, 0.0]], d=[1.0], A=np.eye(2), b=[0.0, 0.0])
 
+    def test_memory_mapped_problem_is_checked_in_place(self, tmp_path):
+        # (20, 100000, 100): A is 80 MB on disk and a boolean mask of it
+        # would be 10 MB; the finiteness check holds one row block at a time
+        p, q, n = 20, 100_000, 100
+        path = tmp_path / "A.bin"
+        big = np.memmap(path, dtype=float, mode="w+", shape=(q, n))
+        path.unlink()  # the mapping keeps the (sparse) file until released
+        big[::1000] = 1.0
+        rng = np.random.default_rng(0)
+        C, d, b = rng.standard_normal((p, n)), np.ones(p), np.ones(q)
+        tracemalloc.start()
+        try:
+            problem = TlseProblem(C=C, d=d, A=big, b=b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert problem.q == q and np.shares_memory(problem.A, big)
+        big[-1, -1] = np.nan
+        with pytest.raises(InputError, match="^A contains non-finite entries$"):
+            TlseProblem(C=C, d=d, A=big, b=b)
+
 
 class TestConstraintBasis:
     def test_hand_values(self):

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from qr_oracle import dgeqrf_r, stack_of
 from tlsekit.errors import InputError, NumericalError
 from tlsekit.linalg import (
+    BLOCK_BYTES,
+    _upper,
     as_matrix,
     as_vector,
     block_rows,
@@ -38,6 +40,22 @@ def test_as_matrix_rejects_non_finite():
         as_matrix([[1.0, np.nan]])
     with pytest.raises(InputError):
         as_vector([np.inf])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_finiteness_is_checked_in_every_row_block(bad, where):
+    # several row blocks of a matrix and of a vector; empty arrays pass
+    a = np.zeros((3 * block_rows(4) + 1, 4))
+    v = np.zeros(3 * BLOCK_BYTES // 8 + 1)
+    index = 0 if where == "first" else -1
+    a[index, index], v[index] = bad, bad
+    with pytest.raises(InputError, match="^A contains non-finite entries$"):
+        as_matrix(a, "A")
+    with pytest.raises(InputError, match="^b contains non-finite entries$"):
+        as_vector(v, "b")
+    assert as_matrix(np.zeros((3, 0))).shape == (3, 0)
+    assert as_vector(np.zeros(0)).shape == (0,)
 
 
 def test_svd_golden_ratio_values():
@@ -215,6 +233,26 @@ def test_r_factor_wide_input_is_trapezoidal():
     np.testing.assert_allclose(r.T @ r, wide.T @ wide, atol=1e-12)
 
 
+def _where_upper(m):
+    """The triangle as _upper formed it before: a broadcast comparison and
+    np.where, allocating a mask and NumPy iterator buffers."""
+    j = np.arange(m.shape[1])
+    return np.where(j[: m.shape[0], None] <= j, m, 0.0)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 5), (4, 7), (7, 7), (21, 21), (41, 41)])
+def test_upper_matches_the_where_form_bitwise(rows, cols):
+    # m as r_factor passes it: the leading rows of a Fortran-ordered
+    # workspace, rows < cols for a stack with fewer rows than columns
+    rng = np.random.default_rng([rows, cols])
+    work = np.asfortranarray(rng.standard_normal((rows + 5, cols)))
+    work[rng.random(work.shape) < 0.2] *= -0.0  # signed zeros on both sides
+    m = work[:rows]
+    r = _upper(m)
+    assert r.flags.c_contiguous
+    np.testing.assert_array_equal(r.view(np.uint64), _where_upper(m).view(np.uint64))
+
+
 # The streamed kernel on 20 data columns plus b: one block holds H rows.
 STREAM_N = 20
 H = block_rows(STREAM_N + 1)
@@ -260,7 +298,9 @@ class TestStreamedRFactor:
         if head is not None:
             np.testing.assert_array_equal(head, head_before)
         if len(stack) <= H:
-            # one block: the single dgeqrf call, bit for bit (signed zeros too)
+            # one block: the single dgeqrf call, bit for bit (signed zeros
+            # too), in C order as the solve's products expect
+            assert r.flags.c_contiguous
             np.testing.assert_array_equal(
                 r.view(np.uint64), dgeqrf_r(stack).view(np.uint64)
             )

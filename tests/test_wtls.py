@@ -258,6 +258,19 @@ class TestLimitDiagnostics:
         slope = np.polyfit(np.log10(grid), np.log10(cols[:, 0]), 1)[0]
         assert 1.8 <= slope <= 2.2
 
+    def test_reuses_a_given_solution(self, monkeypatch):
+        problem, grid = seeded_problem(7), [1e-2, 1e-3, 1e-4]
+        fresh = wtls_limit_diagnostics(problem, grid)
+        solution = solve_qr_svd(problem)
+
+        def no_solve(_):
+            raise AssertionError("the given solution was not reused")
+
+        monkeypatch.setattr(tlsekit.wtls, "solve_qr_svd", no_solve)
+        reused = wtls_limit_diagnostics(problem, grid, solution=solution)
+        # dataclass equality compares every float exactly
+        assert reused == fresh
+
     def test_unconstrained_limit_is_exact(self):
         rows = wtls_limit_diagnostics(golden_problem(), [1e-2, 1e-3])
         for row in rows:
