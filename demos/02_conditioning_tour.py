@@ -1,10 +1,11 @@
 """Tour of the condition-number toolkit on one seeded problem.
 
 Builds the first-order perturbation operator for a solved problem, then
-compares the exact normwise condition number against its tight and loose
-upper bounds, across several weightings of the two data blocks, and the
-exact mixed and componentwise numbers against theirs. Finishes by checking
-the numbers against an actual finite perturbation.
+reads every number off condition_report, the one entry point: the exact
+normwise condition number against its tight and loose upper bounds, across
+several weightings of the two data blocks, and the exact mixed and
+componentwise numbers against theirs. Finishes by checking the numbers
+against an actual finite perturbation.
 """
 import numpy as np
 
@@ -14,10 +15,6 @@ from tlsekit import (
     apply_sample,
     build_k_operator,
     condition_report,
-    kappa_mixed_componentwise_exact,
-    kappa_mixed_componentwise_upper,
-    kappa_normwise_exact,
-    kappa_normwise_upper,
     perturb,
     solve_qr_svd,
 )
@@ -43,21 +40,23 @@ def main():
     print("\nnormwise condition number under three weightings")
     print("%-12s %-14s %-14s %-14s" % ("weights", "exact", "upper", "loose upper"))
     for alpha, beta in ((1, 1), (10, 1), (1, 10)):
-        w = Weights(alpha, beta)
-        exact = kappa_normwise_exact(op, w)
-        tight, loose = kappa_normwise_upper(op, w)
+        report = condition_report(
+            problem, solution=solution, weights=Weights(alpha, beta)
+        )
+        exact, tight, loose = (
+            report.kappa_n, report.kappa_n_upper, report.kappa_n_upper_loose
+        )
         print("%-12s %-14.6e %-14.6e %-14.6e"
               % ("(%g,%g)" % (alpha, beta), exact, tight, loose))
         assert exact <= tight <= loose * (1 + 1e-12)
 
     print("\nmixed and componentwise measures")
-    mc = kappa_mixed_componentwise_exact(op)
-    upper = kappa_mixed_componentwise_upper(op)
-    print("mixed:         %.6e  (upper %.6e)" % (mc.kappa_m, upper.kappa_m))
-    print("componentwise: %.6e  (upper %.6e)" % (mc.kappa_c, upper.kappa_c))
+    base = condition_report(problem, solution=solution)
+    print("mixed:         %.6e  (upper %.6e)" % (base.kappa_m, base.kappa_m_upper))
+    print("componentwise: %.6e  (upper %.6e)" % (base.kappa_c, base.kappa_c_upper))
 
-    # One call bundles everything; method "upper" reports the mixed and
-    # componentwise bounds in place of the exact values.
+    # method "upper" reports the mixed and componentwise bounds in place of
+    # the exact values, and skips the exact sum.
     print()
     for method in ("exact", "upper"):
         report = condition_report(problem, method=method)
@@ -74,7 +73,7 @@ def main():
     ) / np.sqrt(
         np.linalg.norm(problem.L, "fro") ** 2 + np.linalg.norm(problem.h) ** 2
     )
-    exact = kappa_normwise_exact(op, Weights())
+    exact = base.kappa_n
     print("\nperturbation of relative size %.2e" % eps)
     print("observed forward error:  %.6e" % fwd)
     print("first-order bound:       %.6e" % (exact * eps))

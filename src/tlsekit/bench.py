@@ -239,7 +239,8 @@ def gen_equilibratory(spec: GeneratorSpec) -> TlseProblem:
         body[:, :p] = np.diag(diag)
         aug_c = y @ body @ z.T
         ab = rng.random((q, n + 1))
-        return TlseProblem(C=aug_c[:, :n], d=aug_c[:, n], A=ab[:, :n], b=ab[:, n])
+        parts = (aug_c[:, :n], aug_c[:, n], ab[:, :n], ab[:, n])
+        return TlseProblem(*map(np.ascontiguousarray, parts))
     raise NumericalError("equilibratory generator failed to draw a valid problem")
 
 
@@ -266,9 +267,8 @@ def gen_householder_spectrum(spec: GeneratorSpec) -> TlseProblem:
     body = np.zeros((m, n + 1))
     body[: n + 1, :] = np.diag(values)
     stack = y @ body @ z.T
-    return TlseProblem(
-        C=stack[:p, :n], d=stack[:p, n], A=stack[p:, :n], b=stack[p:, n]
-    )
+    parts = (stack[:p, :n], stack[:p, n], stack[p:, :n], stack[p:, n])
+    return TlseProblem(*map(np.ascontiguousarray, parts))
 
 
 def gen_piecewise_poly(spec: GeneratorSpec) -> TlseProblem:

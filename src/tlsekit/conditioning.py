@@ -15,7 +15,8 @@ Condition numbers come in three flavors: normwise (weighted Frobenius ball
 on the data, Euclidean norm on the solution), mixed (entrywise-bounded
 perturbations, max-norm output), and componentwise (entrywise relative
 output). Each has one exact formula built from the factors of K, plus
-cheaper upper bounds.
+cheaper upper bounds; condition_report assembles all eight numbers in one
+pass (_report), the only place that computes them.
 
 The data rows enter the normwise numbers only through the row space of
 [C; A]: with [A b] = Q R the solve's thin QR (R = solution.core.data_r)
@@ -30,18 +31,15 @@ The two norms the solve fixes in closed form, ||null_gram_inv||_2 and
 (core.null_gram_inv_norm, core.data_map_norm) and need no eigenvalue.
 
 Entrywise absolute values do not commute with W, so the mixed and
-componentwise numbers read the data rows themselves. They are streamed
-over row blocks of [C; A] of block_rows(n) rows (the row streaming of
-linalg.r_factor): each block of the gain is formed in one reused n x block
-buffer and consumed at once, so these numbers cost O(n * block) memory
-whatever m is: two n x block buffers for the upper bounds, three for the
-exact numbers, plus O(n^2 + m). No broadcast or strided ufunc runs on a
-block-sized operand, since NumPy's buffered iterator would allocate 64 KiB
-per operand on top of them (_gain). Blocking only regroups the sums over
-the rows. The exact sum takes one solution row i at a time: over (data
-row k, column j) the entries of K in row i form the rank-two block
-x_j G[i, k] - N[i, j] t_k, written by one product of inner dimension 2
-into the third n x block workspace and reduced against |L| by one dot.
+componentwise numbers read the data rows themselves, streamed over row
+blocks of [C; A] of block_rows(n) rows (the row streaming of
+linalg.r_factor) by _block_sums. Each block of the gain is formed in a
+reused buffer and consumed at once, so these numbers cost O(n * block)
+memory whatever m is: two n x block workspaces for the upper bounds, three
+for the exact numbers, plus O(n^2 + m). No broadcast or strided ufunc runs
+on a block-sized operand, since NumPy's buffered iterator would allocate
+64 KiB per operand on top of them (_gain). Blocking only regroups the sums
+over the rows.
 """
 from __future__ import annotations
 
@@ -135,20 +133,6 @@ class KOperator:
     @property
     def m(self) -> int:
         return self.adjoint_dir.shape[0]
-
-
-@dataclass(frozen=True)
-class MixedComponentwise:
-    """Mixed and componentwise condition numbers.
-
-    kappa_c is inf when some solution component is zero against a nonzero
-    numerator (0/0 counts as 0); kappa_c_finite maxes over the nonzero
-    components only.
-    """
-
-    kappa_m: float
-    kappa_c: float
-    kappa_c_finite: float
 
 
 @dataclass(frozen=True)
@@ -254,86 +238,17 @@ def apply_k(op: KOperator, dL, dh) -> np.ndarray:
 
 
 def _sum_sq(a: np.ndarray) -> float:
+    # ravel copies a strided matrix, so such a one is summed row by row
+    if a.ndim == 2 and not (a.flags.c_contiguous or a.flags.f_contiguous):
+        return float(sum(row @ row for row in a))
     flat = a.ravel(order="K")
     return float(flat @ flat)
 
 
 def _flex_norm(problem: TlseProblem, w: Weights) -> float:
     """||[alpha L, beta h]||_F, read from C, d, A, b without stacking them."""
-    return float(
-        np.sqrt(
-            w.alpha**2 * (_sum_sq(problem.C) + _sum_sq(problem.A))
-            + w.beta**2 * (_sum_sq(problem.d) + _sum_sq(problem.b))
-        )
-    )
-
-
-def _solution_norm(op: KOperator) -> float:
-    nx = float(np.linalg.norm(op.x))
-    if nx == 0.0:
-        raise UndefinedConditionError("condition numbers need x != 0")
-    return nx
-
-
-def kappa_normwise_exact(op: KOperator, w: Weights) -> float:
-    """Normwise condition number, without forming K.
-
-    With G = gain, N = null_gram_inv, t = adjoint_dir and the matrix-block
-    columns of K scaled by 1/alpha, the right-side columns by 1/beta,
-
-        K_w K_w.T = (||x||^2/alpha^2 + 1/beta^2) G G.T
-                    - (G t (N x).T + N x (G t).T) / alpha^2
-                    + (||t||^2/alpha^2) N N.T.
-
-    An n x (m+n) matrix [Z1 Z2] (u = t/||t||) has the same Gram matrix, so
-    its spectral norm is ||K_w||_2, which is normalized by the weighted
-    data norm over ||x||. Z1 = Z1_r W.T, so [Z1_r Z2], built below from
-    gain_r and adjoint_r, has that norm with p+k+n columns in place of m+n
-    (module docstring). spectral_norm(Z1_r, Z2) reads it from the n x n
-    Gram matrix Z1_r Z1_r.T + Z2 Z2.T; the two blocks are never stacked.
-    A zero t leaves K_w = [x.T/alpha, -1/beta] kron G, of norm ||G||_2
-    sqrt(||x||^2/alpha^2 + 1/beta^2).
-    """
-    nx = _solution_norm(op)
-    scale = _flex_norm(op.problem, w) / nx
-    alpha, beta = w.alpha, w.beta
-    g, t = op.gain_r, op.adjoint_r
-    nt = float(np.linalg.norm(t))
-    if nt == 0.0:
-        return spectral_norm(g) * np.sqrt(nx**2 / alpha**2 + 1.0 / beta**2) * scale
-    c1 = np.sqrt(beta**2 / alpha**2 + 1.0 / nx**2)
-    c2 = c1 + 1.0 / nx
-    u = t / nt
-    gu = g @ u
-    z1 = -(nx / beta) * (c1 * g - c2 * np.outer(gu, u))
-    z2 = (nt / alpha) * op.null_gram_inv - np.outer(gu, op.x) / alpha
-    return spectral_norm(z1, z2) * scale
-
-
-def kappa_normwise_upper(op: KOperator, w: Weights) -> tuple[float, float]:
-    """Kronecker-free upper bounds (tight, loose) on the normwise number.
-
-    tight uses ||gain||_2 directly; loose additionally bounds the gain by
-    the sum of its constituent block norms, so tight <= loose and both
-    dominate the exact value. ||gain||_2 = ||gain_r||_2 is the one
-    spectral_norm call; ||constraint_gain||_2, ||null_gram_inv||_2 and
-    ||null_gram_inv A.T||_2 are held by op (KOperator).
-    """
-    nx = _solution_norm(op)
-    alpha, beta = w.alpha, w.beta
-    nt = float(np.linalg.norm(op.adjoint_r))
-    factor = (
-        _flex_norm(op.problem, w)
-        / nx
-        * np.sqrt(max(1.0, beta**2 / alpha**2 + 1.0 / nx**2) + beta / alpha)
-    )
-    k_norm = op.null_gram_inv_norm
-    tight = (nx / beta * spectral_norm(op.gain_r) + nt / alpha * k_norm) * factor
-    split_norms = op.constraint_gain_norm + op.data_map_norm
-    loose = (
-        nx / beta * split_norms + (2.0 / beta + 1.0 / alpha) * nt * k_norm
-    ) * factor
-    return float(tight), float(loose)
+    data = w.alpha**2 * (_sum_sq(problem.C) + _sum_sq(problem.A))
+    return float(np.sqrt(data + w.beta**2 * (_sum_sq(problem.d) + _sum_sq(problem.b))))
 
 
 def _max_ratio(num, den) -> tuple[float, float]:
@@ -347,38 +262,45 @@ def _max_ratio(num, den) -> tuple[float, float]:
     return worst, finite
 
 
-def _mixed_componentwise(target: np.ndarray, x: np.ndarray) -> MixedComponentwise:
-    """Mixed and componentwise numbers from target = |K| vec(|[L h]|)."""
-    nx_inf = float(np.abs(x).max(initial=0.0))
-    if nx_inf == 0.0:
-        raise UndefinedConditionError("condition numbers need x != 0")
+def _mixed_componentwise(target, x, nx_inf) -> tuple[float, float, float]:
+    """(kappa_m, kappa_c, kappa_c_finite) from target = |K| vec(|[L h]|) or
+    its bound, nx_inf = ||x||_inf != 0. kappa_c is inf when some solution
+    component is zero against a nonzero numerator (0/0 counts as 0);
+    kappa_c_finite maxes over the nonzero components only."""
     kappa_c, kappa_c_finite = _max_ratio(target, x)
-    return MixedComponentwise(
-        kappa_m=float(target.max(initial=0.0)) / nx_inf,
-        kappa_c=kappa_c,
-        kappa_c_finite=kappa_c_finite,
-    )
+    return float(target.max(initial=0.0)) / nx_inf, kappa_c, kappa_c_finite
 
 
-def _gain_blocks(op: KOperator):
-    """Stream the gain over row blocks of [C; A]: yield (gain_B, |L_B|,
-    |h_B|, t_B) block by block, with t = adjoint_dir.
+def _block_sums(op: KOperator, exact: bool):
+    """The exact target |K| vec(|[L h]|) (zero unless exact), the |G| (|L|
+    |x| + |h|) part of its bound |G| (|L| |x| + |h|) + |N| |L|.T |t|, and
+    the weight |L|.T |t| of the |N| part (notation of _kappa_n), summed over
+    row blocks of block_rows(n) rows, or all m if fewer (as p < n <=
+    block_rows(n), the constraint rows all fall in the first).
 
-    A block holds block_rows(n) rows, or all m if fewer; as p < n <=
-    block_rows(n), the constraint rows all fall in the first. gain_B =
-    (2/rho^2) (N x) t_B.T - [constraint_gain | N A_B.T] is formed in one
-    reused n x block buffer; |L_B| and |h_B| are copied into reused
-    buffers, the first of which holds the bracket of _gain until gain_B is
-    done. These two n x block buffers are the whole block-sized workspace:
-    no call here allocates a NumPy iterator buffer (_gain). A short last
-    block takes the contiguous leading part of each buffer. The next block
-    overwrites all of them, and a consumer may overwrite gain_B.
+    Two n x block workspaces, three when exact, plus O(n^2 + m): G_B in the
+    first (_gain, with its bracket in the second); |L_B| in the second,
+    copied by np.copyto, which needs no iterator buffer whatever the layout
+    of C and A, and made absolute in place; |G_B| over G_B in upper mode,
+    in the third when exact, as the exact sum still reads G_B. A short last
+    block takes the contiguous leading part of each.
+
+    The exact sum |G| |h| + sum_j |x_j G - N[:, j] t.T| |L[:, j]| takes one
+    solution row i at a time: over (data row k, column j), E_kj = x_j
+    G_B[i, k] - N[i, j] t_k = [G_B[i]; -t_B].T [x; N[i]] is one product of
+    inner dimension 2 into the third workspace, and target[i] += |E| . |L_B|
+    one dot of two flat buffers.
     """
     problem = op.problem
     n, p, m = op.n, op.p, op.m
     rows = min(block_rows(n), m)
     gain_buf, labs_buf = np.empty(n * rows), np.empty(n * rows)
     habs_buf = np.empty(rows)
+    target, upper, weight = np.zeros(n), np.zeros(n), np.zeros(n)
+    if exact:
+        block_buf, pair_buf = np.empty(n * rows), np.empty(2 * rows)
+        right = np.empty((2, n))
+        right[0] = op.x
     for start in range(0, m, rows):
         stop = min(start + rows, m)
         size = stop - start
@@ -391,50 +313,12 @@ def _gain_blocks(op: KOperator):
             scratch=labs_buf[: n * size].reshape(n, size),
         )
         labs = labs_buf[: n * size].reshape(size, n)
-        np.abs(problem.C[:head], out=labs[:head])
-        np.abs(problem.A[a_rows], out=labs[head:])
+        np.copyto(labs[:head], problem.C[:head])
+        np.copyto(labs[head:], problem.A[a_rows])
+        np.abs(labs, out=labs)
         habs = habs_buf[:size]
         np.abs(problem.d[:head], out=habs[:head])
         np.abs(problem.b[a_rows], out=habs[head:])
-        yield gain, labs, habs, t
-
-
-def _entrywise_targets(op: KOperator, exact: bool):
-    """|K| vec(|[L h]|) (zero unless exact) and its upper bound |G| (|L| |x|
-    + |h|) + |N| |L|.T |t| (notation of kappa_normwise_exact), in one pass
-    over _gain_blocks (_block_sums).
-
-    Block-sized memory is the two n x block buffers of _gain_blocks, and a
-    third when exact; the rest is O(n^2 + m). The n x n |N| is formed
-    after _block_sums has returned, when no block buffer is referenced.
-    """
-    target, upper, weight = _block_sums(op, exact)
-    upper += np.abs(op.null_gram_inv) @ weight
-    return target, upper
-
-
-def _block_sums(op: KOperator, exact: bool):
-    """The exact target (zero unless exact), the |G| (|L| |x| + |h|) part
-    of the upper one, and the weight |L|.T |t| of its |N| part
-    (_entrywise_targets), summed over _gain_blocks.
-
-    The exact sum |G| |h| + sum_j |x_j G - N[:, j] t.T| |L[:, j]| is taken
-    one solution row i at a time: over (data row k, column j) the entries
-    of K in row i form the rank-two block E_kj = x_j G_B[i, k] - N[i, j] t_k
-    = [G_B[i]; -t_B].T [x; N[i]], so target[i] += |E| . |L_B| is one
-    product of inner dimension 2 into the n x block buffer that held |G_B|,
-    and one dot of two flat buffers. That buffer, the third n x block one,
-    and the 2 x block and 2 x n factors are allocated only when exact.
-    """
-    n = op.n
-    target, upper, weight = np.zeros(n), np.zeros(n), np.zeros(n)
-    if exact:
-        rows = min(block_rows(n), op.m)
-        block_buf, pair_buf = np.empty(n * rows), np.empty(2 * rows)
-        right = np.empty((2, n))
-        right[0] = op.x
-    for gain, labs, habs, t in _gain_blocks(op):
-        # |G_B| overwrites G_B unless the exact sum still reads it
         block = block_buf[: gain.size].reshape(gain.shape) if exact else gain
         np.abs(gain, out=block)
         data = labs @ np.abs(op.x)
@@ -444,7 +328,7 @@ def _block_sums(op: KOperator, exact: bool):
         if not exact:
             continue
         target += block @ habs
-        pair = pair_buf[: 2 * t.size].reshape(2, t.size)
+        pair = pair_buf[: 2 * size].reshape(2, size)
         np.negative(t, out=pair[1])
         # E in the layout of labs (block row k, column j)
         rank_two = block.reshape(labs.shape)
@@ -456,16 +340,6 @@ def _block_sums(op: KOperator, exact: bool):
             np.abs(rank_two, out=rank_two)
             target[i] += flat @ labs_flat
     return target, upper, weight
-
-
-def kappa_mixed_componentwise_exact(op: KOperator) -> MixedComponentwise:
-    """Exact mixed/componentwise condition numbers (_entrywise_targets)."""
-    return _mixed_componentwise(_entrywise_targets(op, exact=True)[0], op.x)
-
-
-def kappa_mixed_componentwise_upper(op: KOperator) -> MixedComponentwise:
-    """Kronecker-free upper bounds on the mixed/componentwise numbers."""
-    return _mixed_componentwise(_entrywise_targets(op, exact=False)[1], op.x)
 
 
 def tls_specialization(
@@ -486,6 +360,11 @@ def tls_specialization(
     """
     if problem.p != 0:
         raise InputError("tls_specialization requires a problem with p = 0")
+    q, n = problem.q, problem.n
+    if dA is not None and (dA := as_matrix(dA, "dA")).shape != (q, n):
+        raise InputError(f"dA has shape {dA.shape}, expected {(q, n)}")
+    if db is not None and (db := as_vector(db, "db")).shape[0] != q:
+        raise InputError(f"db has length {db.shape[0]}, expected {q}")
     # [A b] = Q R with orthonormal Q, so the q-row norms are read off R:
     # ||A x - b|| = ||R [x; -1]||, and with p = 0 the restricted SVD is that
     # of R_A, so ||A||_2 = ||R_A||_2 is its largest singular value
@@ -504,9 +383,9 @@ def tls_specialization(
     if dA is not None or db is not None:
         est = 0.0
         if db is not None and nb > 0:
-            est += kappa_b * float(np.linalg.norm(as_vector(db))) / nb
+            est += kappa_b * float(np.linalg.norm(db)) / nb
         if dA is not None and na > 0:
-            est += kappa_a * spectral_norm(as_matrix(dA)) / na
+            est += kappa_a * spectral_norm(dA) / na
         estimate = float(est)
     return TlsSensitivity(kappa_A=float(kappa_a), kappa_b=float(kappa_b), estimate=estimate)
 
@@ -533,20 +412,79 @@ def condition_report(
 
 
 def _report(op: KOperator, w: Weights, method: str) -> ConditionReport:
-    """condition_report's numbers on a built K, for a valid method."""
-    tight, loose = kappa_normwise_upper(op, w)
-    target, bound = _entrywise_targets(op, exact=method != "upper")
-    upper = _mixed_componentwise(bound, op.x)
-    mixed = upper if method == "upper" else _mixed_componentwise(target, op.x)
-    return ConditionReport(
-        kappa_n=float(kappa_normwise_exact(op, w)),
-        kappa_n_upper=tight,
-        kappa_n_upper_loose=loose,
-        kappa_m=mixed.kappa_m,
-        kappa_m_upper=upper.kappa_m,
-        kappa_c=mixed.kappa_c,
-        kappa_c_upper=upper.kappa_c,
-        kappa_c_finite=mixed.kappa_c_finite,
-        weights=w,
-        method="bound" if method == "upper" else "exact",
+    """condition_report's numbers on a built K, for a valid method.
+
+    The tight normwise bound uses ||gain||_2 = ||gain_r||_2, the loose one
+    the sum of the gain's block norms held by op, so kappa_n <= tight <=
+    loose. |N| is formed after the block pass (_block_sums) returns, and
+    kappa_n last (_kappa_n), so neither is live with a block workspace.
+    """
+    nx = float(np.linalg.norm(op.x))
+    if nx == 0.0:
+        raise UndefinedConditionError("condition numbers need x != 0")
+    nx_inf = float(np.abs(op.x).max())
+    alpha, beta = w.alpha, w.beta
+    scale = _flex_norm(op.problem, w) / nx
+    nt = float(np.linalg.norm(op.adjoint_r))
+    g_norm = spectral_norm(op.gain_r)
+    factor = scale * np.sqrt(
+        max(1.0, beta**2 / alpha**2 + 1.0 / nx**2) + beta / alpha
     )
+    k_norm = op.null_gram_inv_norm
+    tight = (nx / beta * g_norm + nt / alpha * k_norm) * factor
+    split_norms = op.constraint_gain_norm + op.data_map_norm
+    loose = (
+        nx / beta * split_norms + (2.0 / beta + 1.0 / alpha) * nt * k_norm
+    ) * factor
+
+    exact = method != "upper"
+    target, bound, weight = _block_sums(op, exact)
+    bound += np.abs(op.null_gram_inv) @ weight
+    m_upper, c_upper, c_finite = _mixed_componentwise(bound, op.x, nx_inf)
+    m_value, c_value = m_upper, c_upper
+    if exact:
+        m_value, c_value, c_finite = _mixed_componentwise(target, op.x, nx_inf)
+    return ConditionReport(
+        kappa_n=float(_kappa_n(op, w, nx, nt, g_norm) * scale),
+        kappa_n_upper=float(tight),
+        kappa_n_upper_loose=float(loose),
+        kappa_m=m_value,
+        kappa_m_upper=m_upper,
+        kappa_c=c_value,
+        kappa_c_upper=c_upper,
+        kappa_c_finite=c_finite,
+        weights=w,
+        method="exact" if exact else "bound",
+    )
+
+
+def _kappa_n(op: KOperator, w: Weights, nx: float, nt: float, g_norm: float) -> float:
+    """||K_w||_2, the normwise condition number before its normalization by
+    the weighted data norm over ||x|| = nx; nt = ||t||, g_norm = ||G||_2.
+
+    With G = gain, N = null_gram_inv, t = adjoint_dir and the matrix-block
+    columns of K scaled by 1/alpha, the right-side columns by 1/beta,
+
+        K_w K_w.T = (||x||^2/alpha^2 + 1/beta^2) G G.T
+                    - (G t (N x).T + N x (G t).T) / alpha^2
+                    + (||t||^2/alpha^2) N N.T.
+
+    An n x (m+n) matrix [Z1 Z2] (u = t/||t||) has the same Gram matrix, so
+    its spectral norm is ||K_w||_2. Z1 = Z1_r W.T, so [Z1_r Z2], built
+    below from gain_r and adjoint_r, has that norm with p+k+n columns in
+    place of m+n (module docstring). spectral_norm(Z1_r, Z2) reads it from
+    the n x n Gram matrix Z1_r Z1_r.T + Z2 Z2.T; the two blocks are never
+    stacked. A zero t leaves K_w = [x.T/alpha, -1/beta] kron G, of norm
+    ||G||_2 sqrt(||x||^2/alpha^2 + 1/beta^2).
+    """
+    alpha, beta = w.alpha, w.beta
+    if nt == 0.0:
+        return g_norm * np.sqrt(nx**2 / alpha**2 + 1.0 / beta**2)
+    g, t = op.gain_r, op.adjoint_r
+    c1 = np.sqrt(beta**2 / alpha**2 + 1.0 / nx**2)
+    c2 = c1 + 1.0 / nx
+    u = t / nt
+    gu = g @ u
+    z1 = -(nx / beta) * (c1 * g - c2 * np.outer(gu, u))
+    z2 = (nt / alpha) * op.null_gram_inv - np.outer(gu, op.x) / alpha
+    return spectral_norm(z1, z2)

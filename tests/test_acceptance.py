@@ -16,9 +16,9 @@ from tlsekit import (
     Weights,
     apply_k,
     build_k_operator,
+    condition_report,
     embed,
     gen_equilibratory,
-    kappa_normwise_exact,
     perturb,
     run_experiment,
     solve_closed_form,
@@ -79,7 +79,8 @@ def test_c04_normwise_formulas_agree(solved100):
     for problem, solution in solved100:
         op = build_k_operator(problem, solution)
         for weights in weight_grid:
-            exact = kappa_normwise_exact(op, weights)
+            report = condition_report(problem, solution=solution, weights=weights)
+            exact = report.kappa_n
             oracle = kron_oracle.kappa_normwise(op, weights, problem.L, problem.h)
             assert abs(oracle - exact) <= 1e-10 * exact
             for signs in sign_grid:

@@ -233,6 +233,23 @@ def test_generate_dispatch():
     np.testing.assert_array_equal(via_dispatch.A, direct.A)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GeneratorSpec(kind="equilibratory", seed=2),
+        GeneratorSpec(kind="householder_spectrum", m=30, seed=5),
+        GeneratorSpec(kind="piecewise_poly", m_pts=30, n_pts=70),
+    ],
+    ids=lambda spec: spec.kind,
+)
+def test_generated_blocks_are_contiguous(spec):
+    # a strided view of a larger stack would cost the report a copy of A
+    # for its data norm
+    problem = generate(spec)
+    for name in "CdAb":
+        assert getattr(problem, name).flags.c_contiguous, name
+
+
 class TestPerturb:
     def test_normwise_entries_are_bounded(self):
         problem = seeded_problem(0)

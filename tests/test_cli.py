@@ -221,6 +221,17 @@ class TestCond:
         assert payload["alpha"] == 10.0
         assert payload["kappa_m"] == payload["kappa_m_upper"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_compact_prints_the_exact_report(self, capsys, equilibratory_file, fmt):
+        # --mode compact is kept as another name of the exact report
+        outputs = [
+            run(capsys, "cond", "--input", equilibratory_file, "--mode", mode,
+                "--alpha", "10", "--format", fmt)
+            for mode in ("compact", "exact")
+        ]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0 and outputs[0][2] == ""
+
     @pytest.mark.parametrize(
         "flag, value",
         [

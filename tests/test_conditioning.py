@@ -13,10 +13,6 @@ from tlsekit import (
     apply_k,
     build_k_operator,
     condition_report,
-    kappa_mixed_componentwise_exact,
-    kappa_mixed_componentwise_upper,
-    kappa_normwise_exact,
-    kappa_normwise_upper,
     solve_qr_svd,
     tls_specialization,
 )
@@ -88,6 +84,20 @@ def column_scaled_problem(seed: int = 12) -> TlseProblem:
 
 def vec_stack(dL: np.ndarray, dh: np.ndarray) -> np.ndarray:
     return np.concatenate([kron_oracle.vec(dL), dh])
+
+
+def report(op, weights=Weights(), method="exact"):
+    """condition_report's numbers on a built (or edited) operator."""
+    return conditioning._report(op, weights, method)
+
+
+def mixed_fields(rep) -> tuple[float, float, float]:
+    return rep.kappa_m, rep.kappa_c, rep.kappa_c_finite
+
+
+def mixed_reference(target, x) -> tuple[float, float, float]:
+    """_mixed_componentwise of a reference target."""
+    return _mixed_componentwise(target, x, float(np.abs(x).max()))
 
 
 class TestWeights:
@@ -272,7 +282,7 @@ class TestNormwise:
         # scalars, gives the structured exact value
         problem = seeded_problem(4)
         op = build_k_operator(problem, solve_qr_svd(problem))
-        exact = kappa_normwise_exact(op, weights)
+        exact = report(op, weights).kappa_n
         compact = kron_oracle.kappa_normwise_block(
             op, weights, problem.L, problem.h, signs=signs
         )
@@ -289,26 +299,23 @@ class TestNormwise:
             adjoint_r=np.zeros_like(op.adjoint_r),
         )
         for weights in WEIGHT_GRID:
-            exact = kappa_normwise_exact(op0, weights)
+            exact = report(op0, weights).kappa_n
             oracle = kron_oracle.kappa_normwise(op0, weights, problem.L, problem.h)
             assert exact == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize("weights", WEIGHT_GRID)
     def test_upper_bounds_dominate(self, weights):
-        problem = seeded_problem(5)
-        op = build_k_operator(problem, solve_qr_svd(problem))
-        exact = kappa_normwise_exact(op, weights)
-        tight, loose = kappa_normwise_upper(op, weights)
-        assert exact <= tight * (1 + 1e-12)
-        assert tight <= loose * (1 + 1e-12)
+        rep = condition_report(seeded_problem(5), weights=weights)
+        assert rep.kappa_n <= rep.kappa_n_upper * (1 + 1e-12)
+        assert rep.kappa_n_upper <= rep.kappa_n_upper_loose * (1 + 1e-12)
 
     def test_zero_solution_is_undefined(self):
         problem = zero_solution_problem()
         op = build_k_operator(problem, solve_qr_svd(problem))
-        with pytest.raises(UndefinedConditionError):
-            kappa_normwise_exact(op, Weights())
-        with pytest.raises(UndefinedConditionError):
-            kappa_normwise_upper(op, Weights())
+        assert not op.x.any()
+        for method in ("exact", "upper"):
+            with pytest.raises(UndefinedConditionError):
+                report(op, method=method)
 
 
 def tall_problem(seed: int = 14) -> TlseProblem:
@@ -327,10 +334,11 @@ COMPRESSION_CASES = {
 def assert_normwise_match_explicit(problem, op):
     for weights in WEIGHT_GRID:
         args = (op, weights, problem.L, problem.h)
-        assert kappa_normwise_exact(op, weights) == pytest.approx(
+        rep = report(op, weights, "upper")
+        assert rep.kappa_n == pytest.approx(
             kron_oracle.kappa_normwise_explicit(*args), rel=1e-12
         )
-        tight, loose = kappa_normwise_upper(op, weights)
+        tight, loose = rep.kappa_n_upper, rep.kappa_n_upper_loose
         tight_x, loose_x = kron_oracle.kappa_normwise_upper_explicit(*args)
         assert tight == pytest.approx(tight_x, rel=1e-12)
         assert loose == pytest.approx(loose_x, rel=1e-12)
@@ -369,7 +377,7 @@ class TestAgainstKroneckerOracle:
         problem = ORACLE_CASES[case]
         op = build_k_operator(problem, solve_qr_svd(problem))
         for weights in WEIGHT_GRID:
-            exact = kappa_normwise_exact(op, weights)
+            exact = report(op, weights).kappa_n
             oracle = kron_oracle.kappa_normwise(op, weights, problem.L, problem.h)
             assert exact == pytest.approx(oracle, rel=1e-10)
 
@@ -379,7 +387,7 @@ class TestAgainstKroneckerOracle:
         op = build_k_operator(problem, solve_qr_svd(problem))
         target = kron_oracle.mixed_componentwise_target(op, problem.L, problem.h)
         ratios = target / np.abs(op.x)
-        mixed = kappa_mixed_componentwise_exact(op)
+        mixed = report(op)
         assert mixed.kappa_m == pytest.approx(
             target.max() / np.abs(op.x).max(), rel=1e-12
         )
@@ -389,9 +397,7 @@ class TestAgainstKroneckerOracle:
 
 class TestMixedComponentwise:
     def test_mixed_below_componentwise(self):
-        problem = seeded_problem(6)
-        op = build_k_operator(problem, solve_qr_svd(problem))
-        mixed = kappa_mixed_componentwise_exact(op)
+        mixed = condition_report(seeded_problem(6))
         assert mixed.kappa_m <= mixed.kappa_c
         assert mixed.kappa_c_finite <= mixed.kappa_c
 
@@ -404,11 +410,8 @@ class TestMixedComponentwise:
         # (m = 2020) has seven blocks, whose partial sums add in another order
         op = build_k_operator(problem, solve_qr_svd(problem))
         reference = kron_oracle.explicit_mixed_target(op, problem.L, problem.h)
-        mixed = kappa_mixed_componentwise_exact(op)
-        expected = _mixed_componentwise(reference, op.x)
-        for got, want in zip(
-            dataclasses.astuple(mixed), dataclasses.astuple(expected)
-        ):
+        mixed = mixed_fields(report(op))
+        for got, want in zip(mixed, mixed_reference(reference, op.x)):
             assert got == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize(
@@ -444,26 +447,25 @@ class TestMixedComponentwise:
         """
         op = build_k_operator(problem, solve_qr_svd(problem))
         assert op.n <= 12 and op.m <= block_rows(op.n)
-        target, upper = conditioning._entrywise_targets(op, True)
+        _, _, target, upper = streamed(op)
         reference = mp_oracle.mixed_target(op)
         c = op.m * op.n + 5
         assert np.all(np.abs(target - reference) <= c * np.finfo(float).eps / 2 * upper)
 
     def test_upper_bounds_dominate(self):
         problem = seeded_problem(6)
-        op = build_k_operator(problem, solve_qr_svd(problem))
-        mixed = kappa_mixed_componentwise_exact(op)
-        upper = kappa_mixed_componentwise_upper(op)
+        solution = solve_qr_svd(problem)
+        mixed = condition_report(problem, solution=solution)
+        upper = condition_report(problem, solution=solution, method="upper")
         assert mixed.kappa_m <= upper.kappa_m * (1 + 1e-12)
         assert mixed.kappa_c <= upper.kappa_c * (1 + 1e-12)
 
     def test_zero_solution_is_undefined(self):
         problem = zero_solution_problem()
-        op = build_k_operator(problem, solve_qr_svd(problem))
-        with pytest.raises(UndefinedConditionError):
-            kappa_mixed_componentwise_exact(op)
-        with pytest.raises(UndefinedConditionError):
-            kappa_mixed_componentwise_upper(op)
+        solution = solve_qr_svd(problem)
+        for method in ("exact", "upper"):
+            with pytest.raises(UndefinedConditionError):
+                condition_report(problem, solution=solution, method=method)
 
 
 BLOCK_N = 50
@@ -501,22 +503,22 @@ KRON_SHAPES = (
 
 
 def streamed(op):
-    """(result, target) of the exact and of the upper mixed/componentwise
-    numbers, target being |K| vec(|[L h]|) or its bound as the package sums
-    it before reducing it to kappa_m and kappa_c."""
+    """(exact, upper, target, bound): the exact and the upper report of op,
+    with |K| vec(|[L h]|) and its bound as the package sums them before
+    reducing them to kappa_m and kappa_c. The report reduces the bound
+    first; both modes must sum it to the same bits."""
     targets = []
 
-    def capture(target, x):
+    def capture(target, x, nx_inf):
         targets.append(target.copy())
-        return _mixed_componentwise(target, x)
+        return _mixed_componentwise(target, x, nx_inf)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(conditioning, "_mixed_componentwise", capture)
-        results = [
-            kappa_mixed_componentwise_exact(op),
-            kappa_mixed_componentwise_upper(op),
-        ]
-    return list(zip(results, targets))
+        exact, upper = report(op), report(op, method="upper")
+    bound, target, upper_bound = targets
+    np.testing.assert_array_equal(upper_bound, bound)
+    return exact, upper, target, bound
 
 
 def explicit_targets(op):
@@ -547,14 +549,14 @@ def assert_single_block_bitwise(op):
     # bit; the exact target sums the same terms row by row where the oracle
     # sums them column by column, so it agrees to rounding only
     assert op.m <= block_rows(op.n)
-    (exact, target), (upper, bound) = streamed(op)
+    exact, upper, target, bound = streamed(op)
     reference, upper_reference = explicit_targets(op)
     np.testing.assert_allclose(target, reference, rtol=1e-13, atol=0)
-    expected = _mixed_componentwise(reference, op.x)
-    for got, want in zip(dataclasses.astuple(exact), dataclasses.astuple(expected)):
+    expected = mixed_reference(reference, op.x)
+    for got, want in zip(mixed_fields(exact), expected):
         assert got == pytest.approx(want, rel=1e-13)
     np.testing.assert_array_equal(bound, upper_reference)
-    assert upper == _mixed_componentwise(upper_reference, op.x)
+    assert mixed_fields(upper) == mixed_reference(upper_reference, op.x)
 
 
 class TestStreamedBlocks:
@@ -564,7 +566,7 @@ class TestStreamedBlocks:
     def test_targets_and_apply_match_explicit(self, case):
         problem = BLOCK_CASES[case]
         op = build_k_operator(problem, solve_qr_svd(problem))
-        for (_, target), reference in zip(streamed(op), explicit_targets(op)):
+        for target, reference in zip(streamed(op)[2:], explicit_targets(op)):
             np.testing.assert_allclose(target, reference, rtol=1e-13, atol=0)
         rng = np.random.default_rng(30)
         for _ in range(3):
@@ -613,8 +615,8 @@ class TestStreamedBlocks:
 #: Constants of the report's memory budget (report_budget), in float64
 #: words: C1 per n^2 entry, C2 per entry of m + n (p + k), C0 in all.
 #: The n^2 terms are |N| and the n x n Gram matrices of spectral_norm and
-#: kappa_normwise_exact; the m + n (p + k) terms are adjoint_dir, gain_r
-#: and its scratch, and z1 of kappa_normwise_exact. Each weighed about
+#: conditioning._kappa_n; the m + n (p + k) terms are adjoint_dir, gain_r
+#: and its scratch, and z1 of _kappa_n. Each weighed about
 #: one word per entry at the kron shapes and 0.7 at (20, 1000, 100); C0
 #: holds the Python objects of one call, up to 0.9 K words on the
 #: smallest battery problems.
@@ -646,12 +648,44 @@ def assert_report_within_budget(problem, solution, method):
     assert peak <= budget, (problem.p, problem.q, problem.n)
 
 
+def relaid(problem: TlseProblem, layout: str) -> TlseProblem:
+    """The same data with C and A Fortran-ordered, or with C, A and b
+    strided views into arrays twice as large in each dimension."""
+    if layout == "fortran":
+        relay = np.asfortranarray
+    else:
+        def relay(a):
+            big = np.zeros(tuple(2 * s for s in a.shape))
+            view = big[tuple(slice(None, None, 2) for _ in a.shape)]
+            view[...] = a
+            return view
+    moved = TlseProblem(
+        C=relay(problem.C), d=problem.d, A=relay(problem.A),
+        b=problem.b if layout == "fortran" else relay(problem.b),
+    )
+    assert not moved.A.flags.c_contiguous
+    return moved
+
+
+def assert_layout_costs_nothing(problem, layout, method):
+    """The report of relaid data stays within budget and within 2 KiB of the
+    C-ordered report's peak: the block pass copies C and A into its own
+    buffer, so their layout adds no NumPy iterator buffer (64 KiB)."""
+    moved = relaid(problem, layout)
+    solution = solve_qr_svd(moved)
+    assert_report_within_budget(moved, solution, method)
+    c_order = report_peak(problem, solve_qr_svd(problem), method)
+    assert report_peak(moved, solution, method) <= c_order + 2048
+
+
 @pytest.mark.parametrize("method", ["upper", "exact"])
 class TestReportMemoryBudget:
     """Only the named workspaces are block-sized: no NumPy iterator buffer
     (64 KiB per operand) and no n x n temporary on top of live blocks. At
     (10, 280, 40) the exact report peaked at 0.44 MB with two such
-    buffers in _gain, above its 0.36 MB budget; it now peaks at 0.32 MB."""
+    buffers in _gain, above its 0.36 MB budget; it now peaks at 0.32 MB.
+    A Fortran-ordered or strided C or A cost 62 KiB more before the block
+    pass copied them into its |L| buffer (0.38 MB at (10, 280, 40))."""
 
     @pytest.mark.parametrize("shape", KRON_SHAPES)
     def test_kron_shapes(self, shape, method):
@@ -663,6 +697,17 @@ class TestReportMemoryBudget:
         problem = seeded_problem(16, p=20, n=100, q=1000)
         assert problem.m > 3 * block_rows(problem.n)
         assert_report_within_budget(problem, solve_qr_svd(problem), method)
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_kron_shape_layouts(self, layout, method):
+        p, q, n = shape = KRON_SHAPES[-1]
+        problem = seeded_problem(sum(shape), p=p, n=n, q=q)
+        assert_layout_costs_nothing(problem, layout, method)
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_multi_block_layouts(self, layout, method):
+        problem = seeded_problem(16, p=20, n=100, q=1000)
+        assert_layout_costs_nothing(problem, layout, method)
 
     def test_batteries(self, method, solved100, constrained20):
         for problem, solution in solved100:
@@ -777,6 +822,27 @@ class TestTlsSpecialization:
         assert np.linalg.norm(r[:, :-1] @ solution.x - r[:, -1]) == pytest.approx(
             explicit, rel=1e-13
         )
+
+    def test_rejects_misshapen_dA(self):
+        problem = tls_problem(n=4, q=10)
+        solution = solve_qr_svd(problem)
+        expected = r"dA has shape \(2, 2\), expected \(10, 4\)"
+        with pytest.raises(InputError, match=expected):
+            tls_specialization(problem, solution, dA=np.ones((2, 2)))
+        with pytest.raises(InputError, match="dA has shape"):
+            tls_specialization(problem, solution, dA=np.ones((4, 10)), db=np.ones(10))
+
+    def test_rejects_misshapen_db(self):
+        problem = tls_problem(n=4, q=10)
+        solution = solve_qr_svd(problem)
+        with pytest.raises(InputError, match="db has length 3, expected 10"):
+            tls_specialization(problem, solution, db=np.ones(3))
+        with pytest.raises(InputError, match="db has length 9, expected 10"):
+            tls_specialization(problem, solution, dA=np.ones((10, 4)), db=np.ones(9))
+        both = tls_specialization(
+            problem, solution, dA=np.ones((10, 4)), db=np.ones(10)
+        )
+        assert both.estimate > 0
 
     def test_requires_unconstrained_problem(self):
         problem = hand_problem()
