@@ -31,7 +31,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IllPosedError, InputError, NonGenericError, RankError
+from .errors import (
+    IllPosedError, InputError, NonGenericError, NumericalError, RankError,
+)
 from .linalg import (
     RANK_TOL, SvdResult, as_matrix, as_vector, r_factor, solve_triangular, svd,
 )
@@ -252,8 +254,12 @@ def constraint_pinv(basis: ConstraintBasis) -> np.ndarray:
 def check_genericity(basis: ConstraintBasis, problem: TlseProblem) -> CoreSvd:
     """Factor [A b] once, then the restricted and core SVDs on R.
 
-    satisfied means the strict spectral gap holds. Warnings carried in the
-    result (never raised here):
+    satisfied means the strict spectral gap holds. NumericalError when the
+    data's scale puts the squared spectrum outside the float range: the
+    largest restricted singular value's square overflows, or the gap holds
+    but the smallest shift s^2 - sigma_min^2 underflows below the smallest
+    normal float, where the shifted Gram inverse would overflow or lose its
+    digits. Warnings carried in the result (never raised here):
 
     - "ill-posed" when the gap is at or below GAP_WARN_FACTOR * eps *
       restricted_min_sv**2 (includes every unsatisfied case),
@@ -265,9 +271,17 @@ def check_genericity(basis: ConstraintBasis, problem: TlseProblem) -> CoreSvd:
     restricted = svd(data_r[:, :-1] @ basis.null_basis)
     res = svd(data_r @ basis.aug_null_basis)
     sig = res.s
+    s, tiny = restricted.s, np.finfo(float).tiny
+    if s[0] >= np.sqrt(np.finfo(float).max) or (
+        s[-1] > sig[-1] and (s[-1] - sig[-1]) * (s[-1] + sig[-1]) < tiny
+    ):
+        raise NumericalError(
+            f"restricted singular values {s[0]:.3e} to {s[-1]:.3e}: their "
+            "squares leave the float range; rescale the data"
+        )
     restricted_min_sv = float(restricted.s[-1])
     gap = restricted_min_sv**2 - float(sig[-1]) ** 2
-    rel_gap = gap / max(restricted_min_sv**2, np.finfo(float).tiny)
+    rel_gap = gap / max(restricted_min_sv**2, tiny)
     satisfied = restricted_min_sv > float(sig[-1])
     warnings = []
     eps = np.finfo(float).eps

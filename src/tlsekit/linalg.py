@@ -1,18 +1,21 @@
 """Dense matrix kernels shared by the rest of the package.
 
 Thin wrappers over LAPACK (via numpy and scipy), triangular solves by
-dtrtrs alone, the streamed R factor of a stack of rows, the largest
-singular value of blocks side by side from one eigenvalue of their Gram
-matrix, and the Greville pseudoinverse update. No problem semantics live
-here; everything operates on plain float arrays and raises tlsekit errors
-on contract violations.
+dtrtrs alone, the thin Q, the Cholesky factor and the largest eigenpair
+of small matrices by direct LAPACK calls, the streamed R factor of a
+stack of rows, the largest singular value of blocks side by side from one
+eigenvalue of their Gram matrix, and the Greville pseudoinverse update.
+No problem semantics live here; everything operates on plain float
+arrays and raises tlsekit errors on contract violations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dsyevr, dtpqrt, dtrtrs
+from scipy.linalg.lapack import (
+    dgeqrf, dgeqrf_lwork, dorgqr, dpotrf, dsyevr, dtpqrt, dtrtrs,
+)
 
 from .errors import InputError, NumericalError
 
@@ -27,9 +30,9 @@ BLOCK_BYTES = 256 * 1024
 #: at 101 and 301 columns, one BLAS thread).
 MERGE_NB = 16
 
-#: spectral_norm scales its blocks only when their largest entry lies
-#: outside 2^(+-GRAM_EXP): squares of such entries stay far inside the
-#: float range (2^+-1022), with room for sums over many terms.
+#: pow2_scale scales matrices only when their largest entry lies outside
+#: 2^(+-GRAM_EXP): squares of such entries stay far inside the float range
+#: (2^+-1022), with room for sums over many terms.
 GRAM_EXP = 400
 
 
@@ -106,6 +109,54 @@ def solve_triangular(a, b, trans: int = 0, lower: bool = False) -> np.ndarray:
     if info != 0:
         raise NumericalError(f"triangular solve failed (dtrtrs info {info})")
     return x
+
+
+def thin_q(a: np.ndarray) -> np.ndarray:
+    """Q of a thin QR of a (rows >= cols), by LAPACK dgeqrf then dorgqr.
+
+    a may be overwritten: a Fortran-ordered float64 a holds the
+    Householder vectors and then Q, which is returned in its memory (f2py
+    copies any other a first). a must be finite. NumericalError on a
+    nonzero LAPACK info.
+    """
+    qr, tau, _, info = dgeqrf(a, overwrite_a=1)
+    if info != 0:
+        raise NumericalError(f"QR factorization failed (dgeqrf info {info})")
+    q, _, info = dorgqr(qr, tau, overwrite_a=1)
+    if info != 0:
+        raise NumericalError(f"forming Q failed (dorgqr info {info})")
+    return q
+
+
+def cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower triangular L with L L.T = a, by LAPACK dpotrf on a's lower
+    triangle (the upper one is not read, and is zero in L). a is the
+    compression of a randomized sketch, so a nonzero info, which means a
+    is not positive definite, is a NumericalError that asks for a wider
+    sketch.
+    """
+    low, info = dpotrf(a, lower=1)
+    if info != 0:
+        raise NumericalError(
+            f"sketch compression is not positive definite (dpotrf info {info}); "
+            "increase oversample or the sample size"
+        )
+    return low
+
+
+def top_eigen(a: np.ndarray, vector: bool) -> tuple[float, np.ndarray | None]:
+    """(w, v): the largest eigenvalue of the symmetric a and, if vector, a
+    unit eigenvector (None otherwise), from one LAPACK dsyevr call (range
+    "I") on a's upper triangle, which it may overwrite. NumericalError on
+    a nonzero info.
+    """
+    k = len(a)
+    w, v, _, _, info = dsyevr(
+        a, compute_v=int(vector), range="I", il=k, iu=k, overwrite_a=1
+    )
+    if info != 0:
+        raise NumericalError(f"eigenvalue solver failed (dsyevr info {info})")
+    return float(w[0]), v[:, 0] if vector else None
 
 
 def block_rows(cols: int) -> int:
@@ -207,6 +258,19 @@ def singular_values(m) -> np.ndarray:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
 
 
+def pow2_scale(big: float, mats: list) -> tuple[int, list]:
+    """(exp, mats scaled by 2^-exp), with exp the binary exponent of the
+    finite, positive big (the largest magnitude among mats' entries) when
+    it lies outside 2^(+-GRAM_EXP), and (0, mats) unchanged otherwise. A
+    power of two scales exactly (barring underflow to subnormals), so the
+    bits of normal-range data are never touched.
+    """
+    exp = int(np.frexp(big)[1])
+    if abs(exp) <= GRAM_EXP:
+        return 0, mats
+    return exp, [np.ldexp(b, -exp) for b in mats]
+
+
 def spectral_norm(*blocks) -> float:
     """Largest singular value of the blocks side by side; a 1-d block is
     one column, as in r_factor. 0.0 when there are no entries.
@@ -216,9 +280,10 @@ def spectral_norm(*blocks) -> float:
     rows than columns, which LAPACK dsyevr computes alone (range "I"); its
     relative error is O(u), as sigma_max^2 is the Gram matrix's norm. The
     blocks are neither stacked nor copied, unless their largest entry lies
-    outside 2^(+-GRAM_EXP): those are scaled by a power of two first, so
-    that the Gram matrix neither overflows nor underflows. The smallest
-    singular values do not come from a Gram matrix (singular_values).
+    outside 2^(+-GRAM_EXP): those are scaled by a power of two first
+    (pow2_scale), so that the Gram matrix neither overflows nor
+    underflows. The smallest singular values do not come from a Gram
+    matrix (singular_values).
     """
     mats = [np.asarray(b, dtype=float) for b in blocks]
     mats = [b.reshape(-1, 1) if b.ndim == 1 else b for b in mats]
@@ -235,24 +300,15 @@ def spectral_norm(*blocks) -> float:
         raise InputError("spectral_norm blocks contain non-finite entries")
     if big == 0.0:
         return 0.0
-    exp = int(np.frexp(big)[1])
-    if abs(exp) > GRAM_EXP:
-        mats = [np.ldexp(b, -exp) for b in mats]
-    else:
-        exp = 0
+    exp, mats = pow2_scale(big, mats)
     if len(mats) == 1 and mats[0].shape[0] > mats[0].shape[1]:
         gram = mats[0].T @ mats[0]
     else:
         gram = mats[0] @ mats[0].T
         for b in mats[1:]:
             gram += b @ b.T
-    k = len(gram)
-    w, _, _, _, info = dsyevr(
-        gram, compute_v=0, range="I", il=k, iu=k, overwrite_a=1
-    )
-    if info != 0:
-        raise NumericalError(f"eigenvalue solver failed (dsyevr info {info})")
-    return float(np.ldexp(np.sqrt(max(w[0], 0.0)), exp))
+    w = top_eigen(gram, vector=False)[0]
+    return float(np.ldexp(np.sqrt(max(w, 0.0)), exp))
 
 
 def greville_augment(c_pinv, x_feas) -> np.ndarray:

@@ -6,8 +6,9 @@ eps -> 0. This module provides the embedding, its direct SVD solution, an
 admissibility bound on eps, convergence diagnostics against the constrained
 solver, and the randomized Nystrom solver that sketches the inverse Gram
 operator of the stacked matrix. Its kernel takes a batch of seeds on one R
-factor, so table2 factors each problem once for all its trials, and runs
-one stacked QR, Cholesky and SVD for all of them.
+factor, so table2 factors each problem once for all its trials; each
+trial then runs a small QR, a Cholesky and one eigenpair by direct LAPACK
+calls, with no SVD.
 
 Every route works on R factors, never on the weighted stack itself. The
 embedding is the R of [[C d]/eps; [A b]], factored with the heavy
@@ -42,7 +43,10 @@ from .core import (
     solve_qr_svd,
 )
 from .errors import IllPosedError, InputError, NumericalError
-from .linalg import r_factor, singular_values, solve_triangular, spectral_norm, svd
+from .linalg import (
+    cholesky, pow2_scale, r_factor, singular_values, solve_triangular,
+    spectral_norm, svd, thin_q, top_eigen,
+)
 
 
 @dataclass(frozen=True)
@@ -64,8 +68,10 @@ class NwtlsConfig:
 
     sample_size is the sketch width; it defaults to n - p + 1 + oversample,
     clamped to n + 1. The Gaussian test matrix is drawn from a generator
-    seeded with `seed`, so runs are reproducible; InputError for a
-    negative seed.
+    seeded with `seed`, so runs are reproducible. oversample, sample_size
+    (unless None) and seed must be integers, Python or NumPy, not bools
+    (a float is not converted); InputError otherwise, and for a negative
+    seed.
     """
 
     eps: float = 1e-8
@@ -74,6 +80,12 @@ class NwtlsConfig:
     seed: int = 0
 
     def __post_init__(self):
+        counts = {"oversample": self.oversample, "seed": self.seed}
+        if self.sample_size is not None:
+            counts["sample_size"] = self.sample_size
+        for name, value in counts.items():
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InputError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise InputError(f"seed must be non-negative, got {self.seed}")
 
@@ -268,34 +280,54 @@ def _nystrom(r: np.ndarray, width: int, seeds) -> list[np.ndarray]:
 
     The seeds' test matrices, then their Q factors, sit side by side, so
     each inverse-Gram solve is one pair of triangular solves for all seeds.
-    The QR, Cholesky and SVD each run once on the stack of all seeds'
-    matrices: NumPy's stacked calls give each matrix the LAPACK call it
-    gets alone, so each x equals the one of its seed alone.
+    Per seed, LAPACK gives the thin Q (dgeqrf, dorgqr) in the first
+    solve's own columns, the Cholesky factor L of the compression
+    Q.T G^-1 Q (dpotrf), and the largest eigenpair (w, v) of K.T K
+    (dsyevr), K = G^-1 Q L^-T; u = K v / ||K v|| is the dominant left
+    singular vector of K, with no SVD. Each seed runs the same calls on
+    the same values whatever the batch, so each x equals the one of its
+    seed alone. An R whose largest diagonal entry lies outside
+    2^(+-GRAM_EXP) is first scaled by a power of two (pow2_scale),
+    exactly, which leaves every direction unchanged. NumericalError when
+    the sketch leaves the float range (checked on each solve, on each
+    matrix a factorization reads and on u, so no NaN or RuntimeWarning
+    escapes) or a factorization breaks down.
     """
     n, k = r.shape[1] - 1, len(seeds)
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag.min() <= np.finfo(float).tiny * diag.max():
         raise NumericalError("stacked matrix is rank deficient; Gram solve fails")
+    r = pow2_scale(diag.max(), [r])[1][0]
+
+    def in_range(a):
+        if not np.isfinite(a).all():
+            raise NumericalError(
+                "the inverse-Gram sketch leaves the float range; the "
+                "weighted stack is too close to rank deficient"
+            )
+        return a
 
     def gram_solve(rhs):
-        # the Fortran-ordered (n+1, k*width) solution as a (k, n+1, width) view
-        out = solve_triangular(r, solve_triangular(r, rhs, trans=1))
-        return out.reshape(n + 1, width, k, order="F").transpose(2, 0, 1)
+        # the Fortran-ordered (n+1, k*width) solution
+        return in_range(solve_triangular(r, solve_triangular(r, rhs, trans=1)))
 
     draws = [np.random.default_rng(s).standard_normal((n + 1, width)) for s in seeds]
-    q = np.linalg.qr(gram_solve(draws[0] if k == 1 else np.hstack(draws)))[0]
-    y = gram_solve(q.transpose(1, 0, 2).reshape(n + 1, k * width))
-    z = q.transpose(0, 2, 1) @ y
-    try:
-        low = np.linalg.cholesky(0.5 * (z + z.transpose(0, 2, 1)))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "sketch compression is not positive definite; increase "
-            "oversample or the sample size"
-        ) from exc
-    k_factors = [solve_triangular(f, y_s.T, lower=True).T for f, y_s in zip(low, y)]
-    u = np.linalg.svd(np.stack(k_factors), full_matrices=False)[0]
-    return [_x_from_direction(u_s) for u_s in u[:, :, 0]]
+    q = gram_solve(draws[0] if k == 1 else np.hstack(draws))
+    blocks = [slice(s * width, (s + 1) * width) for s in range(k)]
+    for cols in blocks:
+        q[:, cols] = thin_q(q[:, cols])
+    y = gram_solve(q)
+    xs = []
+    # overflow past a finite y is caught by in_range, not warned about
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for cols in blocks:
+            q_s, y_s = q[:, cols], y[:, cols]
+            z = q_s.T @ y_s
+            low = cholesky(in_range(0.5 * (z + z.T)))
+            k_s = solve_triangular(low, y_s.T, lower=True).T
+            u = k_s @ top_eigen(in_range(k_s.T @ k_s), vector=True)[1]
+            xs.append(_x_from_direction(in_range(u / np.linalg.norm(u))))
+    return xs
 
 
 def solve_nwtls(problem: TlseProblem, cfg: NwtlsConfig | None = None) -> np.ndarray:
@@ -303,13 +335,16 @@ def solve_nwtls(problem: TlseProblem, cfg: NwtlsConfig | None = None) -> np.ndar
 
     Sketches the inverse Gram operator of the stacked matrix with a seeded
     Gaussian test matrix, compresses through QR and a small Cholesky, and
-    normalizes the dominant left singular vector of the compressed factor.
+    normalizes the dominant left singular vector of the compressed factor
+    K, read off the largest eigenpair of the small K.T K as a unit vector.
     Inverse-Gram solves go through embed's R factor of the stack with two
     triangular solves; neither the stack, its Q nor its Gram matrix is
     formed. table2 runs the same kernel on a batch of seeds. cfg.eps must
     be finite and positive (InputError otherwise). NonGenericError when the
     last component of the sketched direction is below
-    core.LAST_COMPONENT_TOL in magnitude.
+    core.LAST_COMPONENT_TOL in magnitude; NumericalError when the stack is
+    so close to rank deficient that an inverse-Gram solve leaves the float
+    range.
     """
     cfg = cfg or NwtlsConfig()
     width = cfg.resolve(problem.n, problem.p)

@@ -48,6 +48,19 @@ def make_battery(count: int, seed: int, p_min: int = 0) -> list[TlseProblem]:
     return problems
 
 
+def extreme_problem(scale=1.0, column=None):
+    """The Gaussian (p, q, n) = (2, 20, 6) problem of default_rng(0), scaled
+    whole by scale, or only in its constraint and data column `column`."""
+    rng = np.random.default_rng(0)
+    c, d = rng.standard_normal((2, 6)), rng.standard_normal(2)
+    a, b = rng.standard_normal((20, 6)), rng.standard_normal(20)
+    if column is None:
+        return TlseProblem(C=c * scale, d=d * scale, A=a * scale, b=b * scale)
+    c[:, column] *= scale
+    a[:, column] *= scale
+    return TlseProblem(C=c, d=d, A=a, b=b)
+
+
 @pytest.fixture(scope="session")
 def battery100():
     return make_battery(100, seed=11)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import tlsekit
+from conftest import extreme_problem
 from tlsekit import GeneratorSpec, TlseProblem, gen_equilibratory, save_problem
 from tlsekit.cli import build_parser, main
 
@@ -189,6 +190,34 @@ class TestSolve:
         )
         assert code == 3
         assert "numerical failure:" in err
+
+
+class TestFloatExtremes:
+    @pytest.mark.parametrize("scale", [1e-160, 1e-155, 1e155, 1e160])
+    @pytest.mark.parametrize(
+        "argv", [["solve"], ["solve", "--method", "closed"], ["cond"]]
+    )
+    def test_out_of_range_data_are_one_line_numerical_failures(
+        self, capsys, tmp_path, argv, scale
+    ):
+        path = str(tmp_path / "scaled.npz")
+        save_problem(extreme_problem(scale), path)
+        code, out, err = run(capsys, *argv, "--input", path)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("numerical failure: ")
+
+    def test_in_range_data_solve(self, capsys, tmp_path):
+        path = str(tmp_path / "scaled.npz")
+        save_problem(extreme_problem(1e150), path)
+        for method in ("qr-svd", "closed", "nwtls"):
+            code, out, err = run(
+                capsys, "solve", "--input", path, "--method", method,
+                "--format", "json",
+            )
+            assert (code, err) == (0, "")
+            assert np.isfinite(json.loads(out)["x[0]"])
 
 
 class TestCond:

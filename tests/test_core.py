@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import tlsekit.core
+from conftest import extreme_problem
 from qr_oracle import one_shot_r, stack_of
-from tlsekit import TlseProblem, solve_closed_form, solve_qr_svd
+from tlsekit import TlseProblem, condition_report, solve_closed_form, solve_qr_svd
 from tlsekit.core import (
     _x_from_direction,
     build_basis,
@@ -17,7 +18,13 @@ from tlsekit.core import (
     null_gram_inv_norm,
     validate_stationarity,
 )
-from tlsekit.errors import IllPosedError, InputError, NonGenericError, RankError
+from tlsekit.errors import (
+    IllPosedError,
+    InputError,
+    NonGenericError,
+    NumericalError,
+    RankError,
+)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -269,6 +276,25 @@ class TestGenericity:
         core = check_genericity(build_basis(problem), problem)
         assert core.satisfied
         assert core.warnings == ("near-degenerate",)
+
+
+class TestFloatExtremes:
+    """Data whose squared restricted spectrum leaves the float range are a
+    NumericalError in every deterministic route, with no RuntimeWarning."""
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-155, 1e155, 1e160])
+    @pytest.mark.parametrize(
+        "route", [solve_qr_svd, solve_closed_form, condition_report]
+    )
+    def test_out_of_range_scale_raises(self, route, scale):
+        with pytest.raises(NumericalError, match="leave the float range"):
+            route(extreme_problem(scale))
+
+    def test_squared_spectrum_in_range_still_solves(self):
+        x = solve_qr_svd(extreme_problem()).x
+        problem = extreme_problem(1e150)
+        for x_scaled in (solve_qr_svd(problem).x, solve_closed_form(problem)):
+            assert np.linalg.norm(x_scaled - x) <= 1e-14 * np.linalg.norm(x)
 
 
 class TestSolvers:

@@ -1,6 +1,7 @@
 """Dense kernel tests: validation, SVD wrappers, the spectral norm of
 blocks side by side, the streamed R factor, the Greville update, the
-direct triangular solve."""
+direct triangular solve, and the direct QR, Cholesky and eigenpair calls
+of the Nystrom kernel."""
 import math
 
 import numpy as np
@@ -17,12 +18,15 @@ from tlsekit.linalg import (
     as_matrix,
     as_vector,
     block_rows,
+    cholesky,
     greville_augment,
     r_factor,
     singular_values,
     solve_triangular,
     spectral_norm,
     svd,
+    thin_q,
+    top_eigen,
 )
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -367,3 +371,42 @@ class TestSolveTriangular:
     def test_singular_raises(self):
         with pytest.raises(NumericalError):
             solve_triangular(np.triu(np.ones((3, 3))) - np.eye(3), np.ones(3))
+
+
+
+class TestSmallFactorizations:
+    """thin_q, cholesky and top_eigen, the direct LAPACK calls of the
+    Nystrom kernel, against their defining properties and NumPy."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (9, 4), (41, 36), (300, 200)])
+    def test_thin_q(self, shape):
+        a = np.random.default_rng(shape).standard_normal(shape)
+        work = np.array(a, order="F")
+        q = thin_q(work)
+        assert np.shares_memory(q, work)
+        np.testing.assert_allclose(q.T @ q, np.eye(shape[1]), atol=1e-14)
+        np.testing.assert_allclose(q @ (q.T @ a), a, atol=1e-13)
+        np.testing.assert_allclose(np.abs(q), np.abs(np.linalg.qr(a)[0]), atol=1e-13)
+
+    def test_cholesky(self):
+        g = np.random.default_rng(1).standard_normal((12, 7))
+        a = g.T @ g
+        low = cholesky(a)
+        np.testing.assert_array_equal(low, np.tril(low))
+        np.testing.assert_allclose(low @ low.T, a, rtol=1e-14, atol=1e-13)
+        np.testing.assert_allclose(low, np.linalg.cholesky(a), rtol=1e-13)
+        with pytest.raises(NumericalError, match="dpotrf info 2"):
+            cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("k", [1, 6, 40])
+    def test_top_eigen(self, k):
+        g = np.random.default_rng(k).standard_normal((k + 3, k))
+        a = g.T @ g
+        w_all, v_all = np.linalg.eigh(a)
+        w, v = top_eigen(a.copy(), vector=True)
+        assert w == pytest.approx(w_all[-1], rel=1e-14)
+        assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-14)
+        np.testing.assert_allclose(a @ v, w * v, atol=1e-13 * w)
+        assert abs(v @ v_all[:, -1]) == pytest.approx(1.0, rel=1e-12)
+        w_only, none = top_eigen(a.copy(), vector=False)
+        assert none is None and w_only == pytest.approx(w, rel=1e-14)

@@ -8,19 +8,24 @@ import numpy as np
 import pytest
 
 import tlsekit.wtls
+from conftest import extreme_problem
 from mp_oracle import shifted_inverse
+from nystrom_oracle import nystrom_svd
 from qr_oracle import one_shot_r, stack_of
 from tlsekit import (
+    GeneratorSpec,
     NwtlsConfig,
     TlseProblem,
     check_eps_bound,
     condition_report,
     embed,
+    gen_householder_spectrum,
     solve_nwtls,
     solve_qr_svd,
     solve_wtls_direct,
     wtls_limit_diagnostics,
 )
+from tlsekit.bench import derive_seed
 from tlsekit.core import build_basis, check_genericity
 from tlsekit.errors import IllPosedError, InputError, NumericalError
 from tlsekit.linalg import r_factor, spectral_norm
@@ -111,6 +116,20 @@ def assert_gram_of(r, stack):
     """r.T @ r equals the Gram matrix of stack at 1e-13 relative."""
     gram = stack.T @ stack
     assert np.linalg.norm(r.T @ r - gram) <= 1e-13 * np.linalg.norm(gram)
+
+
+#: Relative distance allowed between the kernel's x and the stacked-SVD
+#: oracle's: the two differ only in how the dominant direction of K is
+#: read, an eigenpair of K.T K against a full SVD of K.
+ORACLE_RTOL = 1e-12
+
+
+def assert_matches_oracle(problem, cfg, seeds):
+    """_nystrom on embed's R is within ORACLE_RTOL of nystrom_svd."""
+    r = embed(problem, cfg.eps).r
+    width = cfg.resolve(problem.n, problem.p)
+    for x, ref in zip(_nystrom(r, width, seeds), nystrom_svd(r, width, seeds)):
+        assert np.linalg.norm(x - ref) <= ORACLE_RTOL * np.linalg.norm(ref)
 
 
 def degenerate_problem():
@@ -418,6 +437,31 @@ class TestNwtlsConfig:
         with pytest.raises(InputError, match="seed must be non-negative"):
             NwtlsConfig(seed=-1)
 
+    @pytest.mark.parametrize("value", [2.5, 5.0, True, "5", None])
+    def test_rejects_a_non_integer_oversample(self, value):
+        with pytest.raises(InputError, match="oversample must be an integer"):
+            NwtlsConfig(oversample=value)
+
+    @pytest.mark.parametrize("value", [4.0, 2.5, False, "4"])
+    def test_rejects_a_non_integer_sample_size(self, value):
+        with pytest.raises(InputError, match="sample_size must be an integer"):
+            NwtlsConfig(sample_size=value)
+
+    @pytest.mark.parametrize("value", [1.5, 3.0, True, "3", None])
+    def test_rejects_a_non_integer_seed(self, value):
+        with pytest.raises(InputError, match="seed must be an integer"):
+            NwtlsConfig(seed=value)
+
+    def test_numpy_integers_are_integers(self):
+        cfg = NwtlsConfig(
+            oversample=np.int32(2), sample_size=np.int64(4), seed=np.uint64(9)
+        )
+        assert cfg.resolve(8, 3) == 4
+        np.testing.assert_array_equal(
+            solve_nwtls(seeded_problem(7), cfg),
+            solve_nwtls(seeded_problem(7), NwtlsConfig(sample_size=4, seed=9)),
+        )
+
 
 class TestNwtlsSolver:
     def test_deterministic_under_seed(self):
@@ -518,6 +562,7 @@ class TestNwtlsStreamed:
         x = solve_nwtls(problem, cfg)
         ref = _old_nwtls(problem, cfg, monkeypatch)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert_matches_oracle(problem, cfg, [3, 11])
 
     @pytest.mark.parametrize("eps", [0.0, -1e-8, float("nan"), float("inf")])
     def test_rejects_bad_eps(self, eps):
@@ -584,6 +629,79 @@ class TestNystromBatch:
             _nystrom(r, 3, [0])
         with pytest.raises(NumericalError):
             _nystrom(r, 3, self.SEEDS)
+
+
+class TestNystromOracle:
+    """The eigenpair kernel against the stacked-SVD oracle, within
+    ORACLE_RTOL, for several seeds at once."""
+
+    SEEDS = [0, 5, 2**40]
+
+    def test_battery(self, battery100):
+        for problem in battery100:
+            assert_matches_oracle(problem, NwtlsConfig(), self.SEEDS)
+
+    def test_constrained(self, constrained20):
+        for problem in constrained20:
+            assert_matches_oracle(problem, NwtlsConfig(eps=1e-4), self.SEEDS)
+            assert_matches_oracle(problem, NwtlsConfig(sample_size=3), self.SEEDS)
+
+    @pytest.mark.parametrize("decades", [3, 4])
+    @pytest.mark.parametrize(
+        "shape", [(3, 15, 8), (5, 120, 30), (0, 40, 10), (4, 8, 10)]
+    )
+    def test_column_scaled(self, shape, decades):
+        p, q, n = shape
+        for seed in range(3):
+            problem = gaussian(seed, p, q, n, scaled=True, decades=decades)
+            assert_matches_oracle(problem, NwtlsConfig(), self.SEEDS)
+
+    @pytest.mark.parametrize("mi, m", [(0, 50), (1, 100)])
+    def test_table2_problems(self, mi, m):
+        for di, delta in enumerate((1e-2, 1e-3, 1e-4)):
+            problem = gen_householder_spectrum(
+                GeneratorSpec(
+                    kind="householder_spectrum",
+                    m=m,
+                    delta=delta,
+                    seed=derive_seed(0, mi, di),
+                )
+            )
+            seeds = [derive_seed(0, mi, di, 2, s) for s in range(20)]
+            assert_matches_oracle(problem, NwtlsConfig(), seeds)
+
+
+class TestNystromAtFloatExtremes:
+    """The kernel scales an R outside 2^(+-GRAM_EXP) by a power of two, and
+    a solve that leaves the float range is a NumericalError, with no
+    RuntimeWarning either way."""
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-155, 1e150, 1e155, 1e160])
+    def test_scaled_problem_solves(self, scale):
+        x = solve_nwtls(extreme_problem())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x_scaled = solve_nwtls(extreme_problem(scale))
+        assert np.linalg.norm(x_scaled - x) <= 1e-14 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("exp", [-500, 500])
+    @pytest.mark.parametrize("p", [0, 3])
+    def test_scaling_by_a_power_of_two_is_exact(self, exp, p):
+        problem = seeded_problem(7, p=p)
+        r = embed(problem, 1e-8).r
+        width = NwtlsConfig().resolve(problem.n, problem.p)
+        xs = _nystrom(r, width, [0, 1])
+        for x, x_scaled in zip(xs, _nystrom(np.ldexp(r, exp), width, [0, 1])):
+            np.testing.assert_array_equal(x_scaled, x)
+
+    # 2.2e-155: the solves stay finite, but the compression Q.T G^-1 Q
+    # overflows when symmetrized
+    @pytest.mark.parametrize("scale", [1e-160, 2.2e-155, 1e160])
+    def test_tiny_column_raises(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="leaves the float range"):
+                solve_nwtls(extreme_problem(scale, column=3))
 
 
 class TestOverflowingEps:
