@@ -9,11 +9,14 @@ C x = d. The solver pipeline:
 2. One streamed QR of [A b] compresses the data to its (n+1) x (n+1)
    triangular factor R, which has the same Gram matrix; the rows pass once
    through a small workspace, a block at a time, and are not read again.
-   On R run the SVD of the data restricted to ker(C) and the SVD of the
-   core matrix (the data on ker([C d])), which supplies the optimal
-   direction and the shift sigma_min that appears everywhere downstream.
+   On R runs one SVD, of the data restricted to ker(C). The core matrix
+   (the data on ker([C d])) is that matrix with one column appended, so a
+   rank-one secular update of the restricted SVD (linalg.bordered_svd)
+   supplies its spectrum, the optimal direction and the shift sigma_min
+   that appears everywhere downstream, with the shifts s^2 - sigma_min^2
+   as products of accurately computed differences.
 3. The solution is read off by normalizing the last component of the lifted
-   core singular vector to -1 (solve_qr_svd), or from the restricted SVD as
+   core direction to -1 (solve_qr_svd), or from the restricted SVD as
    a filtered correction of the feasible point (solve_closed_form). The
    shifted Gram inverse comes from the restricted SVD too: no normal
    equations are formed. So do the spectral norms of that inverse and of
@@ -26,6 +29,7 @@ what check_genericity reports and what the conditioning module divides by.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -35,7 +39,8 @@ from .errors import (
     IllPosedError, InputError, NonGenericError, NumericalError, RankError,
 )
 from .linalg import (
-    RANK_TOL, SvdResult, as_matrix, as_vector, r_factor, solve_triangular, svd,
+    RANK_TOL, SvdResult, as_matrix, as_vector, bordered_svd, r_factor,
+    solve_triangular, svd,
 )
 
 #: Hard ill-posedness warning when gap <= GAP_WARN_FACTOR * eps * sigma_bar^2.
@@ -49,6 +54,11 @@ MULTIPLICITY_FACTOR = 1e3
 
 #: Smallest acceptable magnitude for the normalizing component.
 LAST_COMPONENT_TOL = 1e-12
+
+_OUT_OF_RANGE = (
+    "restricted singular values {:.3e} to {:.3e}: their squares leave the "
+    "float range; rescale the data"
+)
 
 
 @dataclass(frozen=True)
@@ -148,17 +158,21 @@ class CoreSvd:
 
     data_r is the min(q, n+1) x (n+1) R of a QR of [A b]; [A b] @ M and
     R @ M share singular values and right singular vectors for every M.
-    restricted is the SVD of R[:, :n] @ null_basis (A on ker(C)); sigma and
-    right are the n-p+1 core singular values (nonincreasing) and right
-    singular vectors of R @ aug_null_basis. Genericity means
-    restricted_min_sv > sigma[-1]. gap is the difference of their squares,
+    restricted is the SVD U diag(s) V.T of R[:, :n] @ null_basis (A on
+    ker(C)); sigma holds the n-p+1 singular values (nonincreasing) of the
+    core matrix R @ aug_null_basis and direction its unit right singular
+    vector for sigma[-1], both read off the restricted SVD by
+    check_genericity. shifts = s^2 - sigma[-1]^2, factored; shifts >= 0,
+    so restricted_min_sv >= sigma[-1], and genericity means the strict
+    inequality. gap = shifts[-1], the difference of the two squares,
     rel_gap the gap relative to restricted_min_sv**2.
     """
 
     data_r: np.ndarray
     restricted: SvdResult
     sigma: np.ndarray
-    right: np.ndarray
+    shifts: np.ndarray
+    direction: np.ndarray
     gap: float
     rel_gap: float
     satisfied: bool
@@ -252,14 +266,22 @@ def constraint_pinv(basis: ConstraintBasis) -> np.ndarray:
 
 
 def check_genericity(basis: ConstraintBasis, problem: TlseProblem) -> CoreSvd:
-    """Factor [A b] once, then the restricted and core SVDs on R.
+    """Factor [A b] once, then one SVD, of the data restricted to ker(C).
 
-    satisfied means the strict spectral gap holds. NumericalError when the
-    data's scale puts the squared spectrum outside the float range: the
-    largest restricted singular value's square overflows, or the gap holds
-    but the smallest shift s^2 - sigma_min^2 underflows below the smallest
-    normal float, where the shifted Gram inverse would overflow or lose its
-    digits. Warnings carried in the result (never raised here):
+    The core matrix R @ aug_null_basis is [B w] with B = R_A @ null_basis
+    (R_A = data_r[:, :-1]) and w = R @ aug_null_basis[:, -1], a column
+    appended to B. With B = U diag(s) V.T the restricted SVD, z = U.T w
+    and gamma = ||w - U z||, it is [U u] [[diag(s), z], [0, gamma]]
+    blkdiag(V, 1).T for a unit u orthogonal to U, so linalg.bordered_svd
+    reads the core spectrum, the shifts s^2 - sigma_min^2 and the trailing
+    right singular vector off s, z and gamma by a rank-one secular update;
+    the core matrix is never formed or factored. satisfied means the strict
+    spectral gap holds. NumericalError when the data's scale puts the
+    squared spectrum outside the float range: the largest restricted
+    singular value's square overflows, or the gap holds but the smallest
+    shift underflows below the smallest normal float, where the shifted
+    Gram inverse would overflow or lose its digits. Warnings carried in the
+    result (never raised here):
 
     - "ill-posed" when the gap is at or below GAP_WARN_FACTOR * eps *
       restricted_min_sv**2 (includes every unsatisfied case),
@@ -269,20 +291,20 @@ def check_genericity(basis: ConstraintBasis, problem: TlseProblem) -> CoreSvd:
     """
     data_r = r_factor(problem.A, problem.b)
     restricted = svd(data_r[:, :-1] @ basis.null_basis)
-    res = svd(data_r @ basis.aug_null_basis)
-    sig = res.s
     s, tiny = restricted.s, np.finfo(float).tiny
-    if s[0] >= np.sqrt(np.finfo(float).max) or (
-        s[-1] > sig[-1] and (s[-1] - sig[-1]) * (s[-1] + sig[-1]) < tiny
-    ):
-        raise NumericalError(
-            f"restricted singular values {s[0]:.3e} to {s[-1]:.3e}: their "
-            "squares leave the float range; rescale the data"
-        )
-    restricted_min_sv = float(restricted.s[-1])
-    gap = restricted_min_sv**2 - float(sig[-1]) ** 2
-    rel_gap = gap / max(restricted_min_sv**2, tiny)
+    if s[0] >= np.sqrt(np.finfo(float).max):
+        raise NumericalError(_OUT_OF_RANGE.format(s[0], s[-1]))
+    w = data_r @ basis.aug_null_basis[:, -1]
+    z = restricted.u.T @ w
+    off = w - restricted.u @ z
+    gamma = math.sqrt(off @ off)
+    sig, shifts, y = bordered_svd(s, z, gamma)
+    restricted_min_sv = float(s[-1])
+    gap = float(shifts[-1])
     satisfied = restricted_min_sv > float(sig[-1])
+    if satisfied and gap < tiny:
+        raise NumericalError(_OUT_OF_RANGE.format(s[0], s[-1]))
+    rel_gap = gap / max(restricted_min_sv**2, tiny)
     warnings = []
     eps = np.finfo(float).eps
     if gap <= GAP_WARN_FACTOR * eps * restricted_min_sv**2:
@@ -295,7 +317,8 @@ def check_genericity(basis: ConstraintBasis, problem: TlseProblem) -> CoreSvd:
         data_r=data_r,
         restricted=restricted,
         sigma=sig,
-        right=res.v,
+        shifts=shifts,
+        direction=np.concatenate((restricted.v @ y[:-1], y[-1:])),
         gap=gap,
         rel_gap=rel_gap,
         satisfied=satisfied,
@@ -305,8 +328,10 @@ def check_genericity(basis: ConstraintBasis, problem: TlseProblem) -> CoreSvd:
 
 def _shifts(core: CoreSvd, shift: float | None = None) -> np.ndarray:
     """s^2 - shift^2 over the restricted singular values s, factored; the
-    shift defaults to sigma_min."""
-    s, shift = core.restricted.s, core.sigma_min if shift is None else shift
+    shift defaults to sigma_min, whose shifts check_genericity stored."""
+    if shift is None:
+        return core.shifts
+    s = core.restricted.s
     return (s - shift) * (s + shift)
 
 
@@ -362,7 +387,10 @@ def _x_from_direction(v: np.ndarray) -> np.ndarray:
 
 
 def solve_qr_svd(problem: TlseProblem) -> TlseSolution:
-    """Solve by lifting the trailing core singular vector and normalizing.
+    """Solve by lifting the core direction and normalizing.
+
+    The direction is the trailing right singular vector of the core matrix,
+    which check_genericity reads off the restricted SVD with no second SVD.
 
     rho = +sqrt(1 + ||x||^2). Raises IllPosedError when the genericity gap
     fails, NonGenericError when the normalizing component is below
@@ -371,7 +399,7 @@ def solve_qr_svd(problem: TlseProblem) -> TlseSolution:
     accessed.
     """
     basis, core = _posed(problem)
-    x = _x_from_direction(basis.aug_null_basis @ core.right[:, -1])
+    x = _x_from_direction(basis.aug_null_basis @ core.direction)
     rho = float(np.sqrt(1.0 + x @ x))
     null_basis = basis.null_basis
     gram_inv = _gram_inv(core)
@@ -396,9 +424,9 @@ def solve_closed_form(problem: TlseProblem) -> np.ndarray:
     x = x_feas - N S^{-1} (A N).T (A x_feas - b) with N = null_basis and
     S = (A N).T (A N) - sigma_min^2 I, evaluated on R through the restricted
     SVD U diag(s) V.T as x_feas - N V diag(s/shifts) U.T (R [x_feas; -1]);
-    S is never formed. It shares R, the restricted SVD and sigma_min with
-    solve_qr_svd but does not use the core singular vectors, so the two act
-    as cross-checks. Returns the solution vector only.
+    S is never formed. It shares R, the restricted SVD and the shifts with
+    solve_qr_svd but does not use the core direction, so the two act as
+    cross-checks. Returns the solution vector only.
     """
     basis, core = _posed(problem)
     r = core.data_r

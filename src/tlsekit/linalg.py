@@ -4,17 +4,20 @@ Thin wrappers over LAPACK (via numpy and scipy), triangular solves by
 dtrtrs alone, the thin Q, the Cholesky factor and the largest eigenpair
 of small matrices by direct LAPACK calls, the streamed R factor of a
 stack of rows, the largest singular value of blocks side by side from one
-eigenvalue of their Gram matrix, and the Greville pseudoinverse update.
+eigenvalue of their Gram matrix, the singular values of a diagonal
+matrix bordered by one column from LAPACK's secular equation solver, and
+the Greville pseudoinverse update.
 No problem semantics live here; everything operates on plain float
 arrays and raises tlsekit errors on contract violations.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import (
-    dgeqrf, dgeqrf_lwork, dorgqr, dpotrf, dsyevr, dtpqrt, dtrtrs,
+    dgeqrf, dgeqrf_lwork, dlasd4, dorgqr, dpotrf, dsyevr, dtpqrt, dtrtrs,
 )
 
 from .errors import InputError, NumericalError
@@ -34,6 +37,11 @@ MERGE_NB = 16
 #: 2^(+-GRAM_EXP): squares of such entries stay far inside the float range
 #: (2^+-1022), with room for sums over many terms.
 GRAM_EXP = 400
+
+#: bordered_svd deflates at DEFLATE_TOL * u * max(s[0], ||[z; gamma]||),
+#: u = eps/2, the order of the rounding error in the singular values it is
+#: given.
+DEFLATE_TOL = 64
 
 
 def _check_finite(arr: np.ndarray, name: str) -> None:
@@ -244,6 +252,84 @@ def r_factor(*blocks, head=None) -> np.ndarray:
         if info != 0:
             raise NumericalError(f"QR block merge failed (dtpqrt info {info})")
     return r
+
+
+def bordered_svd(s, z, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Singular values of H = [[diag(s), z], [0, gamma]] and the right
+    singular vector of the smallest, for a nonincreasing, nonnegative s.
+
+    H H.T = diag(s^2, 0) + zeta zeta.T with zeta = [z; gamma], so the
+    squared singular values are the roots of the secular equation
+    1 + sum_j zeta_j^2 / (d_j^2 - sigma^2) = 0 over the poles d = [s; 0].
+    LAPACK dlasd4, the secular solver of the divide-and-conquer SVD (Gu &
+    Eisenstat, SIMAX 1995), finds each root on data scaled by a power of
+    two to magnitude at most 1. Deflation follows LAPACK dlasd2, with tol =
+    DEFLATE_TOL * u * max(s[0], ||zeta||): a pole with |zeta_j| <= tol is
+    itself a singular value (so zeta = 0 leaves every pole one), and of
+    poles within tol of the smallest in their run the larger ones are, each
+    zeta merged into the smallest's by a Givens rotation.
+
+    Returns (sigma, shifts, y): the len(s) + 1 singular values,
+    nonincreasing; shifts = s^2 - sigma_min^2, each a product of the
+    differences d_j - sigma_min that dlasd4 computes to high relative
+    accuracy, so shifts >= 0 and s[-1] >= sigma_min; and the unit vector y
+    with H.T H y = sigma_min^2 y, which is [-s z / shifts; 1] normalized,
+    or e_j when sigma_min is the deflated pole s_j = s[-1] (shifts[-1] = 0).
+    NumericalError on a nonzero dlasd4 info.
+    """
+    # poles in ascending order, 0 (gamma's row) first, zeta alongside; all
+    # scaled by a power of two, which is exact, to magnitude at most 1
+    exp = math.frexp(max(s[0], abs(gamma), *map(abs, z.tolist())))[1]
+    poles = [0.0] + [math.ldexp(v, -exp) for v in reversed(s.tolist())]
+    zeta = [math.ldexp(gamma, -exp)] + [math.ldexp(v, -exp) for v in reversed(z.tolist())]
+    tol = DEFLATE_TOL * np.finfo(float).eps / 2 * max(poles[-1], math.hypot(*zeta))
+    d, weight, deflated = [], [], []
+    for t, w in zip(poles, zeta):
+        if abs(w) <= tol:
+            deflated.append(t)
+        elif d and t - d[-1] <= tol:
+            weight[-1] = math.hypot(weight[-1], w)
+            deflated.append(t)
+        else:
+            d.append(t)
+            weight.append(w)
+    norm = math.hypot(*weight)
+    rho, unit, poles_in = norm * norm, np.array(weight) / (norm or 1.0), np.array(d)
+    roots, delta = [], None
+    for i in range(len(d)):
+        step, root, _, info = dlasd4(i, poles_in, unit, rho)
+        if info != 0:
+            raise NumericalError(f"secular equation solver failed (dlasd4 info {info})")
+        roots.append(root)
+        if i == 0:
+            # dlasd4 returns no differences for one pole
+            delta = step.tolist() if len(d) > 1 else [d[0] - root]
+    sigma = sorted(roots + deflated, reverse=True)
+    low = sigma[-1]
+    if roots and not any(t <= low for t in deflated):
+        # sigma_min is the smallest root, and d_j - sigma_min is
+        # (d_j - d_ref) + delta_ref with d_ref the largest pole of the
+        # secular equation at or below d_j: two terms >= 0
+        diffs, ref = [], 0
+        for t in poles[1:]:
+            while ref + 1 < len(d) and d[ref + 1] <= t:
+                ref += 1
+            diffs.append((t - d[ref]) + delta[ref])
+    else:
+        diffs = [t - low for t in poles[1:]]
+    shifts = [diff * (t + low) for diff, t in zip(diffs, poles[1:])][::-1]
+    gap = shifts[-1]
+    if gap == 0.0:
+        y = [0.0] * (len(s) + 1)
+        y[-2] = 1.0
+    else:
+        y = [
+            -t * w * (gap / shift) if abs(w) > tol else 0.0
+            for t, w, shift in zip(poles[:0:-1], zeta[:0:-1], shifts)
+        ] + [gap]
+        norm = math.hypot(*y)
+        y = [v / norm for v in y]
+    return np.ldexp(sigma, exp), np.ldexp(shifts, 2 * exp), np.array(y)
 
 
 def singular_values(m) -> np.ndarray:

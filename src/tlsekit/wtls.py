@@ -169,13 +169,19 @@ def check_eps_bound(problem: TlseProblem, eps: float, core) -> EpsBound:
     core must come from check_genericity on the same problem: ||[A b]||_2 is
     taken from core.data_r, its R factor of [A b]. With p = 0, [C d] has
     no singular values, its pseudoinverse norm is 0 and the test reduces to
-    a positive gap.
+    a positive gap. When the left side overflows (singular values of [C d]
+    below about 1e-154), lhs is inf, margin -inf and ok False.
     """
     eps = _positive_eps(eps)
     sv_min = singular_values(problem.aug_constraint()).min(initial=np.inf)
-    pinv_norm = 1.0 / float(sv_min)
-    data_norm = spectral_norm(core.data_r)
-    lhs = 2.0 * eps**2 * pinv_norm**2 * data_norm**2
+    pinv_norm = 1.0 / sv_min
+    data_norm = np.float64(spectral_norm(core.data_r))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = 2.0 * eps**2 * pinv_norm**2 * data_norm**2
+    # NumPy scalars overflow to inf where Python floats raise OverflowError;
+    # a nan (eps**2 underflowing to 0 times an infinite factor) is taken as
+    # inf too, so a nearly singular [C d] admits no eps
+    lhs = float(lhs) if np.isfinite(lhs) else np.inf
     gap = float(core.gap)
     return EpsBound(ok=gap > lhs, margin=gap - lhs, lhs=lhs, gap=gap)
 

@@ -54,3 +54,43 @@ def mixed_target(op) -> np.ndarray:
             ]
             target[i] = float(mpmath.fsum(terms))
     return target
+
+
+def core_reference(problem) -> tuple[float, float, np.ndarray]:
+    """(sigma_min, gap, x) of a problem, everything after the float data at
+    DIGITS: a full QR of C.T (mp.qr) gives the basis N of ker(C) and the
+    minimum-norm feasible point x_f, so the columns of
+    aug = [[N, a x_f], [0, -a]], a = 1/sqrt(1 + ||x_f||^2), span
+    ker([C d]) orthonormally. mp.svd_r of [A b] aug gives sigma_min and its
+    right singular vector v, and of A N the restricted s_min;
+    gap = s_min^2 - sigma_min^2 and x = -(aug v)[:n] / (aug v)[n].
+    """
+    n, p = problem.n, problem.p
+    with mpmath.workdps(DIGITS):
+        if p:
+            q, r = mpmath.qr(mpmath.matrix(problem.C.T.tolist()), mode="full")
+            x_feas = q[:, :p] * mpmath.lu_solve(
+                r[:p, :p].T, mpmath.matrix(problem.d.tolist())
+            )
+            null = q[:, p:]
+        else:
+            x_feas, null = mpmath.zeros(n, 1), mpmath.eye(n)
+        scale = 1 / mpmath.sqrt(1 + mpmath.norm(x_feas) ** 2)
+        aug = mpmath.zeros(n + 1, n - p + 1)
+        for i in range(n):
+            for j in range(n - p):
+                aug[i, j] = null[i, j]
+            aug[i, n - p] = scale * x_feas[i]
+        aug[n, n - p] = -scale
+        stack = mpmath.matrix(np.column_stack([problem.A, problem.b]).tolist())
+        _, sig, vt = mpmath.svd_r(stack * aug)
+        low = min(range(len(sig)), key=lambda i: sig[i])
+        restricted = mpmath.svd_r(stack[:, :n] * null, compute_uv=False)
+        s_min = min(restricted[i] for i in range(len(restricted)))
+        lifted = aug * vt[low, :].T
+        x = [-lifted[i] / lifted[n] for i in range(n)]
+        return (
+            float(sig[low]),
+            float(s_min**2 - sig[low] ** 2),
+            np.array([float(v) for v in x]),
+        )

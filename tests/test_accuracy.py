@@ -6,6 +6,10 @@ and x is read off the trailing right singular vector of the data projected
 on that basis. Both routes are backward stable, so every solver must land
 within C_ACC * u * kappa_n of it (relative), kappa_n being the normwise
 condition number that condition_report computes for the problem.
+
+A second set holds both solvers and the genericity gap to 60-digit
+references (mp_oracle.core_reference) on small column-scaled and
+near-degenerate problems.
 """
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from tlsekit import (
     solve_closed_form,
     solve_qr_svd,
 )
+from mp_oracle import core_reference
 from tlsekit.bench import derive_seed
 
 #: Unit roundoff of float64.
@@ -95,3 +100,69 @@ def test_qr_svd_forward_error(case):
 def test_closed_form_forward_error(case):
     problem, _, tol, x_ref = case
     assert np.linalg.norm(solve_closed_form(problem) - x_ref) <= tol
+
+
+#: c1 of ||x - x_mp|| <= c1 * u * kappa_n * ||x_mp|| against the 60-digit x.
+C_X_MP = 4.0
+
+#: c2 of |gap - gap_mp| <= c2 * u * ||R||_2 * s_min against the 60-digit gap.
+C_GAP_MP = 1.0
+
+
+def column_scaled(seed, p):
+    """(p, 12, 7) Gaussian problem with columns scaled by 10^U(-4, 4)."""
+    rng = np.random.default_rng([seed, p])
+    cols = 10.0 ** rng.uniform(-4, 4, 7)
+    return TlseProblem(
+        C=rng.standard_normal((p, 7)) * cols,
+        d=rng.standard_normal(p),
+        A=rng.standard_normal((12, 7)) * cols,
+        b=rng.standard_normal(12),
+    )
+
+
+def near_degenerate(seed, rel_gap):
+    """p = 0 problem A = U diag(s) V.T (10 x 6, s_min = 1), b = U c +
+    3 u_6 with c_min set so that the relative genericity gap is about
+    rel_gap: near s_min the secular equation of the core spectrum reads
+    c_min^2 / (1 - sigma^2) = -f, f = 1 + sum_(j<6) c_j^2 / (s_j^2 - 1) - 9.
+    """
+    rng = np.random.default_rng([seed, 10, 6])
+    left = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+    right = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    s = np.sort(rng.uniform(2.0, 10.0, 6))[::-1]
+    s[-1] = 1.0
+    c = rng.uniform(0.2, 0.5, 6)
+    f = 1.0 + np.sum(c[:-1] ** 2 / (s[:-1] ** 2 - 1.0)) - 9.0
+    c[-1] = np.sqrt(rel_gap * -f)
+    return TlseProblem(
+        C=np.zeros((0, 6)),
+        d=np.zeros(0),
+        A=(left[:, :6] * s) @ right.T,
+        b=left[:, :6] @ c + 3.0 * left[:, 6],
+    )
+
+
+MP_CASES = [
+    (f"scaled-p{p}-{s}", lambda s=s, p=p: column_scaled(s, p))
+    for s in range(3)
+    for p in (0, 2, 3)
+] + [
+    (f"gap-{g:.0e}-{s}", lambda s=s, g=g: near_degenerate(s, g))
+    for s in range(2)
+    for g in (1e-4, 1e-6, 1e-8)
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in MP_CASES], ids=[n for n, _ in MP_CASES])
+def test_against_60_digit_reference(make):
+    problem = make()
+    solution = solve_qr_svd(problem)
+    core = solution.core
+    kappa_n = condition_report(problem, solution).kappa_n
+    _, gap, x = core_reference(problem)
+    tol = C_X_MP * U * kappa_n * np.linalg.norm(x)
+    assert np.linalg.norm(solution.x - x) <= tol
+    assert np.linalg.norm(solve_closed_form(problem) - x) <= tol
+    r_norm = np.linalg.norm(core.data_r, 2)
+    assert abs(core.gap - gap) <= C_GAP_MP * U * r_norm * core.restricted_min_sv

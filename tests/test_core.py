@@ -28,6 +28,9 @@ from tlsekit.errors import (
 
 PHI = (1 + math.sqrt(5)) / 2
 
+#: Unit roundoff of float64.
+U = np.finfo(float).eps / 2
+
 
 def hand_problem():
     # constraint x1 = 2, data A = I, b = (2, 3): consistent, so x = (2, 3)
@@ -51,6 +54,44 @@ def degenerate_problem():
         d=np.zeros(0),
         A=np.array([[1.0], [0.0]]),
         b=np.array([0.0, 1.0]),
+    )
+
+
+def tied_problem():
+    # [A b] = [[2,0,0],[0,2,0],[0,0,2]]: restricted s = (2, 2), z = 0, and
+    # the core singular values are (2, 2, 2)
+    return TlseProblem(
+        C=np.zeros((0, 2)),
+        d=np.zeros(0),
+        A=np.array([[2.0, 0.0], [0.0, 2.0], [0.0, 0.0]]),
+        b=np.array([0.0, 0.0, 2.0]),
+    )
+
+
+def consistent_problem():
+    # b = A x0 and d = C x0: gamma = 0 and sigma_min = 0, x = x0
+    rng = np.random.default_rng(21)
+    c, a, x0 = rng.standard_normal((2, 5)), rng.standard_normal((9, 5)), rng.standard_normal(5)
+    return TlseProblem(C=c, d=c @ x0, A=a, b=a @ x0)
+
+
+def feasible_point_problem():
+    # b = A x_feas for the minimum-norm feasible point x_feas, so
+    # w = aug_scale * R [x_feas; -1] = 0: z = 0 and gamma = 0
+    rng = np.random.default_rng(22)
+    c, d, a = rng.standard_normal((2, 5)), rng.standard_normal(2), rng.standard_normal((9, 5))
+    return TlseProblem(C=c, d=d, A=a, b=a @ (np.linalg.pinv(c) @ d))
+
+
+def interior_zero_problem():
+    # p = 0, A = U diag(4, 3, 2, 1) V.T and b without a component along
+    # U[:, 1], so z_1 = 0 while the other z_j and gamma are not
+    rng = np.random.default_rng(23)
+    left = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+    right = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    b = left[:, :4] @ np.array([0.5, 0.0, 0.4, 0.3]) + 0.6 * left[:, 4]
+    return TlseProblem(
+        C=np.zeros((0, 4)), d=np.zeros(0), A=(left[:, :4] * [4.0, 3.0, 2.0, 1.0]) @ right.T, b=b
     )
 
 
@@ -241,7 +282,7 @@ class TestGenericity:
         assert core.restricted.u.shape == (n + 1, k - 1)
         assert core.restricted.v.shape == (k - 1, k - 1)
         assert core.sigma.shape == (k,)
-        assert core.right.shape == (k, k)
+        assert core.direction.shape == (k,)
         np.testing.assert_allclose(
             core.data_r.T @ core.data_r,
             stack_of(problem.A, problem.b).T @ stack_of(problem.A, problem.b),
@@ -256,12 +297,7 @@ class TestGenericity:
         assert "ill-posed" in core.warnings
 
     def test_coincident_smallest_values_flag_non_unique(self):
-        problem = TlseProblem(
-            C=np.zeros((0, 2)),
-            d=np.zeros(0),
-            A=np.array([[2.0, 0.0], [0.0, 2.0], [0.0, 0.0]]),
-            b=np.array([0.0, 0.0, 2.0]),
-        )
+        problem = tied_problem()
         core = check_genericity(build_basis(problem), problem)
         assert "non-unique" in core.warnings
         assert "ill-posed" in core.warnings
@@ -276,6 +312,99 @@ class TestGenericity:
         core = check_genericity(build_basis(problem), problem)
         assert core.satisfied
         assert core.warnings == ("near-degenerate",)
+
+
+class TestCoreSpectrum:
+    """The core spectrum and trailing direction read off the restricted SVD
+    (linalg.bordered_svd) against a direct SVD of R @ aug_null_basis, on
+    problems that take each deflation path."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            tied_problem,
+            degenerate_problem,
+            consistent_problem,
+            feasible_point_problem,
+            interior_zero_problem,
+            lambda: seeded_problem(6, p=0),
+            lambda: seeded_problem(7),
+        ],
+        ids=["tied-z0", "degenerate", "consistent", "w0", "interior-z0", "p0", "p3"],
+    )
+    def test_matches_the_core_svd(self, make):
+        problem = make()
+        basis = build_basis(problem)
+        core = check_genericity(basis, problem)
+        _, sv, vt = np.linalg.svd(core.data_r @ basis.aug_null_basis)
+        tol = 64 * U * sv[0]
+        np.testing.assert_allclose(core.sigma, sv, rtol=0, atol=tol)
+        assert np.linalg.norm(core.direction) == pytest.approx(1.0, rel=1e-14)
+        # the direction lies in the right singular subspace of the trailing
+        # cluster; for a simple sigma_min that is the SVD's vector up to sign
+        cluster = sv <= sv[-1] + tol
+        trailing = vt[cluster]
+        outside = core.direction - trailing.T @ (trailing @ core.direction)
+        separation = sv[~cluster][-1] - sv[-1] if not cluster.all() else np.inf
+        assert np.linalg.norm(outside) <= tol / separation
+
+    def test_consistent_data_solve_exactly(self):
+        problem = consistent_problem()
+        core = check_genericity(build_basis(problem), problem)
+        assert core.sigma_min == 0.0 and core.satisfied
+        x0 = np.linalg.lstsq(problem.L, problem.h, rcond=None)[0]
+        np.testing.assert_allclose(solve_qr_svd(problem).x, x0, rtol=1e-12)
+        np.testing.assert_allclose(solve_closed_form(problem), x0, rtol=1e-12)
+
+    def test_feasible_point_is_the_solution_when_w_is_zero(self):
+        problem = feasible_point_problem()
+        basis = build_basis(problem)
+        core = check_genericity(basis, problem)
+        assert core.sigma_min == 0.0
+        np.testing.assert_allclose(abs(core.direction[-1]), 1.0, rtol=1e-14)
+        np.testing.assert_allclose(solve_qr_svd(problem).x, basis.x_feas, rtol=1e-12)
+
+    @pytest.mark.parametrize("route", [solve_qr_svd, solve_closed_form])
+    def test_one_svd_per_solve(self, route, monkeypatch):
+        calls = []
+        real = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        problem = seeded_problem(8)
+        route(problem)
+        # the restricted SVD of R_A @ null_basis, n + 1 by n - p
+        assert calls == [(problem.n + 1, problem.n - problem.p)]
+
+    def test_spectrum_matches_a_direct_svd_at_benchmark_sizes(self, battery100, constrained20):
+        # the batteries, Gaussian problems of the benchmark's tall (p, q, n)
+        # shapes, one column-scaled, and of its ten kron shapes
+        rng = np.random.default_rng(24)
+        shapes = [(20, 2000, 100), (20, 2500, 100), (20, 3000, 100)] + [
+            (8, 192, 30), (8, 212, 32), (10, 230, 34), (10, 240, 35), (10, 250, 36),
+            (10, 260, 37), (12, 258, 38), (12, 268, 39), (10, 270, 40), (10, 280, 40),
+        ]
+        problems = list(battery100 + constrained20)
+        for i, (p, q, n) in enumerate(shapes):
+            cols = 10.0 ** rng.uniform(-3, 3, n) if i == 1 else np.ones(n)
+            problems.append(TlseProblem(
+                C=rng.standard_normal((p, n)) * cols, d=rng.standard_normal(p),
+                A=rng.standard_normal((q, n)) * cols, b=rng.standard_normal(q),
+            ))
+        for problem in problems:
+            basis = build_basis(problem)
+            core = check_genericity(basis, problem)
+            sv = np.linalg.svd(core.data_r @ basis.aug_null_basis, compute_uv=False)
+            np.testing.assert_allclose(core.sigma, sv, rtol=0, atol=64 * U * sv[0])
+
+    def test_sigma_min_never_exceeds_restricted_min(self, battery100, constrained20):
+        for problem in battery100 + constrained20:
+            core = check_genericity(build_basis(problem), problem)
+            assert core.sigma[-1] <= core.restricted.s[-1]
+            assert core.gap == core.shifts[-1] > 0.0
 
 
 class TestFloatExtremes:
@@ -340,7 +469,7 @@ class TestSolvers:
     def test_lifted_direction_recovers_solution(self):
         problem = seeded_problem(5)
         solution = solve_qr_svd(problem)
-        lifted = solution.basis.aug_null_basis @ solution.core.right[:, -1]
+        lifted = solution.basis.aug_null_basis @ solution.core.direction
         scaled = lifted / (-lifted[-1])
         np.testing.assert_allclose(scaled[:-1], solution.x, atol=1e-10)
         assert scaled[-1] == pytest.approx(-1.0)

@@ -1,7 +1,7 @@
 """Dense kernel tests: validation, SVD wrappers, the spectral norm of
 blocks side by side, the streamed R factor, the Greville update, the
-direct triangular solve, and the direct QR, Cholesky and eigenpair calls
-of the Nystrom kernel."""
+direct triangular solve, the direct QR, Cholesky and eigenpair calls of
+the Nystrom kernel, and the secular SVD of a bordered diagonal."""
 import math
 
 import numpy as np
@@ -18,6 +18,7 @@ from tlsekit.linalg import (
     as_matrix,
     as_vector,
     block_rows,
+    bordered_svd,
     cholesky,
     greville_augment,
     r_factor,
@@ -410,3 +411,89 @@ class TestSmallFactorizations:
         assert abs(v @ v_all[:, -1]) == pytest.approx(1.0, rel=1e-12)
         w_only, none = top_eigen(a.copy(), vector=False)
         assert none is None and w_only == pytest.approx(w, rel=1e-14)
+
+
+def _check_bordered(s, z, gamma, c=64.0):
+    """bordered_svd(s, z, gamma) against the SVD of H = [[diag(s), z],
+    [0, gamma]]: singular values within c u sigma_max, the shifts within
+    c u sigma_max^2 of s^2 - sigma_min^2 with s[-1] >= sigma_min exactly,
+    and y a unit vector with H.T H y = sigma_min^2 y to c u sigma_max^2,
+    which holds for a multiple sigma_min too."""
+    s, z = np.asarray(s, dtype=float), np.asarray(z, dtype=float)
+    h = np.diag(np.append(s, 0.0))
+    h[:-1, -1], h[-1, -1] = z, gamma
+    sigma, shifts, y = bordered_svd(s, z, gamma)
+    expected = np.linalg.svd(h, compute_uv=False)
+    tol = c * np.finfo(float).eps / 2 * max(expected[0], np.finfo(float).tiny)
+    np.testing.assert_allclose(sigma, expected, rtol=0, atol=tol)
+    assert np.all(np.diff(sigma) <= 0) and sigma[-1] <= s[-1]
+    assert np.all(shifts >= 0)
+    low = expected[-1]
+    np.testing.assert_allclose(shifts, s * s - low * low, rtol=0, atol=tol * expected[0])
+    assert np.linalg.norm(y) == pytest.approx(1.0, rel=1e-14)
+    residual = h.T @ (h @ y) - sigma[-1] ** 2 * y
+    assert np.linalg.norm(residual) <= tol * expected[0]
+    return sigma, shifts, y
+
+
+class TestBorderedSvd:
+    """bordered_svd on each deflation path of the secular update."""
+
+    @pytest.mark.parametrize(
+        "s, z, gamma",
+        [
+            ([5.0, 3.0, 2.0, 1.0], [0.5, -0.3, 0.4, 0.2], 0.7),  # no deflation
+            ([3.0, 2.0, 2.0, 1.0], [0.5, 0.3, 0.4, 0.2], 0.7),  # tie merged
+            ([2.0, 2.0, 2.0], [0.3, -0.4, 0.5], 1.0),  # three merged
+            ([2.0, 1.0 + 2e-16, 1.0], [0.3, 0.4, 0.5], 1.0),  # within tol
+            ([2.0, 2.0], [0.0, 0.0], 2.0),  # z = 0: every pole a root
+            ([4.0, 3.0, 1.0], [0.5, 0.0, 0.3], 0.6),  # interior z_j = 0
+            ([4.0, 3.0, 1.0], [0.5, 0.4, 0.3], 0.0),  # gamma = 0: consistent
+            ([4.0, 3.0, 1.0], [0.0, 0.0, 0.0], 0.0),  # zeta = 0
+            ([2.0, 1.0, 0.0], [0.5, 0.4, 0.3], 0.6),  # zero pole merged with 0
+            ([1.0, 0.0], [0.5, 0.5], 0.0),  # rank-deficient and consistent
+            ([0.0, 0.0], [0.0, 0.0], 0.0),  # H = 0
+            ([1.0], [0.0], 1.0),  # degenerate: sigma = (1, 1)
+            ([3.0], [1.0], 2.0),  # one pole
+        ],
+    )
+    def test_deflation_paths(self, s, z, gamma):
+        _check_bordered(s, z, gamma)
+
+    def test_gamma_zero_gives_the_null_vector(self):
+        s, z = np.array([4.0, 3.0, 1.0]), np.array([0.5, 0.4, 0.3])
+        sigma, shifts, y = bordered_svd(s, z, 0.0)
+        assert sigma[-1] == 0.0
+        np.testing.assert_array_equal(shifts, s * s)
+        expected = np.append(-z / s, 1.0)
+        np.testing.assert_allclose(y, expected / np.linalg.norm(expected), rtol=1e-15)
+
+    def test_deflated_smallest_pole_is_sigma_min(self):
+        # z[-1] = 0 and gamma large: s[-1] itself is sigma_min, shifts[-1] = 0
+        sigma, shifts, y = bordered_svd(np.array([3.0, 1.0]), np.array([0.5, 0.0]), 4.0)
+        assert sigma[-1] == 1.0 and shifts[-1] == 0.0
+        np.testing.assert_array_equal(y, [0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("exponent", [-500, -300, 300, 500])
+    def test_power_of_two_scaling_is_exact(self, exponent):
+        s, z = np.array([5.0, 3.0, 2.0, 1.0]), np.array([0.5, -0.3, 0.4, 0.2])
+        base = bordered_svd(s, z, 0.7)
+        scaled = bordered_svd(np.ldexp(s, exponent), np.ldexp(z, exponent), np.ldexp(0.7, exponent))
+        np.testing.assert_array_equal(scaled[0], np.ldexp(base[0], exponent))
+        np.testing.assert_array_equal(scaled[1], np.ldexp(base[1], 2 * exponent))
+        np.testing.assert_array_equal(scaled[2], base[2])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    poles=st.lists(st.integers(0, 4), min_size=1, max_size=8),
+    zero_z=st.lists(st.booleans(), min_size=9, max_size=9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bordered_svd_property(poles, zero_z, seed):
+    # poles from a small set so ties and zeros are common; some z_j and
+    # gamma exactly 0, the rest Gaussian
+    rng = np.random.default_rng(seed)
+    s = np.sort(np.array(poles, dtype=float) * rng.uniform(0.5, 2.0))[::-1]
+    zeta = np.where(zero_z[: len(s) + 1], 0.0, rng.standard_normal(len(s) + 1))
+    _check_bordered(s, zeta[:-1], float(zeta[-1]))

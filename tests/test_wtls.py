@@ -214,6 +214,17 @@ class TestEpsBound:
         assert bound.lhs == 0.0
         assert bound.ok
 
+    def test_overflowing_lhs_is_not_admissible(self):
+        # [C d] scaled by 1e-160: ||pinv([C d])||^2 overflows
+        base = extreme_problem()
+        problem = TlseProblem(C=base.C * 1e-160, d=base.d * 1e-160, A=base.A, b=base.b)
+        core = check_genericity(build_basis(problem), problem)
+        for eps in (1e-8, 1e-170):
+            bound = check_eps_bound(problem, eps, core)
+            assert not bound.ok
+            assert bound.lhs == np.inf and bound.margin == -np.inf
+            assert bound.gap == core.gap
+
     def test_rejects_bad_eps(self):
         problem = golden_problem()
         core = check_genericity(build_basis(problem), problem)
