@@ -32,7 +32,9 @@ from statistics import median
 
 import numpy as np
 
-from .conditioning import Weights, _max_ratio, _report, apply_k, build_k_operator
+from .conditioning import (
+    Weights, _flex_norm, _max_ratio, _report, apply_k, build_k_operator,
+)
 from .core import TlseProblem, TlseSolution, solve_qr_svd
 from .errors import (
     IllPosedError,
@@ -358,7 +360,6 @@ def apply_sample(problem: TlseProblem, sample: PerturbationSample) -> TlseProble
 def run_experiment(
     problem: TlseProblem,
     sample: PerturbationSample,
-    weights: Weights | None = None,
     label: str = "",
     solution: TlseSolution | None = None,
 ) -> ExperimentRow:
@@ -366,26 +367,24 @@ def run_experiment(
 
     Both solves, of the problem and of its perturbed copy, are QR-SVD
     solves; their difference is the reported forward error, and the same
-    solution gives the condition numbers and the first-order prediction. A
-    perturbed solve that fails genericity flags the row degenerate instead
-    of raising. The nwtls_dev column stays None (table2 fills it). A given
-    solution must be solve_qr_svd(problem); it saves that solve.
+    solution gives the condition numbers (unit Weights) and the first-order
+    prediction. A perturbed solve that fails genericity flags the row
+    degenerate instead of raising. The nwtls_dev column stays None (table2
+    fills it). A given solution must be solve_qr_svd(problem); it saves
+    that solve.
     """
     sol = solution if solution is not None else solve_qr_svd(problem)
     op = build_k_operator(problem, sol)
-    report = _report(op, weights or Weights(), "exact")
-    big_l, big_h = problem.L, problem.h
-    stack_norm = np.sqrt(
-        np.linalg.norm(big_l, "fro") ** 2 + np.linalg.norm(big_h) ** 2
-    )
+    w = Weights()
+    report = _report(op, w, "exact")
     pert_norm = np.sqrt(
         np.linalg.norm(sample.dL, "fro") ** 2 + np.linalg.norm(sample.dh) ** 2
     )
-    eps1 = float(pert_norm / stack_norm)
-    eps2, _ = _max_ratio(
-        np.hstack([sample.dL, sample.dh[:, None]]),
-        np.hstack([big_l, big_h[:, None]]),
-    )
+    eps1 = float(pert_norm / _flex_norm(problem, w))
+    p = problem.p
+    perts = (sample.dL[:p], sample.dL[p:], sample.dh[:p], sample.dh[p:])
+    data = (problem.C, problem.A, problem.d, problem.b)
+    eps2 = max(_max_ratio(num, den)[0] for num, den in zip(perts, data))
     flags = list(sol.core.warnings)
     fwd2 = fwdinf = fwdcw = eta = None
     try:
@@ -574,18 +573,17 @@ def table1(
     trials: int = 1,
     seed: int = 0,
     scale: float = 1e-8,
-    dims: tuple[int, int, int] = (5, 20, 15),
 ) -> list[ExperimentRow]:
-    """Equilibratory sweep over target constraint condition numbers."""
-    p, q, n = dims
+    """Equilibratory sweep over target constraint condition numbers, at
+    (p, q, n) = (5, 20, 15)."""
     rows = []
     for i, kappa in enumerate(kappas):
         for tr in range(trials):
             spec = GeneratorSpec(
                 kind="equilibratory",
-                p=p,
-                q=q,
-                n=n,
+                p=5,
+                q=20,
+                n=15,
                 kappa_c=kappa,
                 seed=derive_seed(seed, i, tr),
             )

@@ -51,13 +51,12 @@ import numpy as np
 from .core import (
     TlseProblem,
     TlseSolution,
-    constraint_pinv,
     data_map_norm,
     null_gram_inv_norm,
     solve_qr_svd,
 )
 from .errors import InputError, UndefinedConditionError
-from .linalg import as_matrix, as_vector, block_rows, greville_augment, spectral_norm
+from .linalg import as_matrix, as_vector, block_rows, solve_triangular, spectral_norm
 
 
 @dataclass(frozen=True)
@@ -94,11 +93,12 @@ class KOperator:
     """First-order perturbation map at a solution.
 
     null_gram_inv is n x n, constraint_gain n x p, adjoint_dir the m-vector
-    [-(aug-data @ aug-constraint-pinv).T @ residual; residual]. The n x m
-    gain (module docstring) is not stored: apply_k applies it from these
-    and problem.A, and the entrywise numbers form it a row block at a
-    time. A zero residual forces adjoint_dir = 0 and gain =
-    -[constraint_gain, null_gram_inv @ A.T].
+    [-pinv([C d]).T [A b].T residual; residual], its top read off the
+    solve's R and basis QR (build_k_operator). The n x m gain (module
+    docstring) is not stored: apply_k applies it from these and problem.A,
+    and the entrywise numbers form it a row block at a time. A zero
+    residual forces adjoint_dir = 0 and gain = -[constraint_gain,
+    null_gram_inv @ A.T].
 
     gain_r (n x (p+k)) and adjoint_r are the same map on the k x (n+1) R
     of [A b] (module docstring): gain = gain_r @ W.T, adjoint_dir = W @
@@ -168,16 +168,18 @@ class ConditionReport:
 def build_k_operator(problem: TlseProblem, solution: TlseSolution) -> KOperator:
     """Assemble the first-order map from a solved problem.
 
-    The adjoint direction routes the residual through the pseudoinverse of
-    the augmented constraint [C d], which is obtained by the rank-one
-    Greville update of the already-factored pseudoinverse of C, applied to
-    [A b].T @ residual = R.T @ (R [x; -1]).
+    The adjoint top is -pinv([C d]).T g with g = [A b].T @ residual =
+    R.T @ (R [x; -1]). By Greville's column update (SIAM Review 1960) it
+    equals -pinv(C).T v with v = g[:n] - x_feas (x_feas.T g[:n] - g[n]) /
+    (1 + ||x_feas||^2), and pinv(C).T = r1^-1 q1.T from the basis QR C.T =
+    q1 r1: a triangular solve, with no pseudoinverse formed.
     """
     basis = solution.basis
     big_r = solution.core.data_r
     r_res = big_r @ np.append(solution.x, -1.0)
-    aug_pinv = greville_augment(constraint_pinv(basis), basis.x_feas)
-    top = -(aug_pinv.T @ (big_r.T @ r_res))
+    g, x_feas = big_r.T @ r_res, basis.x_feas
+    v = g[:-1] - x_feas * ((x_feas @ g[:-1] - g[-1]) / (1.0 + x_feas @ x_feas))
+    top = -solve_triangular(basis.r1, basis.q1.T @ v)
     adjoint_dir = np.concatenate([top, solution.residual])
     adjoint_r = np.concatenate([top, r_res])
     return KOperator(

@@ -191,10 +191,11 @@ class CoreSvd:
 class TlseSolution:
     """Solution vector with the spectral byproducts conditioning needs.
 
-    gram_inv inverts null_basis.T (A.T A - sigma_min^2 I) null_basis, as
-    V diag(1/((s-sigma_min)(s+sigma_min))) V.T from the restricted SVD;
-    null_gram_inv lifts it back to n x n; constraint_gain maps constraint
-    right-hand-side perturbations to first-order solution changes.
+    null_gram_inv lifts the inverse of null_basis.T (A.T A - sigma_min^2 I)
+    null_basis, V diag(1/((s-sigma_min)(s+sigma_min))) V.T from the
+    restricted SVD (_gram_inv), back to n x n; constraint_gain maps
+    constraint right-hand-side perturbations to first-order solution
+    changes.
     """
 
     x: np.ndarray
@@ -202,7 +203,6 @@ class TlseSolution:
     sigma_min: float
     basis: ConstraintBasis
     core: CoreSvd
-    gram_inv: np.ndarray
     null_gram_inv: np.ndarray
     constraint_gain: np.ndarray
 
@@ -402,7 +402,6 @@ def solve_qr_svd(problem: TlseProblem) -> TlseSolution:
     x = _x_from_direction(basis.aug_null_basis @ core.direction)
     rho = float(np.sqrt(1.0 + x @ x))
     null_basis = basis.null_basis
-    gram_inv = _gram_inv(core)
     pinv = constraint_pinv(basis)
     # (I - null_gram_inv A.T A) pinv, with A.T A = R_A.T R_A kept spectral
     gain = pinv - null_basis @ _filtered(core, core.data_r[:, :-1] @ pinv)
@@ -412,8 +411,7 @@ def solve_qr_svd(problem: TlseProblem) -> TlseSolution:
         sigma_min=core.sigma_min,
         basis=basis,
         core=core,
-        gram_inv=gram_inv,
-        null_gram_inv=null_basis @ gram_inv @ null_basis.T,
+        null_gram_inv=null_basis @ _gram_inv(core) @ null_basis.T,
         constraint_gain=gain,
     )
 
@@ -439,19 +437,21 @@ def validate_stationarity(
 ) -> StationarityReport:
     """Residuals of the constrained optimality system at the solution.
 
-    Recovers the multiplier by least squares from the gradient block
-    A.T A x - A.T b + C.T lam = sigma_min^2 x, then reports the norms of all
-    three block rows (gradient, the scalar coupling row
-    b.T A x - b.T b + d.T lam + sigma_min^2, and the constraint row C x - d).
-    Always returns; this is a diagnostic, not a gate.
+    With g = [A b].T [A b] [x; -1] = R.T (R [x; -1]), R = core.data_r, the
+    gradient block reads g[:n] + C.T lam = sigma_min^2 x; its least-squares
+    multiplier is r1^-1 q1.T (sigma_min^2 x - g[:n]) from the basis QR C.T
+    = q1 r1. Reports the norms of all three block rows (gradient, the scalar
+    coupling row g[n] + d.T lam + sigma_min^2, and the constraint row C x -
+    d). The data are not read: only R, the basis QR and C, d. Always
+    returns; this is a diagnostic, not a gate.
     """
-    x = solution.x
-    a, b, c, d = problem.A, problem.b, problem.C, problem.d
+    x, basis, r = solution.x, solution.basis, solution.core.data_r
+    c, d = problem.C, problem.d
     s2 = solution.sigma_min**2
-    grad_rhs = s2 * x - a.T @ (a @ x) + a.T @ b
-    multiplier = np.linalg.lstsq(c.T, grad_rhs, rcond=None)[0]
-    grad = a.T @ (a @ x) - a.T @ b + c.T @ multiplier - s2 * x
-    coupling = float(b @ (a @ x) - b @ b + d @ multiplier + s2)
+    g = r.T @ (r @ np.append(x, -1.0))
+    multiplier = solve_triangular(basis.r1, basis.q1.T @ (s2 * x - g[:-1]))
+    grad = g[:-1] + c.T @ multiplier - s2 * x
+    coupling = float(g[-1] + d @ multiplier + s2)
     constraint = c @ x - d
     return StationarityReport(
         multiplier=multiplier,

@@ -4,9 +4,8 @@ Thin wrappers over LAPACK (via numpy and scipy), triangular solves by
 dtrtrs alone, the thin Q, the Cholesky factor and the largest eigenpair
 of small matrices by direct LAPACK calls, the streamed R factor of a
 stack of rows, the largest singular value of blocks side by side from one
-eigenvalue of their Gram matrix, the singular values of a diagonal
-matrix bordered by one column from LAPACK's secular equation solver, and
-the Greville pseudoinverse update.
+eigenvalue of their Gram matrix, and the singular values of a diagonal
+matrix bordered by one column from LAPACK's secular equation solver.
 No problem semantics live here; everything operates on plain float
 arrays and raises tlsekit errors on contract violations.
 """
@@ -396,26 +395,3 @@ def spectral_norm(*blocks) -> float:
     w = top_eigen(gram, vector=False)[0]
     return float(np.ldexp(np.sqrt(max(w, 0.0)), exp))
 
-
-def greville_augment(c_pinv, x_feas) -> np.ndarray:
-    """Pseudoinverse of [C d] from the pseudoinverse of C.
-
-    Column-append update: given c_pinv (n x p) and x_feas = c_pinv @ d, the
-    augmented pseudoinverse is
-
-        [[I - x x.T / w] @ c_pinv]         w = 1 + ||x||^2
-        [     x.T @ c_pinv / w   ]
-
-    which is exact whenever C has full row rank (d is then in range(C)).
-    """
-    pinv = as_matrix(c_pinv, "c_pinv")
-    x = as_vector(x_feas, "x_feas")
-    n, p = pinv.shape
-    if x.shape[0] != n:
-        raise InputError(
-            f"x_feas has length {x.shape[0]}, expected {n} to match c_pinv"
-        )
-    w = 1.0 + float(x @ x)
-    top = pinv - np.outer(x, x @ pinv) / w
-    bottom = (x @ pinv) / w
-    return np.vstack([top, bottom[None, :]])

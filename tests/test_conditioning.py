@@ -8,15 +8,18 @@ import numpy as np
 import pytest
 
 from tlsekit import (
+    GeneratorSpec,
     TlseProblem,
     Weights,
     apply_k,
     build_k_operator,
     condition_report,
+    gen_equilibratory,
     solve_qr_svd,
     tls_specialization,
 )
 from tlsekit import conditioning
+from tlsekit.bench import derive_seed
 from tlsekit.conditioning import _mixed_componentwise
 from tlsekit.errors import InputError, UndefinedConditionError
 from tlsekit.linalg import block_rows
@@ -28,6 +31,9 @@ from kron_oracle import materialize_k
 PHI = (1 + math.sqrt(5)) / 2
 
 WEIGHT_GRID = [Weights(1.0, 1.0), Weights(10.0, 1.0), Weights(1.0, 10.0)]
+
+#: Unit roundoff of float64.
+U = np.finfo(float).eps / 2
 
 
 def seeded_problem(seed: int, p: int = 3, n: int = 8, q: int = 15) -> TlseProblem:
@@ -224,6 +230,44 @@ class TestOperatorAssembly:
             np.linalg.norm(op.adjoint_dir), rel=1e-13
         )
         np.testing.assert_array_equal(op.adjoint_r[: op.p], op.adjoint_dir[: op.p])
+
+    @staticmethod
+    def _check_adjoint_top(problem, solution):
+        # the top against the pseudoinverse of [C d] formed by NumPy's SVD:
+        # ||top - ref|| <= 32 u kappa([C d]) ||pinv([C d])||_2 ||g||, the
+        # size of the error of either route (the battery peaks near 3.4)
+        op = build_k_operator(problem, solution)
+        r = solution.core.data_r
+        g = r.T @ (r @ np.append(solution.x, -1.0))
+        top = op.adjoint_dir[: problem.p]
+        if problem.p == 0:
+            assert top.shape == (0,)
+            return
+        aug = problem.aug_constraint()
+        pinv = np.linalg.pinv(aug)
+        tol = 32 * U * np.linalg.cond(aug) * np.linalg.norm(pinv, 2)
+        tol *= np.linalg.norm(g)
+        assert np.linalg.norm(top - -pinv.T @ g) <= tol
+
+    def test_adjoint_top_matches_pinv_of_aug_constraint(
+        self, solved100, constrained20
+    ):
+        assert {problem.p == 0 for problem, _ in solved100} == {True, False}
+        for problem, solution in solved100:
+            self._check_adjoint_top(problem, solution)
+        for problem in constrained20:
+            self._check_adjoint_top(problem, solve_qr_svd(problem))
+
+    @pytest.mark.parametrize("i, kappa", enumerate([1e2, 1e4, 1e6, 1e8]))
+    def test_adjoint_top_on_table1_problems(self, i, kappa):
+        # the table1 problems, whose [C d] has condition number kappa
+        spec = GeneratorSpec(
+            kind="equilibratory", p=5, q=20, n=15, kappa_c=kappa,
+            seed=derive_seed(0, i, 0),
+        )
+        problem = gen_equilibratory(spec)
+        assert np.linalg.cond(problem.aug_constraint()) == pytest.approx(kappa)
+        self._check_adjoint_top(problem, solve_qr_svd(problem))
 
     def test_shape_properties(self):
         problem = seeded_problem(0)

@@ -8,8 +8,10 @@ import pytest
 import tlsekit.core
 from conftest import extreme_problem
 from qr_oracle import one_shot_r, stack_of
+from stationarity_oracle import stationarity_from_data
 from tlsekit import TlseProblem, condition_report, solve_closed_form, solve_qr_svd
 from tlsekit.core import (
+    _gram_inv,
     _x_from_direction,
     build_basis,
     check_genericity,
@@ -513,7 +515,7 @@ class TestSolvers:
 class TestGramInverse:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fast_route_matches_direct(self, seed):
-        # the spectral gram_inv against an explicit inverse of the shifted
+        # the spectral _gram_inv against an explicit inverse of the shifted
         # Gram matrix, on well-conditioned seeds
         problem = seeded_problem(seed)
         solution = solve_qr_svd(problem)
@@ -524,7 +526,9 @@ class TestGramInverse:
             - solution.sigma_min**2 * np.eye(problem.n - problem.p)
         )
         direct = np.linalg.inv(shifted)
-        np.testing.assert_allclose(solution.gram_inv, direct, rtol=1e-7, atol=1e-10)
+        np.testing.assert_allclose(
+            _gram_inv(solution.core), direct, rtol=1e-7, atol=1e-10
+        )
         np.testing.assert_allclose(
             solution.null_gram_inv,
             basis.null_basis @ direct @ basis.null_basis.T,
@@ -536,10 +540,11 @@ class TestGramInverse:
         # n - p = 1 reduces the shifted Gram matrix to a scalar
         problem = seeded_problem(6, p=2, n=3, q=7)
         solution = solve_qr_svd(problem)
-        assert solution.gram_inv.shape == (1, 1)
+        gram_inv = _gram_inv(solution.core)
+        assert gram_inv.shape == (1, 1)
         restricted = problem.A @ solution.basis.null_basis
         scalar = (restricted.T @ restricted).item() - solution.sigma_min**2
-        assert solution.gram_inv[0, 0] == pytest.approx(1 / scalar, rel=1e-7)
+        assert gram_inv[0, 0] == pytest.approx(1 / scalar, rel=1e-7)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_constraint_gain_matches_normal_equations(self, seed):
@@ -690,3 +695,80 @@ class TestStationarity:
         report = validate_stationarity(problem, solve_qr_svd(problem))
         assert report.multiplier.size == 0
         assert report.grad_norm <= 1e-12
+
+
+def scaled_columns_problem(seed: int, p: int) -> TlseProblem:
+    """A Gaussian problem whose columns of [C; A] are scaled by 10^U(-4, 4)."""
+    rng = np.random.default_rng([seed, p])
+    n = 10
+    scales = 10.0 ** rng.uniform(-4, 4, n)
+    return TlseProblem(
+        C=rng.standard_normal((p, n)) * scales,
+        d=rng.standard_normal(p),
+        A=rng.standard_normal((30, n)) * scales,
+        b=rng.standard_normal(30),
+    )
+
+
+class TestStationarityAgainstData:
+    """validate_stationarity reads R and the basis QR of C.T; the oracle
+    reads A, b and C (tests/stationarity_oracle.py), so it also catches a
+    fault in R itself."""
+
+    @staticmethod
+    def _check(problem, solution):
+        report = validate_stationarity(problem, solution)
+        oracle = stationarity_from_data(problem, solution)
+        # the sizes of g = [A b].T [A b] [x; -1] and of C.T lam
+        data = np.linalg.norm(stack_of(problem.A, problem.b), 2) ** 2 * solution.rho
+        c_norm = np.linalg.norm(problem.C, 2) if problem.p else 0.0
+        scale = data + c_norm * np.linalg.norm(oracle.multiplier)
+        for rep in (report, oracle):
+            assert rep.grad_norm <= 64 * U * scale
+            assert rep.coupling_norm <= 64 * U * scale
+        assert report.constraint_norm == oracle.constraint_norm
+        assert report.multiplier.shape == oracle.multiplier.shape == (problem.p,)
+        if problem.p:
+            # both solve C.T lam = sigma^2 x - g, which carries an error of
+            # order u * data, in the least-squares sense
+            c_min = np.linalg.svd(problem.C, compute_uv=False)[-1]
+            assert np.linalg.norm(
+                report.multiplier - oracle.multiplier
+            ) <= 16 * U * data / c_min
+
+    def test_batteries(self, solved100, constrained20):
+        assert {problem.p == 0 for problem, _ in solved100} == {True, False}
+        for problem, solution in solved100:
+            self._check(problem, solution)
+        for problem in constrained20:
+            self._check(problem, solve_qr_svd(problem))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("p", [0, 1, 4])
+    def test_column_scaled(self, seed, p):
+        problem = scaled_columns_problem(seed, p)
+        self._check(problem, solve_qr_svd(problem))
+
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    def test_fewest_rows(self, p):
+        # q = n - p + 1 rows: R is trapezoidal for p > 0
+        problem = seeded_problem(9, p=p, n=8, q=8 - p + 1)
+        self._check(problem, solve_qr_svd(problem))
+
+    def test_tall(self):
+        problem = seeded_problem(13, p=20, n=100, q=3000)
+        self._check(problem, solve_qr_svd(problem))
+
+    @pytest.mark.parametrize("p", [0, 3])
+    def test_reads_no_data(self, p):
+        # A and b overwritten after the solve: the report must not move
+        problem = seeded_problem(8, p=p, q=40)
+        solution = solve_qr_svd(problem)
+        before = validate_stationarity(problem, solution)
+        object.__setattr__(problem, "A", np.full_like(problem.A, np.nan))
+        object.__setattr__(problem, "b", np.full_like(problem.b, np.nan))
+        after = validate_stationarity(problem, solution)
+        np.testing.assert_array_equal(after.multiplier, before.multiplier)
+        assert (after.grad_norm, after.coupling_norm, after.constraint_norm) == (
+            before.grad_norm, before.coupling_norm, before.constraint_norm
+        )

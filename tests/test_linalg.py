@@ -1,7 +1,7 @@
 """Dense kernel tests: validation, SVD wrappers, the spectral norm of
-blocks side by side, the streamed R factor, the Greville update, the
-direct triangular solve, the direct QR, Cholesky and eigenpair calls of
-the Nystrom kernel, and the secular SVD of a bordered diagonal."""
+blocks side by side, the streamed R factor, the direct triangular solve,
+the direct QR, Cholesky and eigenpair calls of the Nystrom kernel, and the
+secular SVD of a bordered diagonal."""
 import math
 
 import numpy as np
@@ -20,7 +20,6 @@ from tlsekit.linalg import (
     block_rows,
     bordered_svd,
     cholesky,
-    greville_augment,
     r_factor,
     singular_values,
     solve_triangular,
@@ -165,30 +164,6 @@ def test_spectral_norm_property(rows, widths, exponent, seed):
     stack = np.hstack(blocks)
     expected = np.linalg.norm(stack, 2) if stack.size else 0.0
     assert spectral_norm(*blocks) == pytest.approx(expected, rel=1e-13, abs=0.0)
-
-
-def test_greville_augment_single_row():
-    # pinv of a single row is its transpose over the squared norm:
-    # [1 0 2] -> (1/5, 0, 2/5)
-    c_pinv = np.array([[1.0], [0.0]])
-    out = greville_augment(c_pinv, [2.0, 0.0])
-    np.testing.assert_allclose(out, [[0.2], [0.0], [0.4]], atol=1e-15)
-
-
-def test_greville_augment_matches_direct_pinv():
-    rng = np.random.default_rng(5)
-    c = rng.standard_normal((4, 9))
-    d = rng.standard_normal(4)
-    c_pinv = np.linalg.pinv(c)
-    x_feas = c_pinv @ d
-    out = greville_augment(c_pinv, x_feas)
-    direct = np.linalg.pinv(np.hstack([c, d[:, None]]))
-    np.testing.assert_allclose(out, direct, atol=1e-10)
-
-
-def test_greville_augment_shape_mismatch():
-    with pytest.raises(InputError):
-        greville_augment(np.zeros((3, 2)), np.zeros(4))
 
 
 def test_as_vector_accepts_row_and_column_vectors():
