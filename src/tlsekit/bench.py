@@ -370,8 +370,8 @@ def run_experiment(
     solution gives the condition numbers (unit Weights) and the first-order
     prediction. A perturbed solve that fails genericity flags the row
     degenerate instead of raising. The nwtls_dev column stays None (table2
-    fills it). A given solution must be solve_qr_svd(problem); it saves
-    that solve.
+    fills it). A given solution must be solve_qr_svd(problem) of this
+    problem object (InputError otherwise); it saves that solve.
     """
     sol = solution if solution is not None else solve_qr_svd(problem)
     op = build_k_operator(problem, sol)
@@ -403,8 +403,7 @@ def run_experiment(
             eta = float(np.linalg.norm(dx - predicted) / norm_dx)
         else:
             eta = 0.0
-    core_sigma = sol.core.sigma
-    core_cond = float(core_sigma[0] / core_sigma[-1]) if core_sigma[-1] > 0 else float("inf")
+    core_cond = sol.core.sigma_max / sol.core.sigma_min if sol.core.sigma_min > 0 else float("inf")
     return ExperimentRow(
         label=label,
         fwd_err_2=fwd2,

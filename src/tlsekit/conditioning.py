@@ -51,6 +51,7 @@ import numpy as np
 from .core import (
     TlseProblem,
     TlseSolution,
+    _check_solution,
     data_map_norm,
     null_gram_inv_norm,
     solve_qr_svd,
@@ -150,7 +151,9 @@ class ConditionReport:
 
     method is "exact" when kappa_m/kappa_c/kappa_c_finite are the exact
     values and "bound" when they are their upper bounds; kappa_n is exact
-    either way.
+    either way. kappa_m and kappa_c bound the first-order effect of
+    componentwise data errors; the rounding in the solve, which is
+    backward stable only normwise, is bounded by u * kappa_n.
     """
 
     kappa_n: float
@@ -172,8 +175,10 @@ def build_k_operator(problem: TlseProblem, solution: TlseSolution) -> KOperator:
     R.T @ (R [x; -1]). By Greville's column update (SIAM Review 1960) it
     equals -pinv(C).T v with v = g[:n] - x_feas (x_feas.T g[:n] - g[n]) /
     (1 + ||x_feas||^2), and pinv(C).T = r1^-1 q1.T from the basis QR C.T =
-    q1 r1: a triangular solve, with no pseudoinverse formed.
+    q1 r1: a triangular solve, with no pseudoinverse formed. InputError
+    when solution was not solved from problem itself.
     """
+    _check_solution(problem, solution)
     basis = solution.basis
     big_r = solution.core.data_r
     r_res = big_r @ np.append(solution.x, -1.0)

@@ -12,9 +12,9 @@ C x = d. The solver pipeline:
    On R runs one SVD, of the data restricted to ker(C). The core matrix
    (the data on ker([C d])) is that matrix with one column appended, so a
    rank-one secular update of the restricted SVD (linalg.bordered_svd)
-   supplies its spectrum, the optimal direction and the shift sigma_min
-   that appears everywhere downstream, with the shifts s^2 - sigma_min^2
-   as products of accurately computed differences.
+   supplies sigma_max, the optimal direction and the shift sigma_min used
+   everywhere downstream (no other core singular value is computed), with
+   the shifts s^2 - sigma_min^2 as products of accurate differences.
 3. The solution is read off by normalizing the last component of the lifted
    core direction to -1 (solve_qr_svd), or from the restricted SVD as
    a filtered correction of the feasible point (solve_closed_form). The
@@ -159,28 +159,25 @@ class CoreSvd:
     data_r is the min(q, n+1) x (n+1) R of a QR of [A b]; [A b] @ M and
     R @ M share singular values and right singular vectors for every M.
     restricted is the SVD U diag(s) V.T of R[:, :n] @ null_basis (A on
-    ker(C)); sigma holds the n-p+1 singular values (nonincreasing) of the
-    core matrix R @ aug_null_basis and direction its unit right singular
-    vector for sigma[-1], both read off the restricted SVD by
-    check_genericity. shifts = s^2 - sigma[-1]^2, factored; shifts >= 0,
-    so restricted_min_sv >= sigma[-1], and genericity means the strict
+    ker(C)); sigma_max and sigma_min are the extreme singular values of the
+    core matrix R @ aug_null_basis (no other is computed) and direction its
+    unit right singular vector for sigma_min, read off the restricted SVD
+    by check_genericity. shifts = s^2 - sigma_min^2, factored; shifts >= 0,
+    so restricted_min_sv >= sigma_min, and genericity means the strict
     inequality. gap = shifts[-1], the difference of the two squares,
     rel_gap the gap relative to restricted_min_sv**2.
     """
 
     data_r: np.ndarray
     restricted: SvdResult
-    sigma: np.ndarray
+    sigma_max: float
+    sigma_min: float
     shifts: np.ndarray
     direction: np.ndarray
     gap: float
     rel_gap: float
     satisfied: bool
     warnings: tuple = field(default_factory=tuple)
-
-    @property
-    def sigma_min(self) -> float:
-        return float(self.sigma[-1])
 
     @property
     def restricted_min_sv(self) -> float:
@@ -195,16 +192,27 @@ class TlseSolution:
     null_basis, V diag(1/((s-sigma_min)(s+sigma_min))) V.T from the
     restricted SVD (_gram_inv), back to n x n; constraint_gain maps
     constraint right-hand-side perturbations to first-order solution
-    changes.
+    changes. Both are formed on first use, so reading x alone skips them.
     """
 
     x: np.ndarray
     rho: float
-    sigma_min: float
     basis: ConstraintBasis
     core: CoreSvd
-    null_gram_inv: np.ndarray
-    constraint_gain: np.ndarray
+
+    @property
+    def sigma_min(self) -> float:
+        return self.core.sigma_min
+
+    @cached_property
+    def null_gram_inv(self) -> np.ndarray:
+        return self.basis.null_basis @ _gram_inv(self.core) @ self.basis.null_basis.T
+
+    @cached_property
+    def constraint_gain(self) -> np.ndarray:
+        # (I - null_gram_inv A.T A) pinv, with A.T A = R_A.T R_A kept spectral
+        pinv, core = constraint_pinv(self.basis), self.core
+        return pinv - self.basis.null_basis @ _filtered(core, core.data_r[:, :-1] @ pinv)
 
     @cached_property
     def residual(self) -> np.ndarray:
@@ -273,8 +281,8 @@ def check_genericity(basis: ConstraintBasis, problem: TlseProblem) -> CoreSvd:
     appended to B. With B = U diag(s) V.T the restricted SVD, z = U.T w
     and gamma = ||w - U z||, it is [U u] [[diag(s), z], [0, gamma]]
     blkdiag(V, 1).T for a unit u orthogonal to U, so linalg.bordered_svd
-    reads the core spectrum, the shifts s^2 - sigma_min^2 and the trailing
-    right singular vector off s, z and gamma by a rank-one secular update;
+    reads sigma_max, sigma_min, the shifts s^2 - sigma_min^2 and the
+    trailing right singular vector off s, z and gamma by a secular update;
     the core matrix is never formed or factored. satisfied means the strict
     spectral gap holds. NumericalError when the data's scale puts the
     squared spectrum outside the float range: the largest restricted
@@ -298,10 +306,10 @@ def check_genericity(basis: ConstraintBasis, problem: TlseProblem) -> CoreSvd:
     z = restricted.u.T @ w
     off = w - restricted.u @ z
     gamma = math.sqrt(off @ off)
-    sig, shifts, y = bordered_svd(s, z, gamma)
+    (sigma_max, second, sigma_min), shifts, y = bordered_svd(s, z, gamma)
     restricted_min_sv = float(s[-1])
     gap = float(shifts[-1])
-    satisfied = restricted_min_sv > float(sig[-1])
+    satisfied = restricted_min_sv > sigma_min
     if satisfied and gap < tiny:
         raise NumericalError(_OUT_OF_RANGE.format(s[0], s[-1]))
     rel_gap = gap / max(restricted_min_sv**2, tiny)
@@ -311,12 +319,13 @@ def check_genericity(basis: ConstraintBasis, problem: TlseProblem) -> CoreSvd:
         warnings.append("ill-posed")
     elif rel_gap < NEAR_DEGENERATE_TOL:
         warnings.append("near-degenerate")
-    if sig.size >= 2 and sig[-2] - sig[-1] <= MULTIPLICITY_FACTOR * eps * sig[0]:
+    if second - sigma_min <= MULTIPLICITY_FACTOR * eps * sigma_max:
         warnings.append("non-unique")
     return CoreSvd(
         data_r=data_r,
         restricted=restricted,
-        sigma=sig,
+        sigma_max=float(sigma_max),
+        sigma_min=float(sigma_min),
         shifts=shifts,
         direction=np.concatenate((restricted.v @ y[:-1], y[-1:])),
         gap=gap,
@@ -373,6 +382,14 @@ def _posed(problem: TlseProblem) -> tuple[ConstraintBasis, CoreSvd]:
     return basis, core
 
 
+def _check_solution(problem: TlseProblem, solution: TlseSolution) -> None:
+    """InputError unless solution was solved from this very problem object:
+    its factors (R, the basis QR) would otherwise be mixed with another
+    problem's C, d and A, such as a perturbed copy's."""
+    if solution.basis.problem is not problem:
+        raise InputError("solution was not solved from this problem")
+
+
 def _x_from_direction(v: np.ndarray) -> np.ndarray:
     """x with [x; -1] parallel to v, the same for v and -v bit for bit.
 
@@ -401,19 +418,7 @@ def solve_qr_svd(problem: TlseProblem) -> TlseSolution:
     basis, core = _posed(problem)
     x = _x_from_direction(basis.aug_null_basis @ core.direction)
     rho = float(np.sqrt(1.0 + x @ x))
-    null_basis = basis.null_basis
-    pinv = constraint_pinv(basis)
-    # (I - null_gram_inv A.T A) pinv, with A.T A = R_A.T R_A kept spectral
-    gain = pinv - null_basis @ _filtered(core, core.data_r[:, :-1] @ pinv)
-    return TlseSolution(
-        x=x,
-        rho=rho,
-        sigma_min=core.sigma_min,
-        basis=basis,
-        core=core,
-        null_gram_inv=null_basis @ _gram_inv(core) @ null_basis.T,
-        constraint_gain=gain,
-    )
+    return TlseSolution(x=x, rho=rho, basis=basis, core=core)
 
 
 def solve_closed_form(problem: TlseProblem) -> np.ndarray:
@@ -443,8 +448,10 @@ def validate_stationarity(
     = q1 r1. Reports the norms of all three block rows (gradient, the scalar
     coupling row g[n] + d.T lam + sigma_min^2, and the constraint row C x -
     d). The data are not read: only R, the basis QR and C, d. Always
-    returns; this is a diagnostic, not a gate.
+    returns; this is a diagnostic, not a gate. InputError when solution
+    was not solved from problem itself.
     """
+    _check_solution(problem, solution)
     x, basis, r = solution.x, solution.basis, solution.core.data_r
     c, d = problem.C, problem.d
     s2 = solution.sigma_min**2

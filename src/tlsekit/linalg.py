@@ -254,26 +254,27 @@ def r_factor(*blocks, head=None) -> np.ndarray:
 
 
 def bordered_svd(s, z, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular values of H = [[diag(s), z], [0, gamma]] and the right
-    singular vector of the smallest, for a nonincreasing, nonnegative s.
+    """[sigma_max, second-smallest, sigma_min] of the singular values of H =
+    [[diag(s), z], [0, gamma]], s nonincreasing, nonnegative and nonempty.
 
     H H.T = diag(s^2, 0) + zeta zeta.T with zeta = [z; gamma], so the
     squared singular values are the roots of the secular equation
     1 + sum_j zeta_j^2 / (d_j^2 - sigma^2) = 0 over the poles d = [s; 0].
-    LAPACK dlasd4, the secular solver of the divide-and-conquer SVD (Gu &
-    Eisenstat, SIMAX 1995), finds each root on data scaled by a power of
-    two to magnitude at most 1. Deflation follows LAPACK dlasd2, with tol =
-    DEFLATE_TOL * u * max(s[0], ||zeta||): a pole with |zeta_j| <= tol is
-    itself a singular value (so zeta = 0 leaves every pole one), and of
-    poles within tol of the smallest in their run the larger ones are, each
-    zeta merged into the smallest's by a Givens rotation.
+    Deflation follows LAPACK dlasd2, with tol = DEFLATE_TOL * u * max(s[0],
+    ||zeta||): a pole with |zeta_j| <= tol is itself a singular value (so
+    zeta = 0 leaves every pole one), and of poles within tol of the smallest
+    in their run the larger ones are, each zeta merged into the smallest's
+    by a Givens rotation. Root i lies above the i-th pole left (ascending),
+    so LAPACK dlasd4 (Gu & Eisenstat, SIMAX 1995) solves for roots 0, 1 and
+    the last alone, on data scaled by a power of two to magnitude at most 1:
+    with the deflated poles they hold the three values.
 
-    Returns (sigma, shifts, y): the len(s) + 1 singular values,
-    nonincreasing; shifts = s^2 - sigma_min^2, each a product of the
-    differences d_j - sigma_min that dlasd4 computes to high relative
-    accuracy, so shifts >= 0 and s[-1] >= sigma_min; and the unit vector y
-    with H.T H y = sigma_min^2 y, which is [-s z / shifts; 1] normalized,
-    or e_j when sigma_min is the deflated pole s_j = s[-1] (shifts[-1] = 0).
+    Returns (sigma, shifts, y): those three (sigma_max twice when H is
+    2 x 2), bit for bit as from all roots; shifts = s^2 - sigma_min^2,
+    products of the differences d_j - sigma_min that dlasd4 computes to
+    high relative accuracy, so shifts >= 0 and s[-1] >= sigma_min; and the
+    unit y with H.T H y = sigma_min^2 y, [-s z / shifts; 1] normalized, or
+    e_j when sigma_min is the deflated pole s_j = s[-1] (shifts[-1] = 0).
     NumericalError on a nonzero dlasd4 info.
     """
     # poles in ascending order, 0 (gamma's row) first, zeta alongside; all
@@ -295,7 +296,7 @@ def bordered_svd(s, z, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray
     norm = math.hypot(*weight)
     rho, unit, poles_in = norm * norm, np.array(weight) / (norm or 1.0), np.array(d)
     roots, delta = [], None
-    for i in range(len(d)):
+    for i in (0, 1, len(d) - 1) if len(d) > 3 else range(len(d)):
         step, root, _, info = dlasd4(i, poles_in, unit, rho)
         if info != 0:
             raise NumericalError(f"secular equation solver failed (dlasd4 info {info})")
@@ -328,7 +329,7 @@ def bordered_svd(s, z, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray
         ] + [gap]
         norm = math.hypot(*y)
         y = [v / norm for v in y]
-    return np.ldexp(sigma, exp), np.ldexp(shifts, 2 * exp), np.array(y)
+    return np.ldexp([sigma[0], sigma[-2], low], exp), np.ldexp(shifts, 2 * exp), np.array(y)
 
 
 def singular_values(m) -> np.ndarray:

@@ -37,6 +37,7 @@ import numpy as np
 from .core import (
     TlseProblem,
     TlseSolution,
+    _check_solution,
     _filtered,
     _gram_inv,
     _x_from_direction,
@@ -253,8 +254,9 @@ def wtls_limit_diagnostics(
     the solve's R factor of [A b]: each grid point factors [[C d]/eps; R],
     which has the Gram matrix of the weighted stack, and builds the
     resolvent from the solve's restricted SVD (_resolvent), with no Gram
-    matrix of the data. solution, if given, is solve_qr_svd(problem),
-    reused as in condition_report.
+    matrix of the data. solution, if given, must be solve_qr_svd(problem)
+    of this problem object (InputError otherwise), reused as in
+    condition_report.
     """
     grid = [_positive_eps(e) for e in eps_grid]
     if not grid:
@@ -262,6 +264,7 @@ def wtls_limit_diagnostics(
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise InputError("eps grid must be strictly decreasing")
     sol = solution if solution is not None else solve_qr_svd(problem)
+    _check_solution(problem, sol)
     data_r = sol.core.data_r
     r_a = data_r[:, :-1]
     gain_limit = np.hstack([sol.constraint_gain, sol.null_gram_inv @ r_a.T])

@@ -5,12 +5,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import tlsekit.bench
 import tlsekit.core
 from conftest import extreme_problem
 from qr_oracle import one_shot_r, stack_of
 from stationarity_oracle import stationarity_from_data
-from tlsekit import TlseProblem, condition_report, solve_closed_form, solve_qr_svd
+from tlsekit import (
+    TlseProblem,
+    apply_sample,
+    build_k_operator,
+    condition_report,
+    perturb,
+    run_experiment,
+    solve_closed_form,
+    solve_qr_svd,
+    wtls_limit_diagnostics,
+)
 from tlsekit.core import (
+    _filtered,
     _gram_inv,
     _x_from_direction,
     build_basis,
@@ -278,13 +290,17 @@ class TestGenericity:
     def test_core_matrix_shape(self):
         # the q-row data enter only through the (n+1) x (n+1) factor R
         problem = seeded_problem(4)
-        core = check_genericity(build_basis(problem), problem)
+        basis = build_basis(problem)
+        core = check_genericity(basis, problem)
         n, k = problem.n, problem.n - problem.p + 1
         assert core.data_r.shape == (n + 1, n + 1)
         assert core.restricted.u.shape == (n + 1, k - 1)
         assert core.restricted.v.shape == (k - 1, k - 1)
-        assert core.sigma.shape == (k,)
-        assert core.direction.shape == (k,)
+        sv = np.linalg.svd(core.data_r @ basis.aug_null_basis, compute_uv=False)
+        assert sv.shape == core.direction.shape == (k,)
+        np.testing.assert_allclose(
+            [core.sigma_max, core.sigma_min], sv[[0, -1]], rtol=0, atol=64 * U * sv[0]
+        )
         np.testing.assert_allclose(
             core.data_r.T @ core.data_r,
             stack_of(problem.A, problem.b).T @ stack_of(problem.A, problem.b),
@@ -317,9 +333,9 @@ class TestGenericity:
 
 
 class TestCoreSpectrum:
-    """The core spectrum and trailing direction read off the restricted SVD
-    (linalg.bordered_svd) against a direct SVD of R @ aug_null_basis, on
-    problems that take each deflation path."""
+    """The extreme core singular values and the trailing direction read off
+    the restricted SVD (linalg.bordered_svd) against a direct SVD of
+    R @ aug_null_basis, on problems that take each deflation path."""
 
     @pytest.mark.parametrize(
         "make",
@@ -340,7 +356,7 @@ class TestCoreSpectrum:
         core = check_genericity(basis, problem)
         _, sv, vt = np.linalg.svd(core.data_r @ basis.aug_null_basis)
         tol = 64 * U * sv[0]
-        np.testing.assert_allclose(core.sigma, sv, rtol=0, atol=tol)
+        np.testing.assert_allclose([core.sigma_max, core.sigma_min], sv[[0, -1]], rtol=0, atol=tol)
         assert np.linalg.norm(core.direction) == pytest.approx(1.0, rel=1e-14)
         # the direction lies in the right singular subspace of the trailing
         # cluster; for a simple sigma_min that is the SVD's vector up to sign
@@ -400,12 +416,17 @@ class TestCoreSpectrum:
             basis = build_basis(problem)
             core = check_genericity(basis, problem)
             sv = np.linalg.svd(core.data_r @ basis.aug_null_basis, compute_uv=False)
-            np.testing.assert_allclose(core.sigma, sv, rtol=0, atol=64 * U * sv[0])
+            np.testing.assert_allclose(
+                [core.sigma_max, core.sigma_min], sv[[0, -1]], rtol=0, atol=64 * U * sv[0]
+            )
 
     def test_sigma_min_never_exceeds_restricted_min(self, battery100, constrained20):
+        # interlacing: appending a column to the restricted data matrix
+        # raises its largest singular value and lowers its smallest
         for problem in battery100 + constrained20:
             core = check_genericity(build_basis(problem), problem)
-            assert core.sigma[-1] <= core.restricted.s[-1]
+            assert core.sigma_min <= core.restricted.s[-1]
+            assert core.sigma_max >= core.restricted.s[0]
             assert core.gap == core.shifts[-1] > 0.0
 
 
@@ -646,6 +667,44 @@ class TestStreamedData:
         np.testing.assert_array_equal(residual, problem.A @ solution.x - problem.b)
         assert solution.residual is residual
 
+    def test_gain_maps_are_formed_on_first_use(self):
+        solution = solve_qr_svd(seeded_problem(12, q=40))
+        assert "null_gram_inv" not in vars(solution)
+        assert "constraint_gain" not in vars(solution)
+        assert solution.null_gram_inv is solution.null_gram_inv
+        assert solution.constraint_gain is solution.constraint_gain
+
+    def test_gain_maps_match_the_eager_expressions(self, solved100, constrained20):
+        # forming the maps on first use changes no bit of their defining
+        # expressions; battery100 holds p = 0 problems too
+        problems = constrained20 + [seeded_problem(6, p=0)]
+        solutions = [s for _, s in solved100] + [solve_qr_svd(p) for p in problems]
+        for solution in solutions:
+            basis, core = solution.basis, solution.core
+            null_basis, pinv = basis.null_basis, constraint_pinv(basis)
+            np.testing.assert_array_equal(
+                solution.null_gram_inv, null_basis @ _gram_inv(core) @ null_basis.T
+            )
+            np.testing.assert_array_equal(
+                solution.constraint_gain,
+                pinv - null_basis @ _filtered(core, core.data_r[:, :-1] @ pinv),
+            )
+
+    def test_experiment_re_solve_forms_no_gain_map(self, monkeypatch):
+        solutions = []
+
+        def recorded(problem):
+            solutions.append(solve_qr_svd(problem))
+            return solutions[-1]
+
+        monkeypatch.setattr(tlsekit.bench, "solve_qr_svd", recorded)
+        problem = seeded_problem(2)
+        run_experiment(problem, perturb(problem, "normwise", 1e-8, seed=5))
+        # the problem's own solve feeds the report; the perturbed one only x
+        assert len(solutions) == 2
+        assert "null_gram_inv" in vars(solutions[0])
+        assert not {"null_gram_inv", "constraint_gain"} & set(vars(solutions[1]))
+
     @pytest.mark.parametrize(
         "shape", [(20, 2000, 100), (20, 3000, 100), (0, 2500, 60)]
     )
@@ -671,6 +730,35 @@ class TestStreamedData:
         assert np.linalg.norm(x_closed - ref_closed) <= 1e-12 * np.linalg.norm(
             ref_closed
         )
+
+
+class TestSolutionPairing:
+    """Every entry point that takes a problem and its solution rejects a
+    solution of another problem object, here a perturbed copy, whose
+    factors would otherwise be mixed with the given problem's data."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            validate_stationarity,
+            build_k_operator,
+            lambda problem, solution: condition_report(problem, solution=solution),
+            lambda problem, solution: run_experiment(
+                problem, perturb(problem, "normwise", 1e-8, seed=1), solution=solution
+            ),
+            lambda problem, solution: wtls_limit_diagnostics(
+                problem, [1e-2, 1e-3], solution=solution
+            ),
+        ],
+        ids=["stationarity", "k_operator", "report", "experiment", "limit"],
+    )
+    @pytest.mark.parametrize("p", [0, 3])
+    def test_solution_of_a_perturbed_copy_is_rejected(self, call, p):
+        problem = seeded_problem(3, p=p)
+        copy = apply_sample(problem, perturb(problem, "normwise", 1e-6, seed=2))
+        with pytest.raises(InputError, match="not solved from this problem"):
+            call(problem, solve_qr_svd(copy))
+        call(problem, solve_qr_svd(problem))
 
 
 class TestStationarity:

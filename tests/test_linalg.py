@@ -10,6 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tlsekit.linalg
 from qr_oracle import dgeqrf_r, stack_of
 from tlsekit.errors import InputError, NumericalError
 from tlsekit.linalg import (
@@ -390,7 +391,8 @@ class TestSmallFactorizations:
 
 def _check_bordered(s, z, gamma, c=64.0):
     """bordered_svd(s, z, gamma) against the SVD of H = [[diag(s), z],
-    [0, gamma]]: singular values within c u sigma_max, the shifts within
+    [0, gamma]]: the three values returned (entries 0, -2 and -1 of H's
+    nonincreasing spectrum) within c u sigma_max, the shifts within
     c u sigma_max^2 of s^2 - sigma_min^2 with s[-1] >= sigma_min exactly,
     and y a unit vector with H.T H y = sigma_min^2 y to c u sigma_max^2,
     which holds for a multiple sigma_min too."""
@@ -400,7 +402,7 @@ def _check_bordered(s, z, gamma, c=64.0):
     sigma, shifts, y = bordered_svd(s, z, gamma)
     expected = np.linalg.svd(h, compute_uv=False)
     tol = c * np.finfo(float).eps / 2 * max(expected[0], np.finfo(float).tiny)
-    np.testing.assert_allclose(sigma, expected, rtol=0, atol=tol)
+    np.testing.assert_allclose(sigma, expected[[0, -2, -1]], rtol=0, atol=tol)
     assert np.all(np.diff(sigma) <= 0) and sigma[-1] <= s[-1]
     assert np.all(shifts >= 0)
     low = expected[-1]
@@ -430,6 +432,8 @@ class TestBorderedSvd:
             ([0.0, 0.0], [0.0, 0.0], 0.0),  # H = 0
             ([1.0], [0.0], 1.0),  # degenerate: sigma = (1, 1)
             ([3.0], [1.0], 2.0),  # one pole
+            ([5.0, 2.0, 1.0], [0.0, 0.3, 0.4], 0.5),  # sigma_max a deflated pole
+            ([4.0, 1.5, 1.0], [0.5, 0.0, 1.5], 0.6),  # second-smallest deflated
         ],
     )
     def test_deflation_paths(self, s, z, gamma):
@@ -442,6 +446,30 @@ class TestBorderedSvd:
         np.testing.assert_array_equal(shifts, s * s)
         expected = np.append(-z / s, 1.0)
         np.testing.assert_allclose(y, expected / np.linalg.norm(expected), rtol=1e-15)
+
+    def test_deflated_extreme_and_interior_poles_are_returned_exactly(self):
+        # z[0] = 0 with s[0] above every root: sigma_max is s[0] itself
+        sigma, _, _ = bordered_svd(np.array([5.0, 2.0, 1.0]), np.array([0.0, 0.3, 0.4]), 0.5)
+        assert sigma[0] == 5.0
+        # z[1] = 0 and the roots bracket s[1]: it is the second-smallest value
+        sigma, _, _ = bordered_svd(np.array([4.0, 1.5, 1.0]), np.array([0.5, 0.0, 1.5]), 0.6)
+        assert sigma[1] == 1.5 and sigma[2] < 1.0 < 4.0 < sigma[0]
+
+    def test_three_secular_roots_at_most(self, monkeypatch):
+        # k = 101 values, none deflated: dlasd4 runs for roots 0, 1 and 100
+        calls = []
+        real = tlsekit.linalg.dlasd4
+
+        def counted(i, *args, **kwargs):
+            calls.append(i)
+            return real(i, *args, **kwargs)
+
+        monkeypatch.setattr(tlsekit.linalg, "dlasd4", counted)
+        rng = np.random.default_rng(26)
+        s = np.sort(rng.uniform(1.0, 10.0, 100))[::-1]
+        z = rng.standard_normal(100)
+        _check_bordered(s, z, 0.8)
+        assert calls == [0, 1, 100]
 
     def test_deflated_smallest_pole_is_sigma_min(self):
         # z[-1] = 0 and gamma large: s[-1] itself is sigma_min, shifts[-1] = 0
