@@ -610,11 +610,13 @@ def table2(
     """Prescribed-spectrum sweep with randomized-solver deviation medians.
 
     The nwtls_dev column holds the median relative deviation of the
-    randomized solver from the QR-SVD solution over `trials` (>= 1) seeds;
-    all trials share one weighted R factor, and each equals solve_nwtls
-    with its seed. By default the sketch width is n-p+1 plus the
-    oversample; passing `sketch` pins the sample size to that width, which
-    is how the delta-sensitivity of a genuinely low-rank sketch is exposed.
+    randomized solver from the QR-SVD solution over `trials` (>= 1) trials,
+    which share one weighted R factor and one kernel call. Trial s reads
+    slab s of the row's one stream of test matrices, so trial 0 equals
+    solve_nwtls seeded with derive_seed(seed, mi, di, 2). By default the
+    sketch width is n-p+1 plus the oversample; passing `sketch` pins the
+    sample size to that width, which is how the delta-sensitivity of a
+    genuinely low-rank sketch is exposed.
     """
     if trials < 1:
         raise InputError(f"trials must be at least 1, got {trials}")
@@ -636,9 +638,9 @@ def table2(
             row = run_experiment(
                 problem, sample, label=f"m={m} delta={delta:.0e}", solution=sol
             )
-            width = cfg.resolve(problem.n, problem.p)
-            seeds = [derive_seed(seed, mi, di, 2, s) for s in range(trials)]
-            xs = _nystrom(embed(problem, eps).r, width, seeds)
+            shape = (trials, problem.n + 1, cfg.resolve(problem.n, problem.p))
+            draws = _rng(seed, mi, di, 2).standard_normal(shape)
+            xs = _nystrom(embed(problem, eps).r, draws)
             ref_norm = np.linalg.norm(sol.x)
             devs = [float(np.linalg.norm(x - sol.x) / ref_norm) for x in xs]
             rows.append(replace(row, nwtls_dev=median(devs)))

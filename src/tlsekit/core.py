@@ -165,7 +165,8 @@ class CoreSvd:
     by check_genericity. shifts = s^2 - sigma_min^2, factored; shifts >= 0,
     so restricted_min_sv >= sigma_min, and genericity means the strict
     inequality. gap = shifts[-1], the difference of the two squares,
-    rel_gap the gap relative to restricted_min_sv**2.
+    rel_gap the gap relative to restricted_min_sv**2; problem is the one
+    whose [A b] was factored.
     """
 
     data_r: np.ndarray
@@ -177,6 +178,7 @@ class CoreSvd:
     gap: float
     rel_gap: float
     satisfied: bool
+    problem: TlseProblem = field(repr=False, compare=False)
     warnings: tuple = field(default_factory=tuple)
 
     @property
@@ -288,8 +290,9 @@ def check_genericity(basis: ConstraintBasis, problem: TlseProblem) -> CoreSvd:
     squared spectrum outside the float range: the largest restricted
     singular value's square overflows, or the gap holds but the smallest
     shift underflows below the smallest normal float, where the shifted
-    Gram inverse would overflow or lose its digits. Warnings carried in the
-    result (never raised here):
+    Gram inverse would overflow or lose its digits; InputError when basis
+    was built for another problem object. Warnings carried in the result
+    (never raised here):
 
     - "ill-posed" when the gap is at or below GAP_WARN_FACTOR * eps *
       restricted_min_sv**2 (includes every unsatisfied case),
@@ -297,6 +300,8 @@ def check_genericity(basis: ConstraintBasis, problem: TlseProblem) -> CoreSvd:
     - "non-unique" when the two smallest core singular values nearly
       coincide, so the minimizing direction is not well determined.
     """
+    if basis.problem is not problem:
+        raise InputError("basis was not built for this problem")
     data_r = r_factor(problem.A, problem.b)
     restricted = svd(data_r[:, :-1] @ basis.null_basis)
     s, tiny = restricted.s, np.finfo(float).tiny
@@ -331,6 +336,7 @@ def check_genericity(basis: ConstraintBasis, problem: TlseProblem) -> CoreSvd:
         gap=gap,
         rel_gap=rel_gap,
         satisfied=satisfied,
+        problem=problem,
         warnings=tuple(warnings),
     )
 

@@ -5,10 +5,10 @@ ordinary TLS problem whose solution tends to the constrained one as
 eps -> 0. This module provides the embedding, its direct SVD solution, an
 admissibility bound on eps, convergence diagnostics against the constrained
 solver, and the randomized Nystrom solver that sketches the inverse Gram
-operator of the stacked matrix. Its kernel takes a batch of seeds on one R
-factor, so table2 factors each problem once for all its trials; each
-trial then runs a small QR, a Cholesky and one eigenpair by direct LAPACK
-calls, with no SVD.
+operator of the stacked matrix. Its kernel takes a stack of test matrices
+on one R factor, so table2 factors each problem once and draws all its
+trials from one stream; per slab it runs a small QR, a Cholesky and one
+eigenpair by direct LAPACK calls, with no SVD.
 
 Every route works on R factors, never on the weighted stack itself. The
 embedding is the R of [[C d]/eps; [A b]], factored with the heavy
@@ -167,13 +167,16 @@ def embed(problem: TlseProblem, eps: float) -> WeightedEmbedding:
 def check_eps_bound(problem: TlseProblem, eps: float, core) -> EpsBound:
     """Admissibility test 2 eps^2 ||pinv([C d])||^2 ||[A b]||^2 < gap.
 
-    core must come from check_genericity on the same problem: ||[A b]||_2 is
-    taken from core.data_r, its R factor of [A b]. With p = 0, [C d] has
-    no singular values, its pseudoinverse norm is 0 and the test reduces to
-    a positive gap. When the left side overflows (singular values of [C d]
-    below about 1e-154), lhs is inf, margin -inf and ok False.
+    core must come from check_genericity on this problem object (InputError
+    otherwise): ||[A b]||_2 is taken from core.data_r, its R factor of
+    [A b]. With p = 0, [C d] has no singular values, its pseudoinverse norm
+    is 0 and the test reduces to a positive gap. When the left side
+    overflows (singular values of [C d] below about 1e-154), lhs is inf,
+    margin -inf and ok False.
     """
     eps = _positive_eps(eps)
+    if core.problem is not problem:
+        raise InputError("core was not computed from this problem")
     sv_min = singular_values(problem.aug_constraint()).min(initial=np.inf)
     pinv_norm = 1.0 / sv_min
     data_norm = np.float64(spectral_norm(core.data_r))
@@ -284,25 +287,26 @@ def wtls_limit_diagnostics(
     return rows
 
 
-def _nystrom(r: np.ndarray, width: int, seeds) -> list[np.ndarray]:
-    """Randomized Nystrom solutions on the weighted R factor, one per seed.
+def _nystrom(r: np.ndarray, draws: np.ndarray) -> list[np.ndarray]:
+    """Randomized Nystrom solutions on the weighted R factor, one per slab
+    of draws, a (k, n+1, width) stack of Gaussian test matrices.
 
-    The seeds' test matrices, then their Q factors, sit side by side, so
-    each inverse-Gram solve is one pair of triangular solves for all seeds.
-    Per seed, LAPACK gives the thin Q (dgeqrf, dorgqr) in the first
-    solve's own columns, the Cholesky factor L of the compression
-    Q.T G^-1 Q (dpotrf), and the largest eigenpair (w, v) of K.T K
-    (dsyevr), K = G^-1 Q L^-T; u = K v / ||K v|| is the dominant left
-    singular vector of K, with no SVD. Each seed runs the same calls on
-    the same values whatever the batch, so each x equals the one of its
-    seed alone. An R whose largest diagonal entry lies outside
-    2^(+-GRAM_EXP) is first scaled by a power of two (pow2_scale),
-    exactly, which leaves every direction unchanged. NumericalError when
-    the sketch leaves the float range (checked on each solve, on each
-    matrix a factorization reads and on u, so no NaN or RuntimeWarning
-    escapes) or a factorization breaks down.
+    The slabs, then their Q factors, sit side by side, so each inverse-Gram
+    solve is one pair of triangular solves for all of them. Per slab,
+    LAPACK gives the thin Q (dgeqrf, dorgqr) in the first solve's own
+    columns, the Cholesky factor L of the compression Q.T G^-1 Q (dpotrf),
+    K = G^-1 Q L^-T (dtrtrs) and the largest eigenpair (w, v) of K.T K
+    (dsyevr); u = K v / ||K v|| is the dominant left singular vector of K,
+    with no SVD. The compressions, K.T K, the range checks and the norms
+    of u run once on the stack, yet each slab gets the same calls on the
+    same values, so its x equals the one of its slab alone. An R whose
+    largest diagonal entry lies outside 2^(+-GRAM_EXP) is first scaled by
+    a power of two (pow2_scale), exactly, which leaves every direction
+    unchanged. NumericalError when the sketch leaves the float range
+    (checked on each solve, on each matrix a factorization reads and on u,
+    so no NaN or RuntimeWarning escapes) or a factorization breaks down.
     """
-    n, k = r.shape[1] - 1, len(seeds)
+    k, n1, width = draws.shape
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag.min() <= np.finfo(float).tiny * diag.max():
         raise NumericalError("stacked matrix is rank deficient; Gram solve fails")
@@ -317,26 +321,27 @@ def _nystrom(r: np.ndarray, width: int, seeds) -> list[np.ndarray]:
         return a
 
     def gram_solve(rhs):
-        # the Fortran-ordered (n+1, k*width) solution
-        return in_range(solve_triangular(r, solve_triangular(r, rhs, trans=1)))
+        # the Fortran-ordered (n+1, k*width) solution as a (k, n+1, width) view
+        out = in_range(solve_triangular(r, solve_triangular(r, rhs, trans=1)))
+        return out.T.reshape(k, width, n1).transpose(0, 2, 1)
 
-    draws = [np.random.default_rng(s).standard_normal((n + 1, width)) for s in seeds]
-    q = gram_solve(draws[0] if k == 1 else np.hstack(draws))
-    blocks = [slice(s * width, (s + 1) * width) for s in range(k)]
-    for cols in blocks:
-        q[:, cols] = thin_q(q[:, cols])
-    y = gram_solve(q)
-    xs = []
+    # the slabs side by side, (n+1, k*width): a view for one slab and for q
+    q = gram_solve(draws.transpose(1, 0, 2).reshape(n1, -1))
+    for s in range(k):
+        q[s] = thin_q(q[s])
+    y = gram_solve(q.transpose(1, 0, 2).reshape(n1, -1))
     # overflow past a finite y is caught by in_range, not warned about
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for cols in blocks:
-            q_s, y_s = q[:, cols], y[:, cols]
-            z = q_s.T @ y_s
-            low = cholesky(in_range(0.5 * (z + z.T)))
-            k_s = solve_triangular(low, y_s.T, lower=True).T
-            u = k_s @ top_eigen(in_range(k_s.T @ k_s), vector=True)[1]
-            xs.append(_x_from_direction(in_range(u / np.linalg.norm(u))))
-    return xs
+        z = q.transpose(0, 2, 1) @ y
+        z = in_range(0.5 * (z + z.transpose(0, 2, 1)))
+        kf, u = np.empty((k, n1, width)), np.empty((k, 1, n1))
+        for s in range(k):
+            kf[s] = solve_triangular(cholesky(z[s]), y[s].T, lower=True).T
+        gram = in_range(kf.transpose(0, 2, 1) @ kf)
+        for s in range(k):
+            u[s, 0] = kf[s] @ top_eigen(gram[s], vector=True)[1]
+        u = in_range(u / np.sqrt(u @ u.transpose(0, 2, 1)))
+    return [_x_from_direction(u[s, 0]) for s in range(k)]
 
 
 def solve_nwtls(problem: TlseProblem, cfg: NwtlsConfig | None = None) -> np.ndarray:
@@ -348,13 +353,14 @@ def solve_nwtls(problem: TlseProblem, cfg: NwtlsConfig | None = None) -> np.ndar
     K, read off the largest eigenpair of the small K.T K as a unit vector.
     Inverse-Gram solves go through embed's R factor of the stack with two
     triangular solves; neither the stack, its Q nor its Gram matrix is
-    formed. table2 runs the same kernel on a batch of seeds. cfg.eps must
-    be finite and positive (InputError otherwise). NonGenericError when the
-    last component of the sketched direction is below
-    core.LAST_COMPONENT_TOL in magnitude; NumericalError when the stack is
-    so close to rank deficient that an inverse-Gram solve leaves the float
-    range.
+    formed. The test matrix is the first draw of default_rng(cfg.seed), as
+    in slab 0 of a table2 row stream with that seed. cfg.eps must be finite
+    and positive (InputError otherwise). NonGenericError when the last
+    component of the sketched direction is below core.LAST_COMPONENT_TOL
+    in magnitude; NumericalError when the stack is so close to rank
+    deficient that an inverse-Gram solve leaves the float range.
     """
     cfg = cfg or NwtlsConfig()
     width = cfg.resolve(problem.n, problem.p)
-    return _nystrom(embed(problem, cfg.eps).r, width, [cfg.seed])[0]
+    draws = np.random.default_rng(cfg.seed).standard_normal((1, problem.n + 1, width))
+    return _nystrom(embed(problem, cfg.eps).r, draws)[0]

@@ -1,10 +1,12 @@
-"""table2 with one solve_nwtls call per trial: the oracle for the batch.
+"""table2 one trial at a time: the oracle for the batch.
 
 The package's table2 factors the weighted stack once per problem and runs
 all trials through one batched Nystrom kernel, reusing run_experiment's
-QR-SVD solve as the reference. The loop below is the plain form: a fresh
-reference solve and a separate solve_nwtls (its own R factor and its own
-four triangular solves) for every seed. The two must agree bit for bit.
+QR-SVD solve as the reference. The loop below is the plain form: it draws
+each row's (trials, n+1, width) stream of test matrices as table2 does,
+then takes a fresh reference solve, and for every trial a fresh R factor
+of the weighted stack and one kernel call on that trial's slab alone. The
+two must agree bit for bit.
 """
 from dataclasses import replace
 from statistics import median
@@ -14,13 +16,14 @@ import numpy as np
 from tlsekit import (
     GeneratorSpec,
     NwtlsConfig,
+    embed,
     gen_householder_spectrum,
     perturb,
     run_experiment,
-    solve_nwtls,
     solve_qr_svd,
 )
 from tlsekit.bench import derive_seed
+from tlsekit.wtls import _nystrom
 
 
 def table2_per_trial(
@@ -33,6 +36,7 @@ def table2_per_trial(
     oversample=5,
     sketch=None,
 ):
+    cfg = NwtlsConfig(eps=eps, oversample=oversample, sample_size=sketch)
     rows = []
     for mi, m in enumerate(ms):
         for di, delta in enumerate(deltas):
@@ -51,15 +55,12 @@ def table2_per_trial(
             )
             x_ref = solve_qr_svd(problem).x
             ref_norm = np.linalg.norm(x_ref)
+            width = cfg.resolve(problem.n, problem.p)
+            stream = np.random.default_rng(derive_seed(seed, mi, di, 2))
+            draws = stream.standard_normal((trials, problem.n + 1, width))
             devs = []
-            for s in range(trials):
-                cfg = NwtlsConfig(
-                    eps=eps,
-                    oversample=oversample,
-                    sample_size=sketch,
-                    seed=derive_seed(seed, mi, di, 2, s),
-                )
-                x_rand = solve_nwtls(problem, cfg)
+            for slab in draws:
+                x_rand = _nystrom(embed(problem, eps).r, slab[None])[0]
                 devs.append(float(np.linalg.norm(x_rand - x_ref) / ref_norm))
             rows.append(replace(row, nwtls_dev=median(devs)))
     return rows

@@ -638,6 +638,20 @@ class TestTables:
         rows = table2(**kwargs)
         assert emit_table(rows, "json") == emit_table(expected, "json")
 
+    def test_table2_builds_three_generators_per_row(self, monkeypatch):
+        # the problem's, the perturbation's and one stream for all trials:
+        # a generator per trial would make it 2 + trials
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        rows = table2(ms=(14, 50), deltas=(1e-2, 1e-4), trials=20)
+        assert len(built) == 3 * len(rows) == 12
+
     def test_table3_uses_componentwise_noise(self):
         rows = table3(a_list=(0.5,), seed=1, m_pts=30, n_pts=70, scale=1e-8)
         assert len(rows) == 1

@@ -10,16 +10,18 @@ import pytest
 import tlsekit.wtls
 from conftest import extreme_problem
 from mp_oracle import shifted_inverse
-from nystrom_oracle import nystrom_svd
+from nystrom_oracle import nystrom_per_slab, nystrom_svd
 from qr_oracle import one_shot_r, stack_of
 from tlsekit import (
     GeneratorSpec,
     NwtlsConfig,
     TlseProblem,
+    apply_sample,
     check_eps_bound,
     condition_report,
     embed,
     gen_householder_spectrum,
+    perturb,
     solve_nwtls,
     solve_qr_svd,
     solve_wtls_direct,
@@ -124,12 +126,25 @@ def assert_gram_of(r, stack):
 ORACLE_RTOL = 1e-12
 
 
-def assert_matches_oracle(problem, cfg, seeds):
-    """_nystrom on embed's R is within ORACLE_RTOL of nystrom_svd."""
+def seed_draws(seeds, n, width):
+    """One (n+1, width) Gaussian slab per seed, as solve_nwtls draws it."""
+    return np.stack(
+        [np.random.default_rng(s).standard_normal((n + 1, width)) for s in seeds]
+    )
+
+
+def assert_matches_oracle(problem, cfg, seeds=None, draws=None):
+    """_nystrom on embed's R is within ORACLE_RTOL of nystrom_svd on the
+    same draws (one slab per seed unless draws are given), and equal bit
+    for bit to nystrom_per_slab."""
     r = embed(problem, cfg.eps).r
-    width = cfg.resolve(problem.n, problem.p)
-    for x, ref in zip(_nystrom(r, width, seeds), nystrom_svd(r, width, seeds)):
+    if draws is None:
+        draws = seed_draws(seeds, problem.n, cfg.resolve(problem.n, problem.p))
+    xs = _nystrom(r, draws)
+    for x, ref in zip(xs, nystrom_svd(r, draws)):
         assert np.linalg.norm(x - ref) <= ORACLE_RTOL * np.linalg.norm(ref)
+    for x, ref in zip(xs, nystrom_per_slab(r, draws), strict=True):
+        np.testing.assert_array_equal(x, ref)
 
 
 def degenerate_problem():
@@ -231,6 +246,20 @@ class TestEpsBound:
         for eps in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(InputError, match="eps must be positive"):
                 check_eps_bound(problem, eps, core)
+
+    def test_core_of_a_perturbed_copy_is_rejected(self):
+        # the copy's core has gap 3.16 where the problem's own has 0.98:
+        # unchecked, it would admit eps on the wrong gap
+        problem = extreme_problem()
+        copy = apply_sample(problem, perturb(problem, "normwise", 0.5, seed=1))
+        core = check_genericity(build_basis(copy), copy)
+        with pytest.raises(InputError, match="not computed from this problem"):
+            check_eps_bound(problem, 1e-8, core)
+        own = check_genericity(build_basis(problem), problem)
+        assert check_eps_bound(problem, 1e-8, own).gap == own.gap
+        # nor can a core of the problem be built on the copy's basis
+        with pytest.raises(InputError, match="not built for this problem"):
+            check_genericity(build_basis(copy), problem)
 
     @pytest.mark.parametrize(
         "p, scaled", [(20, False), (20, True), (0, False)], ids=["plain", "scaled", "p0"]
@@ -597,9 +626,11 @@ class TestNwtlsStreamed:
 
 
 class TestNystromBatch:
-    """The batch kernel behind table2 against one solve_nwtls per seed."""
+    """The batch kernel behind table2 against its slabs one at a time, the
+    per-slab loop of nystrom_oracle and one solve_nwtls per seed."""
 
     SEEDS = [0, 7, 7, 123, 2**40]
+    ROW_SEED = derive_seed(0, 1, 2, 2)
 
     @pytest.mark.parametrize(
         "shape, sample_size",
@@ -617,12 +648,38 @@ class TestNystromBatch:
         problem = seeded_problem(q + n, p=p, n=n, q=q)
         cfg = NwtlsConfig(sample_size=sample_size)
         width = cfg.resolve(problem.n, problem.p)
-        xs = _nystrom(embed(problem, cfg.eps).r, width, self.SEEDS)
+        xs = _nystrom(embed(problem, cfg.eps).r, seed_draws(self.SEEDS, n, width))
         assert len(xs) == len(self.SEEDS)
         for seed, x in zip(self.SEEDS, xs):
             np.testing.assert_array_equal(
                 x, solve_nwtls(problem, replace(cfg, seed=seed))
             )
+
+    @pytest.mark.parametrize(
+        "shape, sample_size",
+        [
+            ((3, 15, 8), None),
+            ((3, 15, 8), 2),
+            ((0, 12, 6), None),
+            ((5, 3000, 30), None),  # streamed R, Fortran-ordered
+        ],
+    )
+    def test_each_trial_is_its_slab_alone(self, shape, sample_size):
+        # table2's row stream: trial s reads slab s, and slab 0 is the draw
+        # of solve_nwtls with the row's seed
+        p, q, n = shape
+        problem = seeded_problem(q + n, p=p, n=n, q=q)
+        cfg = NwtlsConfig(sample_size=sample_size, seed=self.ROW_SEED)
+        width = cfg.resolve(problem.n, problem.p)
+        stream = np.random.default_rng(self.ROW_SEED)
+        draws = stream.standard_normal((7, n + 1, width))
+        r = embed(problem, cfg.eps).r
+        xs = _nystrom(r, draws)
+        assert len(xs) == len(draws)
+        for s, (x, ref) in enumerate(zip(xs, nystrom_per_slab(r, draws))):
+            np.testing.assert_array_equal(x, _nystrom(r, draws[s : s + 1])[0])
+            np.testing.assert_array_equal(x, ref)
+        np.testing.assert_array_equal(xs[0], solve_nwtls(problem, cfg))
 
     @pytest.mark.parametrize(
         "problem",
@@ -640,9 +697,9 @@ class TestNystromBatch:
     def test_rank_deficient_r_raises_for_a_batch(self, problem):
         r = embed(problem, 1e-8).r
         with pytest.raises(NumericalError):
-            _nystrom(r, 3, [0])
+            _nystrom(r, seed_draws([0], problem.n, 3))
         with pytest.raises(NumericalError):
-            _nystrom(r, 3, self.SEEDS)
+            _nystrom(r, seed_draws(self.SEEDS, problem.n, 3))
 
 
 class TestNystromOracle:
@@ -681,8 +738,10 @@ class TestNystromOracle:
                     seed=derive_seed(0, mi, di),
                 )
             )
-            seeds = [derive_seed(0, mi, di, 2, s) for s in range(20)]
-            assert_matches_oracle(problem, NwtlsConfig(), seeds)
+            width = NwtlsConfig().resolve(problem.n, problem.p)
+            stream = np.random.default_rng(derive_seed(0, mi, di, 2))
+            draws = stream.standard_normal((20, problem.n + 1, width))
+            assert_matches_oracle(problem, NwtlsConfig(), draws=draws)
 
 
 class TestNystromAtFloatExtremes:
@@ -704,8 +763,9 @@ class TestNystromAtFloatExtremes:
         problem = seeded_problem(7, p=p)
         r = embed(problem, 1e-8).r
         width = NwtlsConfig().resolve(problem.n, problem.p)
-        xs = _nystrom(r, width, [0, 1])
-        for x, x_scaled in zip(xs, _nystrom(np.ldexp(r, exp), width, [0, 1])):
+        draws = seed_draws([0, 1], problem.n, width)
+        xs = _nystrom(r, draws)
+        for x, x_scaled in zip(xs, _nystrom(np.ldexp(r, exp), draws)):
             np.testing.assert_array_equal(x_scaled, x)
 
     # 2.2e-155: the solves stay finite, but the compression Q.T G^-1 Q
