@@ -137,15 +137,6 @@ class KOperator:
 
 
 @dataclass(frozen=True)
-class TlsSensitivity:
-    """Unconstrained-TLS sensitivities and the first-order error estimate."""
-
-    kappa_A: float
-    kappa_b: float
-    estimate: float | None
-
-
-@dataclass(frozen=True)
 class ConditionReport:
     """All condition numbers of one problem under one weight choice.
 
@@ -347,54 +338,6 @@ def _block_sums(op: KOperator, exact: bool):
             np.abs(rank_two, out=rank_two)
             target[i] += flat @ labs_flat
     return target, upper, weight
-
-
-def tls_specialization(
-    problem: TlseProblem,
-    solution: TlseSolution,
-    dA=None,
-    db=None,
-) -> TlsSensitivity:
-    """Sensitivities of the unconstrained (p = 0) problem.
-
-    kappa_b scales the inverse-Gram-times-data map; kappa_A adds the
-    residual term. Their three spectral norms come from the solve's
-    restricted SVD, with no further factorization: ||A||_2 = s[0],
-    ||inv_gram||_2 = 1/shifts[-1] and ||inv_gram A.T||_2 = max(s/shifts)
-    (core.null_gram_inv_norm, core.data_map_norm). When perturbations are
-    supplied the first-order estimate kappa_b ||db||/||b|| + kappa_A
-    ||dA||_2/||A||_2 is evaluated (missing pieces count as zero).
-    """
-    if problem.p != 0:
-        raise InputError("tls_specialization requires a problem with p = 0")
-    q, n = problem.q, problem.n
-    if dA is not None and (dA := as_matrix(dA, "dA")).shape != (q, n):
-        raise InputError(f"dA has shape {dA.shape}, expected {(q, n)}")
-    if db is not None and (db := as_vector(db, "db")).shape[0] != q:
-        raise InputError(f"db has length {db.shape[0]}, expected {q}")
-    # [A b] = Q R with orthonormal Q, so the q-row norms are read off R:
-    # ||A x - b|| = ||R [x; -1]||, and with p = 0 the restricted SVD is that
-    # of R_A, so ||A||_2 = ||R_A||_2 is its largest singular value
-    core = solution.core
-    r = core.data_r
-    map_norm = data_map_norm(core)
-    nx = float(np.linalg.norm(solution.x))
-    if nx == 0.0:
-        raise UndefinedConditionError("condition numbers need x != 0")
-    nb = float(np.linalg.norm(problem.b))
-    na = float(core.restricted.s[0])
-    nr = float(np.linalg.norm(r[:, :-1] @ solution.x - r[:, -1]))
-    kappa_b = nb / nx * map_norm
-    kappa_a = na / nx * (nr * null_gram_inv_norm(core) + nx * map_norm)
-    estimate = None
-    if dA is not None or db is not None:
-        est = 0.0
-        if db is not None and nb > 0:
-            est += kappa_b * float(np.linalg.norm(db)) / nb
-        if dA is not None and na > 0:
-            est += kappa_a * spectral_norm(dA) / na
-        estimate = float(est)
-    return TlsSensitivity(kappa_A=float(kappa_a), kappa_b=float(kappa_b), estimate=estimate)
 
 
 def condition_report(

@@ -332,18 +332,6 @@ def bordered_svd(s, z, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return np.ldexp([sigma[0], sigma[-2], low], exp), np.ldexp(shifts, 2 * exp), np.array(y)
 
 
-def singular_values(m) -> np.ndarray:
-    """All singular values, nonincreasing, from an SVD; accurate for the
-    smallest ones too, which spectral_norm's Gram matrix cannot give."""
-    arr = as_matrix(m)
-    if 0 in arr.shape:
-        return np.zeros(0)
-    try:
-        return np.linalg.svd(arr, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge: {exc}") from exc
-
-
 def pow2_scale(big: float, mats: list) -> tuple[int, list]:
     """(exp, mats scaled by 2^-exp), with exp the binary exponent of the
     finite, positive big (the largest magnitude among mats' entries) when
@@ -369,7 +357,7 @@ def spectral_norm(*blocks) -> float:
     outside 2^(+-GRAM_EXP): those are scaled by a power of two first
     (pow2_scale), so that the Gram matrix neither overflows nor
     underflows. The smallest singular values do not come from a Gram
-    matrix (singular_values).
+    matrix (svd).
     """
     mats = [np.asarray(b, dtype=float) for b in blocks]
     mats = [b.reshape(-1, 1) if b.ndim == 1 else b for b in mats]

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    LAST_COMPONENT_TOL,
     TlseProblem,
     TlseSolution,
     _check_solution,
@@ -45,7 +46,7 @@ from .core import (
 )
 from .errors import IllPosedError, InputError, NumericalError
 from .linalg import (
-    cholesky, pow2_scale, r_factor, singular_values, solve_triangular,
+    cholesky, pow2_scale, r_factor, solve_triangular,
     spectral_norm, svd, thin_q, top_eigen,
 )
 
@@ -169,15 +170,16 @@ def check_eps_bound(problem: TlseProblem, eps: float, core) -> EpsBound:
 
     core must come from check_genericity on this problem object (InputError
     otherwise): ||[A b]||_2 is taken from core.data_r, its R factor of
-    [A b]. With p = 0, [C d] has no singular values, its pseudoinverse norm
-    is 0 and the test reduces to a positive gap. When the left side
+    [A b], and ||pinv([C d])||_2 is 1/sigma_min([C d]) from svd. With
+    p = 0, [C d] has no singular values, its pseudoinverse norm is 0 and
+    the test reduces to a positive gap. When the left side
     overflows (singular values of [C d] below about 1e-154), lhs is inf,
     margin -inf and ok False.
     """
     eps = _positive_eps(eps)
     if core.problem is not problem:
         raise InputError("core was not computed from this problem")
-    sv_min = singular_values(problem.aug_constraint()).min(initial=np.inf)
+    sv_min = svd(problem.aug_constraint()).s.min(initial=np.inf)
     pinv_norm = 1.0 / sv_min
     data_norm = np.float64(spectral_norm(core.data_r))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -195,20 +197,27 @@ def solve_wtls_direct(emb: WeightedEmbedding) -> tuple[np.ndarray, float]:
 
     Returns (x, sigma) where sigma is the smallest singular value of the
     stack. Normalizes the trailing right singular vector instead of forming
-    normal equations (see module docstring); NonGenericError when its last
-    component is below core.LAST_COMPONENT_TOL in magnitude.
+    normal equations (see module docstring). Genericity, sigma_min of the
+    coefficient block [C/eps; A] above sigma_n+1 of the stack, is read off
+    the same SVD U diag(s) V.T (Van Huffel & Vandewalle, The Total Least
+    Squares Problem, SIAM 1991, ch. 3):
+
+        sigma_min(r[:, :n]) > s[n]  <=>  s[n-1] > s[n] and v[n, n] != 0.
+
+    Interlacing gives s[n-1] >= sigma_min(r[:, :n]) >= s[n]. If the right
+    one is an equality, attained at a unit u, then [u; 0] attains s[n], so
+    a simple s[n] forces v[:, n] parallel to [u; 0]; and v[n, n] = 0 makes
+    v[:n, n] such a u. IllPosedError unless s[n-1] > s[n] and
+    |v[n, n]| >= core.LAST_COMPONENT_TOL.
     """
-    r = emb.r
-    n = r.shape[1] - 1
-    res = svd(r)
-    coef_min = float(singular_values(r[:, :n])[-1])
-    if not coef_min > float(res.s[-1]):
+    res = svd(emb.r)
+    s, v = res.s, res.v[:, -1]
+    if not (s[-2] > s[-1] and abs(v[-1]) >= LAST_COMPONENT_TOL):
         raise IllPosedError(
-            f"weighted stack is degenerate: sigma_min of [C/eps; A] "
-            f"{coef_min:.6e} does not exceed sigma_min of the stack "
-            f"{res.s[-1]:.6e}"
+            f"weighted stack is degenerate: singular values {s[-2]:.6e} and "
+            f"{s[-1]:.6e}, normalizing component {v[-1]:.3e}"
         )
-    return _x_from_direction(res.v[:, -1]), float(res.s[-1])
+    return _x_from_direction(v), float(s[-1])
 
 
 def _resolvent(core, basis, sigma_eps, eps):

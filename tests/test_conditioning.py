@@ -16,7 +16,6 @@ from tlsekit import (
     condition_report,
     gen_equilibratory,
     solve_qr_svd,
-    tls_specialization,
 )
 from tlsekit import conditioning
 from tlsekit.bench import derive_seed
@@ -792,111 +791,65 @@ class TestFirstOrderFidelity:
             assert 5.0 <= prev / nxt <= 20.0
 
 
-class TestTlsSpecialization:
-    def test_golden_ratio_sensitivities(self):
-        # closed forms for the 2x1 golden problem:
-        # kappa_b = sqrt(2), kappa_A = phi + sqrt((5 - sqrt(5))/2)
-        problem = golden_problem()
-        sens = tls_specialization(problem, solve_qr_svd(problem))
-        assert sens.kappa_b == pytest.approx(math.sqrt(2), rel=1e-12)
-        assert sens.kappa_A == pytest.approx(
-            PHI + math.sqrt((5 - math.sqrt(5)) / 2), rel=1e-12
-        )
-        assert sens.estimate is None
+def tls_jacobian(problem: TlseProblem, w: Weights) -> np.ndarray:
+    """The weighted Jacobian of unconstrained TLS, from A and b alone
+    (Baboulin & Gratton, SIMAX 2011): with r = A x - b, sigma and x from
+    the SVD of [A b] and D = (A.T A - sigma^2 I)^-1,
 
-    def test_estimate_combines_blocks(self):
-        problem = golden_problem()
-        solution = solve_qr_svd(problem)
-        db = np.array([0.1, -0.2])
-        sens = tls_specialization(problem, solution, db=db)
-        expected = sens.kappa_b * np.linalg.norm(db) / np.linalg.norm(problem.b)
-        assert sens.estimate == pytest.approx(expected, rel=1e-12)
-        both = tls_specialization(
-            problem, solution, dA=np.array([[0.05], [0.0]]), db=db
-        )
-        assert both.estimate > sens.estimate
+        dx = D (A.T - 2 x r.T / (1 + ||x||^2)) (db - dA x) - D dA.T r,
 
-    def test_tall_matches_explicit_norms(self):
-        # the norms are read off the R factor of [A b]; check them on A
-        problem = tls_problem(q=300)
-        solution = solve_qr_svd(problem)
-        sens = tls_specialization(problem, solution)
-        data_map = np.linalg.norm(solution.null_gram_inv @ problem.A.T, 2)
-        nx = np.linalg.norm(solution.x)
-        kappa_a = np.linalg.norm(problem.A, 2) / nx * (
-            np.linalg.norm(solution.residual)
-            * np.linalg.norm(solution.null_gram_inv, 2)
-            + nx * data_map
-        )
-        assert sens.kappa_b == pytest.approx(
-            np.linalg.norm(problem.b) / nx * data_map, rel=1e-12
-        )
-        assert sens.kappa_A == pytest.approx(kappa_a, rel=1e-12)
+    as an n x q(n+1) matrix on (vec(dA) row by row, db), the dA columns
+    divided by alpha and the db columns by beta."""
+    a, b = problem.A, problem.b
+    _, s, vt = np.linalg.svd(np.column_stack([a, b]))
+    x = vt[-1, :-1] / -vt[-1, -1]
+    r = a @ x - b
+    d = np.linalg.inv(a.T @ a - s[-1] ** 2 * np.eye(problem.n))
+    m = d @ (a.T - 2.0 * np.outer(x, r) / (1.0 + x @ x))
+    # column (i, j) of the dA block: -x_j m[:, i] - r_i d[:, j]
+    j_a = -m[:, :, None] * x - d[:, None, :] * r[:, None]
+    return np.hstack([j_a.reshape(problem.n, -1) / w.alpha, m / w.beta])
 
-    @pytest.mark.parametrize("q", [300, 6])
-    def test_residual_norm_from_r_factor(self, q):
-        # ||A x - b|| is read as ||R [x; -1]||: the lazy residual stays
-        # unformed, and kappa_A matches the explicit residual norm
-        problem = tls_problem(q=q)
-        solution = solve_qr_svd(problem)
-        sens = tls_specialization(problem, solution)
-        assert "residual" not in vars(solution)
-        r_a = solution.core.data_r[:, :-1]
-        data_map = np.linalg.norm(solution.null_gram_inv @ r_a.T, 2)
-        nx = np.linalg.norm(solution.x)
-        explicit = np.linalg.norm(problem.A @ solution.x - problem.b)
-        kappa_a = np.linalg.norm(r_a, 2) / nx * (
-            explicit * np.linalg.norm(solution.null_gram_inv, 2) + nx * data_map
-        )
-        assert sens.kappa_A == pytest.approx(kappa_a, rel=1e-13)
 
-    def test_r_factor_residual_norm_on_few_rows(self):
-        # p > 0 and q < n + 1: R is trapezoidal, the identity still holds
-        rng = np.random.default_rng(4)
-        problem = TlseProblem(
-            C=rng.standard_normal((3, 8)),
-            d=rng.standard_normal(3),
-            A=rng.standard_normal((6, 8)),
-            b=rng.standard_normal(6),
-        )
-        solution = solve_qr_svd(problem)
-        r = solution.core.data_r
-        assert r.shape == (6, 9)
-        explicit = np.linalg.norm(problem.A @ solution.x - problem.b)
-        assert np.linalg.norm(r[:, :-1] @ solution.x - r[:, -1]) == pytest.approx(
-            explicit, rel=1e-13
-        )
+class TestTlsUnification:
+    """At p = 0, condition_report's kappa_n is the normwise condition number
+    of unconstrained TLS: the weighted 2-norm of its Jacobian, normalized
+    by ||[alpha A, beta b]||_F / ||x||."""
 
-    def test_rejects_misshapen_dA(self):
-        problem = tls_problem(n=4, q=10)
-        solution = solve_qr_svd(problem)
-        expected = r"dA has shape \(2, 2\), expected \(10, 4\)"
-        with pytest.raises(InputError, match=expected):
-            tls_specialization(problem, solution, dA=np.ones((2, 2)))
-        with pytest.raises(InputError, match="dA has shape"):
-            tls_specialization(problem, solution, dA=np.ones((4, 10)), db=np.ones(10))
+    def test_jacobian_predicts_a_perturbed_solve(self):
+        problem = tls_problem()
+        rng = np.random.default_rng(3)
+        da = rng.standard_normal(problem.A.shape)
+        db = rng.standard_normal(problem.q)
+        jac = tls_jacobian(problem, Weights())
+        x = solve_qr_svd(problem).x
+        etas = []
+        for scale in (1e-4, 1e-5, 1e-6):
+            moved = dataclasses.replace(
+                problem, A=problem.A + scale * da, b=problem.b + scale * db
+            )
+            dx = solve_qr_svd(moved).x - x
+            predicted = jac @ np.concatenate([da.ravel(), db]) * scale
+            etas.append(np.linalg.norm(dx - predicted) / np.linalg.norm(dx))
+        assert etas[-1] < 1e-3
+        for prev, nxt in zip(etas, etas[1:]):
+            assert 5.0 <= prev / nxt <= 20.0
 
-    def test_rejects_misshapen_db(self):
-        problem = tls_problem(n=4, q=10)
-        solution = solve_qr_svd(problem)
-        with pytest.raises(InputError, match="db has length 3, expected 10"):
-            tls_specialization(problem, solution, db=np.ones(3))
-        with pytest.raises(InputError, match="db has length 9, expected 10"):
-            tls_specialization(problem, solution, dA=np.ones((10, 4)), db=np.ones(9))
-        both = tls_specialization(
-            problem, solution, dA=np.ones((10, 4)), db=np.ones(10)
-        )
-        assert both.estimate > 0
-
-    def test_requires_unconstrained_problem(self):
-        problem = hand_problem()
-        with pytest.raises(InputError):
-            tls_specialization(problem, solve_qr_svd(problem))
-
-    def test_zero_solution_is_undefined(self):
-        problem = zero_solution_problem()
-        with pytest.raises(UndefinedConditionError):
-            tls_specialization(problem, solve_qr_svd(problem))
+    @pytest.mark.parametrize("weights", WEIGHT_GRID)
+    def test_kappa_n_is_the_tls_condition_number(self, weights, battery100):
+        problems = [golden_problem(), tls_problem()]
+        problems += [pr for pr in battery100 if pr.p == 0]
+        assert len(problems) > 10
+        for problem in problems:
+            x = solve_qr_svd(problem).x
+            flex = math.hypot(
+                weights.alpha * np.linalg.norm(problem.A),
+                weights.beta * np.linalg.norm(problem.b),
+            )
+            expected = np.linalg.norm(tls_jacobian(problem, weights), 2) * flex
+            expected /= np.linalg.norm(x)
+            kappa_n = condition_report(problem, weights=weights, method="upper").kappa_n
+            assert kappa_n == pytest.approx(expected, rel=1e-10)
 
 
 class TestConditionReport:

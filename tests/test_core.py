@@ -632,6 +632,24 @@ class TestDataFactor:
             solution.x
         )
 
+    def test_r_factor_residual_norm_on_few_rows(self):
+        # p > 0 and q < n + 1: R is trapezoidal, and ||A x - b|| is still
+        # ||R [x; -1]||
+        rng = np.random.default_rng(4)
+        problem = TlseProblem(
+            C=rng.standard_normal((3, 8)),
+            d=rng.standard_normal(3),
+            A=rng.standard_normal((6, 8)),
+            b=rng.standard_normal(6),
+        )
+        solution = solve_qr_svd(problem)
+        r = solution.core.data_r
+        assert r.shape == (6, 9)
+        explicit = np.linalg.norm(problem.A @ solution.x - problem.b)
+        assert np.linalg.norm(r[:, :-1] @ solution.x - r[:, -1]) == pytest.approx(
+            explicit, rel=1e-13
+        )
+
     def test_unconstrained_matches_plain_tls(self):
         problem = seeded_problem(10, p=0, n=6, q=20)
         solution = solve_qr_svd(problem)

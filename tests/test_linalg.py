@@ -22,7 +22,6 @@ from tlsekit.linalg import (
     bordered_svd,
     cholesky,
     r_factor,
-    singular_values,
     solve_triangular,
     spectral_norm,
     svd,
@@ -74,7 +73,8 @@ def test_svd_golden_ratio_values():
 
 
 def test_singular_values_and_spectral_norm_empty():
-    assert singular_values(np.zeros((0, 3))).size == 0
+    # check_eps_bound reads sigma_min([C d]) as svd(...).s.min(initial=inf)
+    assert svd(np.zeros((0, 3))).s.size == 0
     assert spectral_norm(np.zeros((0, 3))) == 0.0
     assert spectral_norm(np.zeros((3, 0))) == 0.0
 

@@ -28,9 +28,14 @@ from tlsekit import (
     wtls_limit_diagnostics,
 )
 from tlsekit.bench import derive_seed
-from tlsekit.core import build_basis, check_genericity
+from tlsekit.core import (
+    LAST_COMPONENT_TOL,
+    _x_from_direction,
+    build_basis,
+    check_genericity,
+)
 from tlsekit.errors import IllPosedError, InputError, NumericalError
-from tlsekit.linalg import r_factor, spectral_norm
+from tlsekit.linalg import r_factor, spectral_norm, svd
 from tlsekit.wtls import _nystrom, _resolvent
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -154,6 +159,46 @@ def degenerate_problem():
         A=np.array([[1.0], [0.0]]),
         b=np.array([0.0, 1.0]),
     )
+
+
+def twelve_decade_problem():
+    """(p, q, n) = (3, 40, 10) with columns scaled from 1e-6 to 1e6."""
+    rng = np.random.default_rng(0)
+    p, q, n = 3, 40, 10
+    scales = 10.0 ** np.linspace(-6, 6, n)
+    return TlseProblem(
+        C=rng.standard_normal((p, n)) * scales,
+        d=rng.standard_normal(p),
+        A=rng.standard_normal((q, n)) * scales,
+        b=rng.standard_normal(q),
+    )
+
+
+def genericity_battery():
+    """Seeded problems for the weighted genericity test, five kinds in
+    turn: plain, columns scaled by 10^U(-6, 6), one column zero in C and
+    A (always degenerate), consistent data (sigma_min of the stack near
+    0), and one column zero in A alone."""
+    problems = [twelve_decade_problem(), degenerate_problem()]
+    for seed in range(300):
+        rng = np.random.default_rng([seed, 28])
+        p, kind = seed % 6, seed // 6 % 5
+        n = int(rng.integers(p + 1, p + 8))
+        q = int(rng.integers(n - p + 1, n + 12))
+        scale = 10.0 ** rng.uniform(-6, 6, n) if kind == 1 else np.ones(n)
+        c = rng.standard_normal((p, n)) * scale
+        a = rng.standard_normal((q, n)) * scale
+        d, b = rng.standard_normal(p), rng.standard_normal(q)
+        if kind in (2, 4):
+            j = int(rng.integers(n))
+            a[:, j] = 0.0
+            if kind == 2:
+                c[:, j] = 0.0
+        if kind == 3:
+            x0 = rng.standard_normal(n)
+            d, b = c @ x0, a @ x0
+        problems.append(TlseProblem(C=c, d=d, A=a, b=b))
+    return problems
 
 
 class TestEmbedding:
@@ -305,6 +350,61 @@ class TestDirectSolver:
         with pytest.raises(IllPosedError):
             solve_wtls_direct(embed(degenerate_problem(), 1e-3))
 
+    def test_simple_sigma_with_a_zero_last_component_raises(self):
+        # [A b] = diag(1, 2): sigma_min = 1 is simple, but its right vector
+        # [1, 0] has no last component, and sigma_min(A) = 1 ties it
+        problem = TlseProblem(
+            C=np.zeros((0, 1)), d=np.zeros(0), A=[[1.0], [0.0]], b=[0.0, 2.0]
+        )
+        emb = embed(problem, 0.5)
+        sv = np.linalg.svd(emb.r, compute_uv=False)
+        assert sv[0] > sv[1]
+        with pytest.raises(IllPosedError):
+            solve_wtls_direct(emb)
+
+    def test_raises_where_the_coefficient_block_does_not_separate(self):
+        # the criterion read off the one SVD against the two-SVD test on its
+        # definition, sigma_min(r[:, :n]) > sigma_min(r), followed by the
+        # normalizing-component check. Where both sides of that test are
+        # rounding noise (a column zero in C and A), the noise may pass it,
+        # and the component check rejects the stack.
+        seen = {"generic": 0, "no separation": 0, "no component": 0}
+        for problem in genericity_battery():
+            for eps in 10.0 ** -np.arange(0, 11, 2):
+                r = embed(problem, eps).r
+                coef = np.linalg.svd(r[:, :-1], compute_uv=False)[-1]
+                _, sv, vt = np.linalg.svd(r, full_matrices=False)
+                if not coef > sv[-1]:
+                    verdict = "no separation"
+                elif abs(vt[-1, -1]) < LAST_COMPONENT_TOL:
+                    verdict = "no component"
+                else:
+                    verdict = "generic"
+                seen[verdict] += 1
+                if verdict == "generic":
+                    solve_wtls_direct(embed(problem, eps))
+                else:
+                    with pytest.raises(IllPosedError):
+                        solve_wtls_direct(embed(problem, eps))
+        assert seen["generic"] >= 1000, seen
+        assert seen["no separation"] + seen["no component"] >= 300, seen
+
+    @pytest.mark.parametrize("problem", [seeded_problem(0), twelve_decade_problem()])
+    def test_one_svd_per_solve(self, problem, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m.shape)
+            return svd(m)
+
+        emb = embed(problem, 1e-6)
+        res = svd(emb.r)
+        monkeypatch.setattr(tlsekit.wtls, "svd", counted)
+        x, sigma = solve_wtls_direct(emb)
+        assert calls == [emb.r.shape]
+        np.testing.assert_array_equal(x, _x_from_direction(res.v[:, -1]))
+        assert sigma == float(res.s[-1])
+
 
 class TestLimitDiagnostics:
     def test_errors_decrease_quadratically(self):
@@ -341,15 +441,7 @@ class TestLimitDiagnostics:
     def test_twelve_decade_columns_meet_the_bound(self):
         # columns over twelve decades: a Gram matrix of the data would have
         # rcond near 1e-18, and the constraint basis turns by u kappa_2(C)
-        rng = np.random.default_rng(0)
-        p, q, n = 3, 40, 10
-        scales = 10.0 ** np.linspace(-6, 6, n)
-        problem = TlseProblem(
-            C=rng.standard_normal((p, n)) * scales,
-            d=rng.standard_normal(p),
-            A=rng.standard_normal((q, n)) * scales,
-            b=rng.standard_normal(q),
-        )
+        problem = twelve_decade_problem()
         grid = [1e-2, 1e-5, 1e-8]
         wtls_limit_diagnostics(problem, grid)
         for eps in grid:
