@@ -36,7 +36,7 @@ def main():
     print("problem: p=%d constraints, %d x %d data block" % (p, q, n))
 
     # Genericity diagnostics before committing to a solve.
-    core = check_genericity(build_basis(problem), problem)
+    core = check_genericity(build_basis(problem))
     print("relative genericity gap: %.3e" % core.rel_gap)
     print("warnings:", list(core.warnings) or "none")
 

@@ -9,11 +9,12 @@ Three problem families:
   values (n, n-1, ..., 1, delta) through a pair of reflectors;
 - piecewise_poly: least-squares fit of a two-piece cubic with continuity of
   value and slope at the knot encoded as the constraint; the data block is
-  50% sparse by construction. With continuous=True the sampled curve
-  satisfies the constraint (consistent system, zero residual); with
-  continuous=False the two pieces are drawn independently, which makes the
-  fit inconsistent and drives the genericity gap toward degeneracy as the
-  knot approaches 0 or 1.
+  50% sparse by construction. With continuous=False, the one default of
+  GeneratorSpec, table3 and `tlse gen`, the two pieces are drawn
+  independently, which makes the fit inconsistent and drives the genericity
+  gap toward degeneracy as the knot approaches 0 or 1; with continuous=True
+  the sampled curve satisfies the constraint (consistent system, zero
+  residual).
 
 run_experiment solves a problem and its perturbed copy, measures forward
 errors against the first-order prediction, and attaches every condition
@@ -56,8 +57,9 @@ class GeneratorSpec:
     n = 0.2 m). kappa_c targets the condition number of [C d]
     (equilibratory), delta the smallest prescribed singular value
     (householder), knot the breakpoint in (0,1) with m_pts/n_pts sample
-    counts (piecewise). seed makes generation deterministic. InputError
-    for a negative size.
+    counts and continuous choosing the consistent fit (piecewise; the
+    default is the inconsistent one). seed makes generation deterministic.
+    InputError for a negative size.
     """
 
     kind: str
@@ -70,7 +72,7 @@ class GeneratorSpec:
     knot: float = 0.5
     m_pts: int = 200
     n_pts: int = 400
-    continuous: bool = True
+    continuous: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -574,15 +576,15 @@ def table1(
     scale: float = 1e-8,
 ) -> list[ExperimentRow]:
     """Equilibratory sweep over target constraint condition numbers, at
-    (p, q, n) = (5, 20, 15)."""
+    gen_equilibratory's default (p, q, n) = (5, 20, 15), over `trials`
+    (>= 1) trials."""
+    if trials < 1:
+        raise InputError(f"trials must be at least 1, got {trials}")
     rows = []
     for i, kappa in enumerate(kappas):
         for tr in range(trials):
             spec = GeneratorSpec(
                 kind="equilibratory",
-                p=5,
-                q=20,
-                n=15,
                 kappa_c=kappa,
                 seed=derive_seed(seed, i, tr),
             )
@@ -603,8 +605,8 @@ def table2(
     seed: int = 0,
     trials: int = 20,
     scale: float = 1e-8,
-    eps: float = 1e-8,
-    oversample: int = 5,
+    eps: float = NwtlsConfig.eps,
+    oversample: int = NwtlsConfig.oversample,
     sketch: int | None = None,
 ) -> list[ExperimentRow]:
     """Prescribed-spectrum sweep with randomized-solver deviation medians.
@@ -650,16 +652,16 @@ def table2(
 def table3(
     a_list=(0.05, 0.5, 0.9),
     seed: int = 0,
-    m_pts: int = 200,
-    n_pts: int = 400,
+    m_pts: int = GeneratorSpec.m_pts,
+    n_pts: int = GeneratorSpec.n_pts,
     scale: float = 1e-8,
-    continuous: bool = False,
+    continuous: bool = GeneratorSpec.continuous,
 ) -> list[ExperimentRow]:
     """Piecewise-cubic sweep over the knot with componentwise perturbations.
 
-    continuous defaults to False here: the inconsistent fit is what makes
-    the knot extremes nearly degenerate and the scaling discrimination
-    between the normwise and componentwise bounds visible.
+    continuous takes GeneratorSpec's default, False: the inconsistent fit
+    is what makes the knot extremes nearly degenerate and the scaling
+    discrimination between the normwise and componentwise bounds visible.
     """
     rows = []
     for ai, a in enumerate(a_list):

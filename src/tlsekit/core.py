@@ -275,7 +275,7 @@ def constraint_pinv(basis: ConstraintBasis) -> np.ndarray:
     return basis.q1 @ solve_triangular(basis.r1, np.eye(len(basis.r1)), trans=1)
 
 
-def check_genericity(basis: ConstraintBasis, problem: TlseProblem) -> CoreSvd:
+def check_genericity(basis: ConstraintBasis) -> CoreSvd:
     """Factor [A b] once, then one SVD, of the data restricted to ker(C).
 
     The core matrix R @ aug_null_basis is [B w] with B = R_A @ null_basis
@@ -290,9 +290,8 @@ def check_genericity(basis: ConstraintBasis, problem: TlseProblem) -> CoreSvd:
     squared spectrum outside the float range: the largest restricted
     singular value's square overflows, or the gap holds but the smallest
     shift underflows below the smallest normal float, where the shifted
-    Gram inverse would overflow or lose its digits; InputError when basis
-    was built for another problem object. Warnings carried in the result
-    (never raised here):
+    Gram inverse would overflow or lose its digits. Warnings carried in the
+    result (never raised here):
 
     - "ill-posed" when the gap is at or below GAP_WARN_FACTOR * eps *
       restricted_min_sv**2 (includes every unsatisfied case),
@@ -300,8 +299,7 @@ def check_genericity(basis: ConstraintBasis, problem: TlseProblem) -> CoreSvd:
     - "non-unique" when the two smallest core singular values nearly
       coincide, so the minimizing direction is not well determined.
     """
-    if basis.problem is not problem:
-        raise InputError("basis was not built for this problem")
+    problem = basis.problem
     data_r = r_factor(problem.A, problem.b)
     restricted = svd(data_r[:, :-1] @ basis.null_basis)
     s, tiny = restricted.s, np.finfo(float).tiny
@@ -378,7 +376,7 @@ def _gram_inv(core: CoreSvd, shift: float | None = None) -> np.ndarray:
 def _posed(problem: TlseProblem) -> tuple[ConstraintBasis, CoreSvd]:
     """build_basis and check_genericity; IllPosedError when the gap fails."""
     basis = build_basis(problem)
-    core = check_genericity(basis, problem)
+    core = check_genericity(basis)
     if not core.satisfied:
         raise IllPosedError(
             "genericity gap violated: restricted data spectrum "

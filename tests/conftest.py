@@ -42,7 +42,7 @@ def make_battery(count: int, seed: int, p_min: int = 0) -> list[TlseProblem]:
             A=rng.standard_normal((q, n)),
             b=rng.standard_normal(q),
         )
-        core = check_genericity(build_basis(problem), problem)
+        core = check_genericity(build_basis(problem))
         if core.satisfied and core.rel_gap > 1e-3:
             problems.append(problem)
     return problems

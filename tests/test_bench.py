@@ -137,7 +137,7 @@ class TestEquilibratory:
             problem = gen_equilibratory(
                 GeneratorSpec(kind="equilibratory", seed=seed)
             )
-            core = check_genericity(build_basis(problem), problem)
+            core = check_genericity(build_basis(problem))
             good += core.satisfied
         assert good >= 99
 
@@ -218,6 +218,14 @@ class TestPiecewisePoly:
             reference
         )
         assert np.linalg.norm(problem.C @ solution.x) <= 1e-10
+
+    def test_default_fit_is_the_inconsistent_one(self):
+        # one default for GeneratorSpec, table3 and `tlse gen`
+        spec = GeneratorSpec(kind="piecewise_poly", seed=3)
+        assert spec.continuous is False
+        assert solve_qr_svd(generate(spec)).sigma_min > 1e-3
+        consistent = GeneratorSpec(kind="piecewise_poly", seed=3, continuous=True)
+        assert solve_qr_svd(generate(consistent)).sigma_min <= 1e-10
 
     def test_rejects_bad_split(self):
         with pytest.raises(InputError):
@@ -614,6 +622,14 @@ class TestTables:
         for row in rows:
             assert row.eps1 > 0
             assert row.kappa_n <= row.kappa_n_upper * (1 + 1e-12)
+
+    @pytest.mark.parametrize("table", [table1, table2])
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_below_one_are_rejected(self, table, trials):
+        # table1 would otherwise return no rows, an empty table
+        message = f"^trials must be at least 1, got {trials}$"
+        with pytest.raises(InputError, match=message):
+            table(trials=trials)
 
     def test_table2_medians_are_recorded(self):
         rows = table2(ms=(14,), deltas=(1e-3,), trials=2, seed=1)

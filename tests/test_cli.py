@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,22 @@ import pytest
 
 import tlsekit
 from conftest import extreme_problem
-from tlsekit import GeneratorSpec, TlseProblem, gen_equilibratory, save_problem
+from tlsekit import (
+    GeneratorSpec,
+    TlseProblem,
+    condition_report,
+    emit_table,
+    gen_equilibratory,
+    generate,
+    load_problem,
+    save_problem,
+    solve_nwtls,
+    table1,
+    table2,
+    table3,
+)
 from tlsekit.cli import build_parser, main
+from tlsekit.errors import InputError
 
 
 @pytest.fixture()
@@ -250,16 +265,12 @@ class TestCond:
         assert payload["alpha"] == 10.0
         assert payload["kappa_m"] == payload["kappa_m_upper"]
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_compact_prints_the_exact_report(self, capsys, equilibratory_file, fmt):
-        # --mode compact is kept as another name of the exact report
-        outputs = [
-            run(capsys, "cond", "--input", equilibratory_file, "--mode", mode,
-                "--alpha", "10", "--format", fmt)
-            for mode in ("compact", "exact")
-        ]
-        assert outputs[0] == outputs[1]
-        assert outputs[0][0] == 0 and outputs[0][2] == ""
+    def test_compact_is_not_a_mode(self, capsys, equilibratory_file):
+        # it named the exact report and changed nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["cond", "--input", equilibratory_file, "--mode", "compact"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'compact'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -393,6 +404,13 @@ class TestTables:
         assert first == second
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_table1_without_trials_is_usage_error(self, capsys, trials):
+        code, out, err = run(capsys, "table1", "--kappa-c", "1e2", "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: trials must be at least 1, got {trials}\n"
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_table2_without_trials_is_usage_error(self, capsys, trials):
         code, out, err = run(
             capsys, "table2", "--m", "14", "--delta", "1e-3", "--trials", trials
@@ -454,6 +472,90 @@ class TestTables:
         code, _, err = run(capsys, "table1", "--kappa-c", "1e2,junk")
         assert code == 2
         assert "error:" in err
+
+
+class TestLibraryDefaults:
+    """An option left out takes the default of the library call it feeds:
+    each command matches that call, bit for bit, or byte for byte through
+    emit_table or JSON."""
+
+    @pytest.mark.parametrize(
+        "table, argv, kwargs",
+        [
+            (table1, (), {}),
+            (
+                table2,
+                ("--m", "14", "--delta", "1e-3", "--trials", "2"),
+                {"ms": [14], "deltas": [1e-3], "trials": 2},
+            ),
+            (table3, (), {}),
+        ],
+        ids=["table1", "table2", "table3"],
+    )
+    def test_table_json(self, capsys, table, argv, kwargs):
+        code, out, err = run(capsys, table.__name__, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == emit_table(table(**kwargs), "json") + "\n"
+
+    def test_format_defaults_to_emit_tables(self, capsys):
+        code, out, _ = run(capsys, "table1", "--kappa-c", "1e2")
+        assert code == 0
+        assert out == emit_table(table1(kappas=[1e2]))
+
+    @pytest.mark.parametrize(
+        "kind, argv, kwargs",
+        [
+            ("equilibratory", ("--seed", "3"), {"seed": 3}),
+            ("householder_spectrum", ("--seed", "3"), {"seed": 3}),
+            ("householder_spectrum", ("--seed", "3", "--m", "30"), dict(seed=3, m=30)),
+            ("piecewise_poly", ("--seed", "3"), {"seed": 3}),
+            ("piecewise_poly", (), {}),
+        ],
+        ids=["equilibratory", "householder_unsized", "householder", "piecewise_poly",
+             "piecewise_poly_unseeded"],
+    )
+    def test_gen(self, capsys, tmp_path, kind, argv, kwargs):
+        # householder_spectrum needs a size: both entry points reject it alike
+        path = tmp_path / "gen.npz"
+        code, out, err = run(capsys, "gen", "--kind", kind, *argv, "--out", str(path))
+        spec = GeneratorSpec(kind=kind, **kwargs)
+        try:
+            expected = generate(spec)
+        except InputError as exc:
+            assert (code, out, err) == (2, "", f"error: {exc}\n")
+            return
+        assert (code, err) == (0, "")
+        with np.load(path, allow_pickle=False) as npz:
+            assert json.loads(npz["meta"][()]) == {"kind": kind, "seed": spec.seed}
+            for name in ("C", "d", "A", "b"):
+                want = getattr(expected, name)
+                assert npz[name].shape == want.shape
+                assert npz[name].tobytes() == want.tobytes(), name
+
+    def test_solve_nwtls(self, capsys, equilibratory_file):
+        code, out, _ = run(capsys, "solve", "--input", equilibratory_file,
+                           "--method", "nwtls", "--format", "json")
+        assert code == 0
+        x = solve_nwtls(load_problem(equilibratory_file))
+        assert json.loads(out) == {f"x[{i}]": float(v) for i, v in enumerate(x)}
+
+    def test_cond(self, capsys, equilibratory_file):
+        code, out, _ = run(
+            capsys, "cond", "--input", equilibratory_file, "--format", "json"
+        )
+        assert code == 0
+        report = condition_report(load_problem(equilibratory_file))
+        expected = {
+            f.name: getattr(report, f.name)
+            for f in fields(report)
+            if f.name.startswith("kappa_")
+        }
+        expected |= {
+            "alpha": report.weights.alpha,
+            "beta": report.weights.beta,
+            "method": report.method,
+        }
+        assert json.loads(out) == expected
 
 
 class TestRepeatedMain:

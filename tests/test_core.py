@@ -280,7 +280,7 @@ class TestConstraintBasis:
 class TestGenericity:
     def test_hand_diagnostics(self):
         problem = hand_problem()
-        core = check_genericity(build_basis(problem), problem)
+        core = check_genericity(build_basis(problem))
         assert core.sigma_min == pytest.approx(0.0, abs=1e-14)
         assert core.restricted_min_sv == pytest.approx(1.0, rel=1e-14)
         assert core.satisfied
@@ -291,7 +291,7 @@ class TestGenericity:
         # the q-row data enter only through the (n+1) x (n+1) factor R
         problem = seeded_problem(4)
         basis = build_basis(problem)
-        core = check_genericity(basis, problem)
+        core = check_genericity(basis)
         n, k = problem.n, problem.n - problem.p + 1
         assert core.data_r.shape == (n + 1, n + 1)
         assert core.restricted.u.shape == (n + 1, k - 1)
@@ -310,13 +310,13 @@ class TestGenericity:
 
     def test_zero_gap_flags_ill_posed(self):
         problem = degenerate_problem()
-        core = check_genericity(build_basis(problem), problem)
+        core = check_genericity(build_basis(problem))
         assert not core.satisfied
         assert "ill-posed" in core.warnings
 
     def test_coincident_smallest_values_flag_non_unique(self):
         problem = tied_problem()
-        core = check_genericity(build_basis(problem), problem)
+        core = check_genericity(build_basis(problem))
         assert "non-unique" in core.warnings
         assert "ill-posed" in core.warnings
 
@@ -327,7 +327,7 @@ class TestGenericity:
             A=np.array([[2.0, 0.0], [0.0, 2.0], [0.0, 0.0]]),
             b=np.array([0.0, 0.0, 1.999]),
         )
-        core = check_genericity(build_basis(problem), problem)
+        core = check_genericity(build_basis(problem))
         assert core.satisfied
         assert core.warnings == ("near-degenerate",)
 
@@ -353,7 +353,7 @@ class TestCoreSpectrum:
     def test_matches_the_core_svd(self, make):
         problem = make()
         basis = build_basis(problem)
-        core = check_genericity(basis, problem)
+        core = check_genericity(basis)
         _, sv, vt = np.linalg.svd(core.data_r @ basis.aug_null_basis)
         tol = 64 * U * sv[0]
         np.testing.assert_allclose([core.sigma_max, core.sigma_min], sv[[0, -1]], rtol=0, atol=tol)
@@ -368,7 +368,7 @@ class TestCoreSpectrum:
 
     def test_consistent_data_solve_exactly(self):
         problem = consistent_problem()
-        core = check_genericity(build_basis(problem), problem)
+        core = check_genericity(build_basis(problem))
         assert core.sigma_min == 0.0 and core.satisfied
         x0 = np.linalg.lstsq(problem.L, problem.h, rcond=None)[0]
         np.testing.assert_allclose(solve_qr_svd(problem).x, x0, rtol=1e-12)
@@ -377,7 +377,7 @@ class TestCoreSpectrum:
     def test_feasible_point_is_the_solution_when_w_is_zero(self):
         problem = feasible_point_problem()
         basis = build_basis(problem)
-        core = check_genericity(basis, problem)
+        core = check_genericity(basis)
         assert core.sigma_min == 0.0
         np.testing.assert_allclose(abs(core.direction[-1]), 1.0, rtol=1e-14)
         np.testing.assert_allclose(solve_qr_svd(problem).x, basis.x_feas, rtol=1e-12)
@@ -414,7 +414,7 @@ class TestCoreSpectrum:
             ))
         for problem in problems:
             basis = build_basis(problem)
-            core = check_genericity(basis, problem)
+            core = check_genericity(basis)
             sv = np.linalg.svd(core.data_r @ basis.aug_null_basis, compute_uv=False)
             np.testing.assert_allclose(
                 [core.sigma_max, core.sigma_min], sv[[0, -1]], rtol=0, atol=64 * U * sv[0]
@@ -424,7 +424,7 @@ class TestCoreSpectrum:
         # interlacing: appending a column to the restricted data matrix
         # raises its largest singular value and lowers its smallest
         for problem in battery100 + constrained20:
-            core = check_genericity(build_basis(problem), problem)
+            core = check_genericity(build_basis(problem))
             assert core.sigma_min <= core.restricted.s[-1]
             assert core.sigma_max >= core.restricted.s[0]
             assert core.gap == core.shifts[-1] > 0.0

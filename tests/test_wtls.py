@@ -249,7 +249,7 @@ class TestEmbedding:
 class TestEpsBound:
     def test_small_eps_is_admissible(self):
         problem = seeded_problem(7)
-        core = check_genericity(build_basis(problem), problem)
+        core = check_genericity(build_basis(problem))
         bound = check_eps_bound(problem, 1e-4, core)
         assert bound.ok
         assert bound.lhs > 0
@@ -257,19 +257,19 @@ class TestEpsBound:
 
     def test_large_eps_fails(self):
         problem = seeded_problem(7)
-        core = check_genericity(build_basis(problem), problem)
+        core = check_genericity(build_basis(problem))
         # lhs grows as eps^2 and crosses the gap near eps ~ 0.2 here
         assert not check_eps_bound(problem, 0.3, core).ok
 
     def test_zero_gap_never_admissible(self):
         problem = degenerate_problem()
-        core = check_genericity(build_basis(problem), problem)
+        core = check_genericity(build_basis(problem))
         assert core.gap == pytest.approx(0.0, abs=1e-14)
         assert not check_eps_bound(problem, 1e-10, core).ok
 
     def test_unconstrained_lhs_vanishes(self):
         problem = golden_problem()
-        core = check_genericity(build_basis(problem), problem)
+        core = check_genericity(build_basis(problem))
         bound = check_eps_bound(problem, 0.5, core)
         assert bound.lhs == 0.0
         assert bound.ok
@@ -278,7 +278,7 @@ class TestEpsBound:
         # [C d] scaled by 1e-160: ||pinv([C d])||^2 overflows
         base = extreme_problem()
         problem = TlseProblem(C=base.C * 1e-160, d=base.d * 1e-160, A=base.A, b=base.b)
-        core = check_genericity(build_basis(problem), problem)
+        core = check_genericity(build_basis(problem))
         for eps in (1e-8, 1e-170):
             bound = check_eps_bound(problem, eps, core)
             assert not bound.ok
@@ -287,7 +287,7 @@ class TestEpsBound:
 
     def test_rejects_bad_eps(self):
         problem = golden_problem()
-        core = check_genericity(build_basis(problem), problem)
+        core = check_genericity(build_basis(problem))
         for eps in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(InputError, match="eps must be positive"):
                 check_eps_bound(problem, eps, core)
@@ -297,14 +297,13 @@ class TestEpsBound:
         # unchecked, it would admit eps on the wrong gap
         problem = extreme_problem()
         copy = apply_sample(problem, perturb(problem, "normwise", 0.5, seed=1))
-        core = check_genericity(build_basis(copy), copy)
+        core = check_genericity(build_basis(copy))
         with pytest.raises(InputError, match="not computed from this problem"):
             check_eps_bound(problem, 1e-8, core)
-        own = check_genericity(build_basis(problem), problem)
+        own = check_genericity(build_basis(problem))
         assert check_eps_bound(problem, 1e-8, own).gap == own.gap
-        # nor can a core of the problem be built on the copy's basis
-        with pytest.raises(InputError, match="not built for this problem"):
-            check_genericity(build_basis(copy), problem)
+        # the copy's basis yields the copy's core, which is rejected above
+        assert core.problem is copy
 
     @pytest.mark.parametrize(
         "p, scaled", [(20, False), (20, True), (0, False)], ids=["plain", "scaled", "p0"]
@@ -318,7 +317,7 @@ class TestEpsBound:
             problem = TlseProblem(
                 C=problem.C * cols, d=problem.d, A=problem.A * cols, b=problem.b
             )
-        core = check_genericity(build_basis(problem), problem)
+        core = check_genericity(build_basis(problem))
         aug_data = stack_of(problem.A, problem.b)
         data_norm = np.linalg.svd(aug_data, compute_uv=False)[0]
         assert spectral_norm(core.data_r) == pytest.approx(data_norm, rel=1e-13)
@@ -537,7 +536,7 @@ class TestSpectrumSplit:
         # whole from a direct SVD of the core matrix R @ aug_null_basis
         problem = seeded_problem(7)
         basis = build_basis(problem)
-        core = check_genericity(basis, problem)
+        core = check_genericity(basis)
         core_sv = np.linalg.svd(core.data_r @ basis.aug_null_basis, compute_uv=False)
         emb = embed(problem, 1e-6)
         s_all = np.linalg.svd(emb.r, compute_uv=False)
