@@ -200,6 +200,12 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(derive_seed(seed, *key))
 
 
+def _sweep(name: str, values) -> enumerate:
+    if not (values := tuple(values)):
+        raise InputError(f"{name} must list at least one value")
+    return enumerate(values)
+
+
 def _reflector(rng: np.random.Generator, k: int) -> np.ndarray:
     """Householder reflector of a random unit vector."""
     y = rng.random(k)
@@ -581,7 +587,7 @@ def table1(
     if trials < 1:
         raise InputError(f"trials must be at least 1, got {trials}")
     rows = []
-    for i, kappa in enumerate(kappas):
+    for i, kappa in _sweep("kappas", kappas):
         for tr in range(trials):
             spec = GeneratorSpec(
                 kind="equilibratory",
@@ -624,8 +630,8 @@ def table2(
         raise InputError(f"trials must be at least 1, got {trials}")
     cfg = NwtlsConfig(eps=eps, oversample=oversample, sample_size=sketch)
     rows = []
-    for mi, m in enumerate(ms):
-        for di, delta in enumerate(deltas):
+    for mi, m in _sweep("ms", ms):
+        for di, delta in _sweep("deltas", deltas):
             spec = GeneratorSpec(
                 kind="householder_spectrum",
                 m=m,
@@ -664,7 +670,7 @@ def table3(
     discrimination between the normwise and componentwise bounds visible.
     """
     rows = []
-    for ai, a in enumerate(a_list):
+    for ai, a in _sweep("a_list", a_list):
         spec = GeneratorSpec(
             kind="piecewise_poly",
             knot=a,

@@ -4,17 +4,17 @@ The problem: given data A x ~ b subject to an exact constraint C x = d, find
 the correction [E f] of minimal Frobenius norm with (A+E) x = b+f and
 C x = d. The solver pipeline:
 
-1. QR of C.T splits coordinates into the constraint range and its null space
-   and yields the minimum-norm feasible point.
-2. One streamed QR of [A b] compresses the data to its (n+1) x (n+1)
-   triangular factor R, which has the same Gram matrix; the rows pass once
-   through a small workspace, a block at a time, and are not read again.
-   On R runs one SVD, of the data restricted to ker(C). The core matrix
-   (the data on ker([C d])) is that matrix with one column appended, so a
-   rank-one secular update of the restricted SVD (linalg.bordered_svd)
-   supplies sigma_max, the optimal direction and the shift sigma_min used
-   everywhere downstream (no other core singular value is computed), with
-   the shifts s^2 - sigma_min^2 as products of accurate differences.
+1. First, one streamed QR of [A b] compresses the data to its (n+1) x
+   (n+1) triangular factor R, which has the same Gram matrix; the rows
+   pass once through a small workspace, a block at a time.
+2. QR of C.T splits coordinates into the constraint range and its null
+   space and yields the minimum-norm feasible point. On R runs one SVD, of
+   the data restricted to ker(C). The core matrix (the data on ker([C d]))
+   is that matrix with one column appended, so a rank-one secular update
+   of the restricted SVD (linalg.bordered_svd) supplies sigma_max, the
+   optimal direction and the shift sigma_min used everywhere downstream
+   (no other core singular value is computed), with the shifts s^2 -
+   sigma_min^2 as products of accurate differences.
 3. The solution is read off by normalizing the last component of the lifted
    core direction to -1 (solve_qr_svd), or from the restricted SVD as
    a filtered correction of the feasible point (solve_closed_form). The
@@ -136,11 +136,11 @@ class ConstraintBasis:
     """QR-derived geometry of the constraint C x = d.
 
     q1/r1 are the thin QR factors of C.T, null_basis the orthonormal basis
-    of ker(C), x_feas the minimum-norm point with C x_feas = d.
-    aug_null_basis is the (n+1) x (n-p+1) orthonormal basis of ker([C d])
-    built from null_basis and the scaled feasible point
-    (aug_scale = 1/sqrt(1 + ||x_feas||^2)). problem is the problem the basis
-    was built for.
+    of ker(C), x_feas the minimum-norm point with C x_feas = d. The
+    (n+1) x (n-p+1) orthonormal basis aug_null_basis of ker([C d]) is
+    null_basis above a zero row, beside aug_scale [x_feas; -1] (aug_scale =
+    1/sqrt(1 + ||x_feas||^2)); it is formed anew on each access. problem is
+    the problem the basis was built for.
     """
 
     q1: np.ndarray
@@ -148,8 +148,15 @@ class ConstraintBasis:
     r1: np.ndarray
     x_feas: np.ndarray
     aug_scale: float
-    aug_null_basis: np.ndarray
     problem: TlseProblem = field(repr=False, compare=False)
+
+    @property
+    def aug_null_basis(self) -> np.ndarray:
+        n, k = self.null_basis.shape
+        aug = np.zeros((n + 1, k + 1))
+        aug[:n, :k], aug[:n, k] = self.null_basis, self.aug_scale * self.x_feas
+        aug[n, k] = -self.aug_scale
+        return aug
 
 
 @dataclass(frozen=True)
@@ -240,7 +247,6 @@ def build_basis(problem: TlseProblem) -> ConstraintBasis:
     Q = I, so the null basis is I, x_feas = 0, aug_scale = 1 and the
     augmented basis is [[I, 0], [0, -1]].
     """
-    n = problem.n
     p = problem.p
     q, r = np.linalg.qr(problem.C.T, mode="complete")
     q1, null_basis = q[:, :p], q[:, p:]
@@ -255,17 +261,12 @@ def build_basis(problem: TlseProblem) -> ConstraintBasis:
         )
     x_feas = q1 @ solve_triangular(r1, problem.d, trans=1)
     aug_scale = 1.0 / np.sqrt(1.0 + float(x_feas @ x_feas))
-    aug = np.zeros((n + 1, n - p + 1))
-    aug[:n, : n - p] = null_basis
-    aug[:n, n - p] = aug_scale * x_feas
-    aug[n, n - p] = -aug_scale
     return ConstraintBasis(
         q1=q1,
         null_basis=null_basis,
         r1=r1,
         x_feas=x_feas,
         aug_scale=aug_scale,
-        aug_null_basis=aug,
         problem=problem,
     )
 
@@ -279,7 +280,7 @@ def check_genericity(basis: ConstraintBasis) -> CoreSvd:
     """Factor [A b] once, then one SVD, of the data restricted to ker(C).
 
     The core matrix R @ aug_null_basis is [B w] with B = R_A @ null_basis
-    (R_A = data_r[:, :-1]) and w = R @ aug_null_basis[:, -1], a column
+    (R_A = data_r[:, :-1]) and w = aug_scale R [x_feas; -1], a column
     appended to B. With B = U diag(s) V.T the restricted SVD, z = U.T w
     and gamma = ||w - U z||, it is [U u] [[diag(s), z], [0, gamma]]
     blkdiag(V, 1).T for a unit u orthogonal to U, so linalg.bordered_svd
@@ -299,13 +300,16 @@ def check_genericity(basis: ConstraintBasis) -> CoreSvd:
     - "non-unique" when the two smallest core singular values nearly
       coincide, so the minimizing direction is not well determined.
     """
-    problem = basis.problem
-    data_r = r_factor(problem.A, problem.b)
+    return _genericity(basis, r_factor(basis.problem.A, basis.problem.b))
+
+
+def _genericity(basis: ConstraintBasis, data_r: np.ndarray) -> CoreSvd:
+    """check_genericity on the R factor data_r of basis.problem's [A b]."""
     restricted = svd(data_r[:, :-1] @ basis.null_basis)
-    s, tiny = restricted.s, np.finfo(float).tiny
+    s, tiny, eps = restricted.s, np.finfo(float).tiny, np.finfo(float).eps
     if s[0] >= np.sqrt(np.finfo(float).max):
         raise NumericalError(_OUT_OF_RANGE.format(s[0], s[-1]))
-    w = data_r @ basis.aug_null_basis[:, -1]
+    w = data_r @ np.append(basis.aug_scale * basis.x_feas, -basis.aug_scale)
     z = restricted.u.T @ w
     off = w - restricted.u @ z
     gamma = math.sqrt(off @ off)
@@ -317,7 +321,6 @@ def check_genericity(basis: ConstraintBasis) -> CoreSvd:
         raise NumericalError(_OUT_OF_RANGE.format(s[0], s[-1]))
     rel_gap = gap / max(restricted_min_sv**2, tiny)
     warnings = []
-    eps = np.finfo(float).eps
     if gap <= GAP_WARN_FACTOR * eps * restricted_min_sv**2:
         warnings.append("ill-posed")
     elif rel_gap < NEAR_DEGENERATE_TOL:
@@ -334,7 +337,7 @@ def check_genericity(basis: ConstraintBasis) -> CoreSvd:
         gap=gap,
         rel_gap=rel_gap,
         satisfied=satisfied,
-        problem=problem,
+        problem=basis.problem,
         warnings=tuple(warnings),
     )
 
@@ -374,9 +377,10 @@ def _gram_inv(core: CoreSvd, shift: float | None = None) -> np.ndarray:
 
 
 def _posed(problem: TlseProblem) -> tuple[ConstraintBasis, CoreSvd]:
-    """build_basis and check_genericity; IllPosedError when the gap fails."""
+    """check_genericity with R factored first; IllPosedError on a failed gap."""
+    data_r = r_factor(problem.A, problem.b)
     basis = build_basis(problem)
-    core = check_genericity(basis)
+    core = _genericity(basis, data_r)
     if not core.satisfied:
         raise IllPosedError(
             "genericity gap violated: restricted data spectrum "

@@ -176,18 +176,18 @@ def block_rows(cols: int) -> int:
     return max(cols, BLOCK_BYTES // (8 * cols))
 
 
-def _upper(m) -> np.ndarray:
-    """np.triu(m) in C order, for a nonempty m with no more rows than
-    columns. C order keeps every product with R bit for bit.
+def _upper(m, order: str = "C") -> np.ndarray:
+    """np.triu(m) as a new array in order, for a nonempty m with no more
+    rows than columns. C order keeps every product with R bit for bit.
 
-    A C-ordered copy is the one allocation of R's size. A broadcast
+    The copy is the one allocation of R's size. A broadcast
     comparison with np.where (or np.triu) would build a k x cols mask and
     run NumPy's buffered iterator over the Fortran-ordered m, whose
     buffers outweigh R at the sizes of a solve. Here the mask is a
     Toeplitz view, below[i, j] = flags[k - 1 - i + j], of k - 1 + cols
     flags, true exactly where j < i, and one masked copyto zeroes them.
     """
-    r = np.ascontiguousarray(m)
+    r = np.array(m, order=order)
     k, cols = r.shape
     flags = np.zeros(k - 1 + cols, dtype=bool)
     flags[: k - 1] = True
@@ -235,10 +235,10 @@ def r_factor(*blocks, head=None) -> np.ndarray:
     qr, _, _, info = dgeqrf(work, lwork=int(lwork), overwrite_a=1)
     if info != 0:
         raise NumericalError(f"QR factorization failed (dgeqrf info {info})")
-    r = _upper(qr[: min(work.shape)])
     if first == q:
-        return r
-    r = np.asfortranarray(r)
+        return _upper(qr[: min(work.shape)])
+    # a copy: qr[:width] is all of work when block_rows(width) == width
+    r = _upper(qr[:width], order="F")
     flat = work.reshape(-1, order="F")
     for start in range(first, q, rows):
         # a short last block is the contiguous leading part of the buffer

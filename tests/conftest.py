@@ -21,6 +21,14 @@ from tlsekit import TlseProblem, solve_qr_svd  # noqa: E402
 from tlsekit.core import build_basis, check_genericity  # noqa: E402
 
 
+#: The (p, q, n) shapes of the benchmark's kron workload
+#: (perfbench/workloads.py KRON_SHAPES), one block each.
+KRON_SHAPES = (
+    (8, 192, 30), (8, 212, 32), (10, 230, 34), (10, 240, 35), (10, 250, 36),
+    (10, 260, 37), (12, 258, 38), (12, 268, 39), (10, 270, 40), (10, 280, 40),
+)
+
+
 def make_battery(count: int, seed: int, p_min: int = 0) -> list[TlseProblem]:
     """Seeded random problems with a comfortable genericity gap.
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import tlsekit.bench
 from tlsekit import (
     GeneratorSpec,
     PerturbationSample,
@@ -630,6 +631,22 @@ class TestTables:
         message = f"^trials must be at least 1, got {trials}$"
         with pytest.raises(InputError, match=message):
             table(trials=trials)
+
+    @pytest.mark.parametrize(
+        "table, kwargs, name",
+        [
+            (table1, {"kappas": ()}, "kappas"),
+            (table2, {"ms": []}, "ms"),
+            (table2, {"ms": (14,), "deltas": ()}, "deltas"),
+            (table3, {"a_list": []}, "a_list"),
+        ],
+    )
+    def test_empty_sweep_lists_are_rejected(self, table, kwargs, name, monkeypatch):
+        # they would otherwise return no rows, which emit_table rejects
+        # without naming the parameter; the check precedes every solve
+        monkeypatch.setattr(tlsekit.bench, "run_experiment", None)
+        with pytest.raises(InputError, match=f"^{name} must list at least one value$"):
+            table(**kwargs)
 
     def test_table2_medians_are_recorded(self):
         rows = table2(ms=(14,), deltas=(1e-3,), trials=2, seed=1)

@@ -468,6 +468,21 @@ class TestTables:
         assert out == ""
         assert err == "error: eps 1e-320 is too small: [C d]/eps overflows\n"
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("table1", "--kappa-c", ""), "kappas"),
+            (("table2", "--m", ","), "ms"),
+            (("table2", "--m", "14", "--delta", ""), "deltas"),
+            (("table3", "--a", ""), "a_list"),
+        ],
+    )
+    def test_empty_list_argument_is_usage_error(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {name} must list at least one value\n"
+
     def test_bad_list_argument_is_usage_error(self, capsys):
         code, _, err = run(capsys, "table1", "--kappa-c", "1e2,junk")
         assert code == 2

@@ -25,6 +25,7 @@ from tlsekit.linalg import block_rows
 
 import kron_oracle
 import mp_oracle
+from conftest import KRON_SHAPES
 from kron_oracle import materialize_k
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -536,14 +537,6 @@ BLOCK_CASES = {
     "q-below-n+1": seeded_problem(3, q=6),
     "zero-residual": hand_problem(),
 }
-
-#: The (p, q, n) shapes of the benchmark's kron workload
-#: (perfbench/workloads.py KRON_SHAPES), one block each.
-KRON_SHAPES = (
-    (8, 192, 30), (8, 212, 32), (10, 230, 34), (10, 240, 35), (10, 250, 36),
-    (10, 260, 37), (12, 258, 38), (12, 268, 39), (10, 270, 40), (10, 280, 40),
-)
-
 
 def streamed(op):
     """(exact, upper, target, bound): the exact and the upper report of op,

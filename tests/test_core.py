@@ -7,7 +7,7 @@ import pytest
 
 import tlsekit.bench
 import tlsekit.core
-from conftest import extreme_problem
+from conftest import KRON_SHAPES, extreme_problem
 from qr_oracle import one_shot_r, stack_of
 from stationarity_oracle import stationarity_from_data
 from tlsekit import (
@@ -22,6 +22,7 @@ from tlsekit import (
     wtls_limit_diagnostics,
 )
 from tlsekit.core import (
+    ConstraintBasis,
     _filtered,
     _gram_inv,
     _x_from_direction,
@@ -39,6 +40,7 @@ from tlsekit.errors import (
     NumericalError,
     RankError,
 )
+from tlsekit.linalg import block_rows
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -254,6 +256,30 @@ class TestConstraintBasis:
         np.testing.assert_allclose(
             problem.aug_constraint() @ aug, 0, atol=1e-12
         )
+
+    def test_augmented_basis_is_formed_on_use_only(self, monkeypatch):
+        # check_genericity reads only the last column, aug_scale [x_feas; -1],
+        # solve_closed_form never forms the (n+1) x (n-p+1) basis, and
+        # solve_qr_svd forms it once, for the lift
+        problem = seeded_problem(5)
+        basis = build_basis(problem)
+        assert "aug_null_basis" not in vars(basis)
+        assert basis.aug_null_basis is not basis.aug_null_basis
+        np.testing.assert_array_equal(
+            basis.aug_null_basis[:, -1],
+            np.append(basis.aug_scale * basis.x_feas, -basis.aug_scale),
+        )
+        formed = []
+        aug = ConstraintBasis.aug_null_basis.fget
+        monkeypatch.setattr(
+            ConstraintBasis, "aug_null_basis",
+            property(lambda b: formed.append(b) or aug(b)),
+        )
+        check_genericity(basis)
+        solve_closed_form(problem)
+        assert formed == []
+        solve_qr_svd(problem)
+        assert len(formed) == 1
 
     def test_rank_deficient_constraint_raises(self):
         problem = TlseProblem(
@@ -662,20 +688,62 @@ class TestDataFactor:
         )
 
 
+#: Bytes for a solve's small LAPACK work arrays and Python objects (64 KiB,
+#: the size of one NumPy iterator buffer).
+SOLVE_SLACK = 64 * 1024
+
+
+def solve_budget(problem: TlseProblem) -> int:
+    """Bytes a solve may peak at: one r_factor workspace of [A b], two
+    (n+1)^2 arrays and SOLVE_SLACK. While [A b] is factored the solve holds
+    the workspace and R; what it builds after the workspace is freed (the
+    constraint QR, the restricted SVD, the augmented basis) fits in the
+    same bytes. At (20, 3000, 100) that is 0.49 MB, a fifth of one copy of
+    [A b] (2.42 MB)."""
+    cols = problem.n + 1
+    workspace = min(block_rows(cols), problem.q) * cols
+    return 8 * (workspace + 2 * cols * cols) + SOLVE_SLACK
+
+
+def solve_peak(solver, problem: TlseProblem) -> int:
+    solver(problem)
+    tracemalloc.start()
+    try:
+        solver(problem)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("solver", [solve_qr_svd, solve_closed_form])
+class TestSolveMemoryBudget:
+    """Beside the r_factor workspace a solve holds one copy of R and, once
+    the workspace is freed, the constraint QR and the restricted SVD; the
+    augmented basis of ker([C d]) is formed only for solve_qr_svd's lift.
+    At (20, 3000, 100) a solve peaks at 0.40 MB (0.42 MB with p = 0). The
+    budget fails a solve that builds the constraint QR and the augmented
+    basis before the data pass and copies R twice: that one peaks at
+    0.62 MB."""
+
+    @pytest.mark.parametrize("p", [20, 0])
+    def test_tall_shape(self, solver, p):
+        problem = seeded_problem(1, p=p, n=100, q=3000)
+        assert solve_peak(solver, problem) <= solve_budget(problem)
+
+    def test_kron_shape(self, solver):
+        p, q, n = shape = KRON_SHAPES[-1]
+        problem = seeded_problem(sum(shape), p=p, n=n, q=q)
+        assert solve_peak(solver, problem) <= solve_budget(problem)
+
+
 class TestStreamedData:
     """A solve reads the q data rows once, through the blocked QR."""
 
     def test_peak_memory_stays_below_one_data_copy(self):
         # the q x (n+1) copy of [A b] alone is 3000 * 101 * 8 B = 2.42 MB
         problem = seeded_problem(1, p=20, n=100, q=3000)
-        solve_qr_svd(problem)
-        tracemalloc.start()
-        try:
-            solve_qr_svd(problem)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.2e6
+        peak = solve_peak(solve_qr_svd, problem)
+        assert peak <= solve_budget(problem) < problem.A.nbytes + problem.b.nbytes
 
     def test_residual_is_computed_on_first_access(self):
         problem = seeded_problem(12, q=40)

@@ -229,9 +229,14 @@ def test_upper_matches_the_where_form_bitwise(rows, cols):
     work = np.asfortranarray(rng.standard_normal((rows + 5, cols)))
     work[rng.random(work.shape) < 0.2] *= -0.0  # signed zeros on both sides
     m = work[:rows]
+    want = _where_upper(m).view(np.uint64)
     r = _upper(m)
     assert r.flags.c_contiguous
-    np.testing.assert_array_equal(r.view(np.uint64), _where_upper(m).view(np.uint64))
+    np.testing.assert_array_equal(r.view(np.uint64), want)
+    # the order the streamed merge takes; always a copy, never a view
+    r = _upper(m, order="F")
+    assert r.flags.f_contiguous and not np.shares_memory(r, work)
+    np.testing.assert_array_equal(r.view(np.uint64), want)
 
 
 # The streamed kernel on 20 data columns plus b: one block holds H rows.
@@ -290,6 +295,26 @@ class TestStreamedRFactor:
         assert block_rows(101) == 324
         assert block_rows(301) == 301
         assert all(block_rows(c) >= c for c in (1, 10, 101, 181, 500))
+
+    @pytest.mark.parametrize("cols", [182, 301])
+    @pytest.mark.parametrize("with_head", [False, True])
+    def test_square_first_block(self, cols, with_head):
+        # block_rows(cols) == cols: the first block's triangle is the whole
+        # workspace, which later blocks overwrite, so R must be a copy
+        assert block_rows(cols) == cols
+        rng = np.random.default_rng([cols, with_head])
+        a = rng.standard_normal((5000, cols - 1))
+        b = rng.standard_normal(5000)
+        head = rng.standard_normal((3, cols)) if with_head else None
+        r = r_factor(a, b, head=head)
+        stack = stack_of(a, b, head=head)
+        assert r.shape == (cols, cols)
+        np.testing.assert_array_equal(r, np.triu(r))
+        gram = stack.T @ stack
+        assert np.linalg.norm(r.T @ r - gram) <= 1e-12 * np.linalg.norm(gram)
+        ref = np.linalg.qr(stack, mode="r")
+        signs = np.sign(np.diag(r)) * np.sign(np.diag(ref))
+        assert np.linalg.norm(signs[:, None] * r - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_head_taller_than_a_block(self):
         rng = np.random.default_rng(8)
