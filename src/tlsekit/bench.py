@@ -384,11 +384,12 @@ def run_experiment(
     sol = solution if solution is not None else solve_qr_svd(problem)
     op = build_k_operator(problem, sol)
     w = Weights()
-    report = _report(op, w, "exact")
+    flex_norm = _flex_norm(problem, w)
+    report = _report(op, w, "exact", flex_norm)
     pert_norm = np.sqrt(
         np.linalg.norm(sample.dL, "fro") ** 2 + np.linalg.norm(sample.dh) ** 2
     )
-    eps1 = float(pert_norm / _flex_norm(problem, w))
+    eps1 = float(pert_norm / flex_norm)
     p = problem.p
     perts = (sample.dL[:p], sample.dL[p:], sample.dh[:p], sample.dh[p:])
     data = (problem.C, problem.A, problem.d, problem.b)

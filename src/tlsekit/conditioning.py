@@ -35,8 +35,9 @@ componentwise numbers read the data rows themselves, streamed over row
 blocks of [C; A] of block_rows(n) rows (the row streaming of
 linalg.r_factor) by _block_sums. Each block of the gain is formed in a
 reused buffer and consumed at once, so these numbers cost O(n * block)
-memory whatever m is: two n x block workspaces for the upper bounds, three
-for the exact numbers, plus O(n^2 + m). No broadcast or strided ufunc runs
+memory whatever m is: one n x block workspace and a scratch of at most
+CHUNK_BYTES for the upper bounds, three workspaces for the exact numbers,
+plus O(n^2 + m). No broadcast or strided ufunc runs
 on a block-sized operand, since NumPy's buffered iterator would allocate
 64 KiB per operand on top of them (_gain). Blocking only regroups the sums
 over the rows.
@@ -58,6 +59,11 @@ from .core import (
 )
 from .errors import InputError, UndefinedConditionError
 from .linalg import as_matrix, as_vector, block_rows, solve_triangular, spectral_norm
+
+#: Byte budget of the scratch over whose row chunks the upper report forms
+#: each block of the gain (_block_sums): 25 rows of a 327-row block at
+#: n = 100, a quarter of the block workspace it replaces.
+CHUNK_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -196,22 +202,29 @@ def build_k_operator(problem: TlseProblem, solution: TlseSolution) -> KOperator:
 def _gain(src, adjoint, data, head, out=None, scratch=None) -> np.ndarray:
     """(2/rho^2) (N x) adjoint.T - [constraint_gain[:, :head], N data.T],
     N = null_gram_inv, with rho, x and the two matrices read off src (a
-    TlseSolution or a KOperator). Assembled in out and the bracket in
-    scratch, both n x len(adjoint) (fresh if None).
+    TlseSolution or a KOperator). The bracket goes into out (n x
+    len(adjoint)) and the gain is formed over it, len(scratch) rows at a
+    time, with those rows of the outer product in scratch; both are fresh
+    if None, scratch then of n rows.
 
     A broadcast or strided ufunc would run NumPy's buffered iterator,
     which allocates 64 KiB per operand on block-sized operands. So the
     outer product is an einsum (the products of np.multiply), N data.T a
-    matmul into a strided view (the bits of a fresh product), and the one
-    subtraction is of contiguous arrays: none of them allocates."""
+    matmul into a strided view (the bits of a fresh product), and the
+    subtractions are of contiguous rows: none of them allocates, and no
+    chunk size changes a bit."""
     n_inv = src.null_gram_inv
-    gain = np.einsum("i,j->ij", n_inv @ src.x, adjoint, out=out)
-    gain *= 2.0 / src.rho**2
+    gain = np.empty((len(n_inv), len(adjoint))) if out is None else out
+    gain[:, :head] = src.constraint_gain[:, :head]
+    np.matmul(n_inv, data.T, out=gain[:, head:])
     if scratch is None:
         scratch = np.empty(gain.shape)
-    scratch[:, :head] = src.constraint_gain[:, :head]
-    np.matmul(n_inv, data.T, out=scratch[:, head:])
-    gain -= scratch
+    u, c, step = n_inv @ src.x, 2.0 / src.rho**2, len(scratch)
+    for i in range(0, len(gain), step):
+        rows = gain[i : i + step]
+        outer = np.einsum("i,j->ij", u[i : i + step], adjoint, out=scratch[: len(rows)])
+        outer *= c
+        np.subtract(outer, rows, out=rows)
     return gain
 
 
@@ -276,12 +289,13 @@ def _block_sums(op: KOperator, exact: bool):
     row blocks of block_rows(n) rows, or all m if fewer (as p < n <=
     block_rows(n), the constraint rows all fall in the first).
 
-    Two n x block workspaces, three when exact, plus O(n^2 + m): G_B in the
-    first (_gain, with its bracket in the second); |L_B| in the second,
-    copied by np.copyto, which needs no iterator buffer whatever the layout
-    of C and A, and made absolute in place; |G_B| over G_B in upper mode,
-    in the third when exact, as the exact sum still reads G_B. A short last
-    block takes the contiguous leading part of each.
+    One n x block workspace in upper mode, plus a CHUNK_BYTES scratch and
+    O(n^2 + m): |L_B| is copied in by np.copyto, which needs no iterator
+    buffer whatever the layout of C and A, made absolute in place and read;
+    then _gain forms G_B over it, and |G_B| is taken in place. The exact
+    sum reads G_B and |L_B| after |G_B|, so exact mode holds three: |L_B|
+    in the second, and the third as _gain's one-chunk scratch, then |G_B|.
+    A short last block takes the contiguous leading part of each buffer.
 
     The exact sum |G| |h| + sum_j |x_j G - N[:, j] t.T| |L[:, j]| takes one
     solution row i at a time: over (data row k, column j), E_kj = x_j
@@ -292,11 +306,13 @@ def _block_sums(op: KOperator, exact: bool):
     problem = op.problem
     n, p, m = op.n, op.p, op.m
     rows = min(block_rows(n), m)
-    gain_buf, labs_buf = np.empty(n * rows), np.empty(n * rows)
+    chunk = n if exact else min(n, max(1, CHUNK_BYTES // (8 * rows)))
+    gain_buf, scratch_buf = np.empty(n * rows), np.empty(chunk * rows)
+    labs_buf = np.empty(n * rows) if exact else gain_buf
     habs_buf = np.empty(rows)
     target, upper, weight = np.zeros(n), np.zeros(n), np.zeros(n)
     if exact:
-        block_buf, pair_buf = np.empty(n * rows), np.empty(2 * rows)
+        pair_buf = np.empty(2 * rows)
         right = np.empty((2, n))
         right[0] = op.x
     for start in range(0, m, rows):
@@ -305,11 +321,6 @@ def _block_sums(op: KOperator, exact: bool):
         head = max(p - start, 0)  # constraint rows in this block
         a_rows = slice(start + head - p, stop - p)
         t = op.adjoint_dir[start:stop]
-        gain = _gain(
-            op, t, problem.A[a_rows], head,
-            out=gain_buf[: n * size].reshape(n, size),
-            scratch=labs_buf[: n * size].reshape(n, size),
-        )
         labs = labs_buf[: n * size].reshape(size, n)
         np.copyto(labs[:head], problem.C[:head])
         np.copyto(labs[head:], problem.A[a_rows])
@@ -317,12 +328,18 @@ def _block_sums(op: KOperator, exact: bool):
         habs = habs_buf[:size]
         np.abs(problem.d[:head], out=habs[:head])
         np.abs(problem.b[a_rows], out=habs[head:])
-        block = block_buf[: gain.size].reshape(gain.shape) if exact else gain
-        np.abs(gain, out=block)
         data = labs @ np.abs(op.x)
         data += habs
-        upper += block @ data
         weight += labs.T @ np.abs(t)
+        # in upper mode this overwrites labs, which is read no more
+        gain = _gain(
+            op, t, problem.A[a_rows], head,
+            out=gain_buf[: n * size].reshape(n, size),
+            scratch=scratch_buf[: chunk * size].reshape(chunk, size),
+        )
+        block = scratch_buf[: gain.size].reshape(gain.shape) if exact else gain
+        np.abs(gain, out=block)
+        upper += block @ data
         if not exact:
             continue
         target += block @ habs
@@ -358,11 +375,13 @@ def condition_report(
             f"method must be exact|compact|upper, got {method!r}"
         )
     sol = solution if solution is not None else solve_qr_svd(problem)
-    return _report(build_k_operator(problem, sol), weights or Weights(), method)
+    w = weights or Weights()
+    return _report(build_k_operator(problem, sol), w, method, _flex_norm(problem, w))
 
 
-def _report(op: KOperator, w: Weights, method: str) -> ConditionReport:
-    """condition_report's numbers on a built K, for a valid method.
+def _report(op: KOperator, w: Weights, method: str, flex_norm: float) -> ConditionReport:
+    """condition_report's numbers on a built K, for a valid method, and
+    flex_norm = _flex_norm(op.problem, w), which run_experiment reuses.
 
     The tight normwise bound uses ||gain||_2 = ||gain_r||_2, the loose one
     the sum of the gain's block norms held by op, so kappa_n <= tight <=
@@ -374,7 +393,7 @@ def _report(op: KOperator, w: Weights, method: str) -> ConditionReport:
         raise UndefinedConditionError("condition numbers need x != 0")
     nx_inf = float(np.abs(op.x).max())
     alpha, beta = w.alpha, w.beta
-    scale = _flex_norm(op.problem, w) / nx
+    scale = flex_norm / nx
     nt = float(np.linalg.norm(op.adjoint_r))
     g_norm = spectral_norm(op.gain_r)
     factor = scale * np.sqrt(
@@ -435,6 +454,15 @@ def _kappa_n(op: KOperator, w: Weights, nx: float, nt: float, g_norm: float) -> 
     c2 = c1 + 1.0 / nx
     u = t / nt
     gu = g @ u
-    z1 = -(nx / beta) * (c1 * g - c2 * np.outer(gu, u))
-    z2 = (nt / alpha) * op.null_gram_inv - np.outer(gu, op.x) / alpha
+    # Z1 = -(nx/beta) (c1 g - c2 gu u.T), Z2 = (nt/alpha) N - gu x.T / alpha,
+    # built in place on einsum outer products (np.outer would run the
+    # buffered iterator): z1 = Z1 to the bit, and z2 = -Z2 exactly, which
+    # has the same Gram matrix
+    z1 = np.einsum("i,j->ij", gu, u)
+    z1 *= c2
+    z1 -= c1 * g
+    z1 *= nx / beta
+    z2 = np.einsum("i,j->ij", gu, op.x)
+    z2 /= alpha
+    z2 -= (nt / alpha) * op.null_gram_inv
     return spectral_norm(z1, z2)

@@ -154,8 +154,10 @@ def cholesky(a: np.ndarray) -> np.ndarray:
 def top_eigen(a: np.ndarray, vector: bool) -> tuple[float, np.ndarray | None]:
     """(w, v): the largest eigenvalue of the symmetric a and, if vector, a
     unit eigenvector (None otherwise), from one LAPACK dsyevr call (range
-    "I") on a's upper triangle, which it may overwrite. NumericalError on
-    a nonzero info.
+    "I") on a's upper triangle. A Fortran-ordered float64 a is overwritten
+    in place; f2py copies any other a first, so a caller holding an
+    exactly symmetric C-ordered matrix passes its transpose to spare the
+    copy. NumericalError on a nonzero info.
     """
     k = len(a)
     w, v, _, _, info = dsyevr(
@@ -339,7 +341,7 @@ def pow2_scale(big: float, mats: list) -> tuple[int, list]:
     power of two scales exactly (barring underflow to subnormals), so the
     bits of normal-range data are never touched.
     """
-    exp = int(np.frexp(big)[1])
+    exp = math.frexp(big)[1]
     if abs(exp) <= GRAM_EXP:
         return 0, mats
     return exp, [np.ldexp(b, -exp) for b in mats]
@@ -381,6 +383,9 @@ def spectral_norm(*blocks) -> float:
         gram = mats[0] @ mats[0].T
         for b in mats[1:]:
             gram += b @ b.T
-    w = top_eigen(gram, vector=False)[0]
+    # NumPy forms each b @ b.T by syrk and mirrors its triangle, so gram is
+    # exactly symmetric and gram.T, Fortran-ordered, the same matrix, which
+    # dsyevr takes without a copy
+    w = top_eigen(gram.T, vector=False)[0]
     return float(np.ldexp(np.sqrt(max(w, 0.0)), exp))
 

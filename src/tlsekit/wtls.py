@@ -50,6 +50,8 @@ from .linalg import (
     spectral_norm, svd, thin_q, top_eigen,
 )
 
+_TINY = np.finfo(float).tiny
+
 
 @dataclass(frozen=True)
 class WeightedEmbedding:
@@ -308,7 +310,9 @@ def _nystrom(r: np.ndarray, draws: np.ndarray) -> list[np.ndarray]:
     (dsyevr); u = K v / ||K v|| is the dominant left singular vector of K,
     with no SVD. The compressions, K.T K, the range checks and the norms
     of u run once on the stack, yet each slab gets the same calls on the
-    same values, so its x equals the one of its slab alone. An R whose
+    same values, so its x equals the one of its slab alone. A single slab
+    (solve_nwtls) takes those calls on 2-D arrays, with no stack views,
+    buffers or per-slab writes around them. An R whose
     largest diagonal entry lies outside 2^(+-GRAM_EXP) is first scaled by
     a power of two (pow2_scale), exactly, which leaves every direction
     unchanged. NumericalError when the sketch leaves the float range
@@ -316,10 +320,11 @@ def _nystrom(r: np.ndarray, draws: np.ndarray) -> list[np.ndarray]:
     so no NaN or RuntimeWarning escapes) or a factorization breaks down.
     """
     k, n1, width = draws.shape
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag.min() <= np.finfo(float).tiny * diag.max():
+    diag = np.abs(r.diagonal())
+    big = diag.max(initial=0.0)
+    if big == 0.0 or diag.min() <= _TINY * big:
         raise NumericalError("stacked matrix is rank deficient; Gram solve fails")
-    r = pow2_scale(diag.max(), [r])[1][0]
+    r = pow2_scale(big, [r])[1][0]
 
     def in_range(a):
         if not np.isfinite(a).all():
@@ -330,17 +335,27 @@ def _nystrom(r: np.ndarray, draws: np.ndarray) -> list[np.ndarray]:
         return a
 
     def gram_solve(rhs):
-        # the Fortran-ordered (n+1, k*width) solution as a (k, n+1, width) view
-        out = in_range(solve_triangular(r, solve_triangular(r, rhs, trans=1)))
-        return out.T.reshape(k, width, n1).transpose(0, 2, 1)
+        # the Fortran-ordered (n+1, k*width) solution
+        return in_range(solve_triangular(r, solve_triangular(r, rhs, trans=1)))
 
-    # the slabs side by side, (n+1, k*width): a view for one slab and for q
-    q = gram_solve(draws.transpose(1, 0, 2).reshape(n1, -1))
-    for s in range(k):
-        q[s] = thin_q(q[s])
-    y = gram_solve(q.transpose(1, 0, 2).reshape(n1, -1))
+    def slabs(a):
+        # an (n+1, k*width) solution as a (k, n+1, width) view
+        return a.T.reshape(k, width, n1).transpose(0, 2, 1)
+
     # overflow past a finite y is caught by in_range, not warned about
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if k == 1:
+            q = thin_q(gram_solve(draws[0]))
+            y = gram_solve(q)
+            z = q.T @ y
+            kf = solve_triangular(cholesky(in_range(0.5 * (z + z.T))), y.T, lower=True).T
+            u = kf @ top_eigen(in_range(kf.T @ kf), vector=True)[1]
+            return [_x_from_direction(in_range(u / np.sqrt(u @ u)))]
+        # the slabs side by side, (n+1, k*width): a view for one slab and for q
+        q = slabs(gram_solve(draws.transpose(1, 0, 2).reshape(n1, -1)))
+        for s in range(k):
+            q[s] = thin_q(q[s])
+        y = slabs(gram_solve(q.transpose(1, 0, 2).reshape(n1, -1)))
         z = q.transpose(0, 2, 1) @ y
         z = in_range(0.5 * (z + z.transpose(0, 2, 1)))
         kf, u = np.empty((k, n1, width)), np.empty((k, 1, n1))

@@ -358,6 +358,21 @@ class TestRunExperiment:
         given = run_experiment(problem, sample, solution=solve_qr_svd(problem))
         assert given == run_experiment(problem, sample)
 
+    def test_data_norm_is_read_once(self, monkeypatch):
+        # the report's scale and eps1 share one ||[L h]||_F, one pass over A
+        problem = seeded_problem(2)
+        sample = perturb(problem, "normwise", 1e-8, seed=5)
+        want = run_experiment(problem, sample)
+        flex_norm, calls = tlsekit.bench._flex_norm, []
+
+        def counted(*args):
+            calls.append(args)
+            return flex_norm(*args)
+
+        monkeypatch.setattr(tlsekit.bench, "_flex_norm", counted)
+        assert run_experiment(problem, sample) == want
+        assert len(calls) == 1
+
     def test_prediction_bounds_cover_forward_errors(self):
         problem = seeded_problem(2)
         sample = perturb(problem, "normwise", 1e-8, seed=5)

@@ -2,10 +2,13 @@
 import dataclasses
 import math
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tlsekit import (
     GeneratorSpec,
@@ -20,7 +23,7 @@ from tlsekit import (
 from tlsekit import conditioning
 from tlsekit.bench import derive_seed
 from tlsekit.conditioning import _mixed_componentwise
-from tlsekit.errors import InputError, UndefinedConditionError
+from tlsekit.errors import InputError, TlseError, UndefinedConditionError
 from tlsekit.linalg import block_rows
 
 import kron_oracle
@@ -94,7 +97,7 @@ def vec_stack(dL: np.ndarray, dh: np.ndarray) -> np.ndarray:
 
 def report(op, weights=Weights(), method="exact"):
     """condition_report's numbers on a built (or edited) operator."""
-    return conditioning._report(op, weights, method)
+    return conditioning._report(op, weights, method, conditioning._flex_norm(op.problem, weights))
 
 
 def mixed_fields(rep) -> tuple[float, float, float]:
@@ -638,6 +641,22 @@ class TestStreamedBlocks:
             tracemalloc.stop()
         assert peak < problem.A.nbytes + problem.b.nbytes
 
+    @pytest.mark.parametrize(
+        "chunk_bytes", [1, 8 * 7 * H, 10**9], ids=["one-row", "seven-rows", "one-chunk"]
+    )
+    @pytest.mark.parametrize("case", ["short-last-block", "column-scaled", "q-below-n+1"])
+    def test_upper_sums_do_not_depend_on_the_chunk(self, case, chunk_bytes):
+        # the upper report forms each block of the gain over row chunks of
+        # conditioning.CHUNK_BYTES; any chunk gives the bits of the default
+        problem = BLOCK_CASES[case]
+        op = build_k_operator(problem, solve_qr_svd(problem))
+        default = conditioning._block_sums(op, exact=False)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(conditioning, "CHUNK_BYTES", chunk_bytes)
+            chunked = conditioning._block_sums(op, exact=False)
+        for got, want in zip(chunked, default):
+            np.testing.assert_array_equal(got, want)
+
     def test_operator_holds_no_m_sized_matrix(self):
         problem = tall_problem()
         op = build_k_operator(problem, solve_qr_svd(problem))
@@ -646,6 +665,52 @@ class TestStreamedBlocks:
             value = getattr(op, f.name)
             if isinstance(value, np.ndarray) and value.ndim == 2:
                 assert problem.m not in value.shape, f.name
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 12),
+    p=st.integers(0, 5),
+    extra=st.integers(1, 40),
+    rows=st.integers(1, 60),
+    block=st.integers(0, 60),
+    chunk=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chunked_gain_is_the_explicit_gain_bitwise(n, p, extra, rows, block, chunk, seed):
+    """One row block [start, stop) of [C; A], of more than p rows as in
+    _block_sums (so the first holds every constraint row), formed over
+    chunks of chunk rows in buffers that start as NaN, is bit for bit
+    kron_oracle.explicit_gain of the block's own operator: the explicit
+    formula on the block's adjoint entries, constraint columns and rows of
+    A. With one block that is explicit_gain(op) itself. A narrower block
+    is not held to explicit_gain(op)'s columns: BLAS need not round N A_B.T
+    as it rounds the same columns of N A.T (in the last bit on about 1% of
+    random blocks of two or more rows and most single rows, n > 1, with
+    one chunk or many alike)."""
+    p = min(p, n - 1)
+    problem = seeded_problem(seed, p=p, n=n, q=n - p + extra)
+    try:
+        op = build_k_operator(problem, solve_qr_svd(problem))
+    except TlseError:
+        assume(False)
+    m = problem.m
+    rows = min(max(rows, p + 1), m)
+    start = rows * (block % -(-m // rows))
+    stop = min(start + rows, m)
+    head = max(p - start, 0)
+    t, a_rows = op.adjoint_dir[start:stop], problem.A[start + head - p : stop - p]
+    out = np.full((n, stop - start), np.nan)
+    scratch = np.full((min(chunk, n), stop - start), np.nan)
+    gain = conditioning._gain(op, t, a_rows, head, out=out, scratch=scratch)
+    assert gain is out
+    own = dataclasses.replace(
+        op, constraint_gain=op.constraint_gain[:, :head], adjoint_dir=t,
+        problem=types.SimpleNamespace(A=a_rows),
+    )
+    np.testing.assert_array_equal(gain, kron_oracle.explicit_gain(own))
+    if rows == m:
+        np.testing.assert_array_equal(gain, kron_oracle.explicit_gain(op))
 
 
 #: Constants of the report's memory budget (report_budget), in float64
@@ -660,14 +725,17 @@ C1, C2, C0 = 2, 2, 2048
 
 
 def report_budget(problem: TlseProblem, method: str) -> int:
-    """Bytes condition_report may peak at: its w block workspaces of n x
-    block (w = 2 for upper, 3 for exact) plus C1 n^2 + C2 (m + n (p + k))
-    + C0 words, k = min(q, n + 1) the rows of R."""
+    """Bytes condition_report may peak at: its block workspaces, three of n
+    x block when exact, and one plus the chunk scratch of
+    conditioning.CHUNK_BYTES (chunk x block, chunk <= n rows) for upper;
+    plus C1 n^2 + C2 (m + n (p + k)) + C0 words, k = min(q, n + 1) the rows
+    of R."""
     n, p, m = problem.n, problem.p, problem.m
     k = min(problem.q, n + 1)
-    w = 2 if method == "upper" else 3
     block = min(block_rows(n), m)
-    return 8 * (w * n * block + C1 * n * n + C2 * (m + n * (p + k)) + C0)
+    chunk = min(n, max(1, conditioning.CHUNK_BYTES // (8 * block)))
+    rows = 3 * n if method == "exact" else n + chunk
+    return 8 * (rows * block + C1 * n * n + C2 * (m + n * (p + k)) + C0)
 
 
 def report_peak(problem: TlseProblem, solution, method: str) -> int:

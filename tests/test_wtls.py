@@ -863,10 +863,16 @@ class TestNystromAtFloatExtremes:
     # overflows when symmetrized
     @pytest.mark.parametrize("scale", [1e-160, 2.2e-155, 1e160])
     def test_tiny_column_raises(self, scale):
+        # one seed takes the kernel's 2-D path, a table2 batch its stack
+        problem = extreme_problem(scale, column=3)
+        r = embed(problem, NwtlsConfig.eps).r
+        draws = seed_draws([0, 1, 2], problem.n, NwtlsConfig().resolve(problem.n, problem.p))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="leaves the float range"):
-                solve_nwtls(extreme_problem(scale, column=3))
+                solve_nwtls(problem)
+            with pytest.raises(NumericalError, match="leaves the float range"):
+                _nystrom(r, draws)
 
 
 class TestOverflowingEps:
