@@ -43,6 +43,7 @@ from .errors import (
     NonGenericError,
     NumericalError,
 )
+from .linalg import check_integer
 from .wtls import NwtlsConfig, _nystrom, embed
 
 GENERATOR_KINDS = ("equilibratory", "householder_spectrum", "piecewise_poly")
@@ -59,7 +60,9 @@ class GeneratorSpec:
     (householder), knot the breakpoint in (0,1) with m_pts/n_pts sample
     counts and continuous choosing the consistent fit (piecewise; the
     default is the inconsistent one). seed makes generation deterministic.
-    InputError for a negative size.
+    The sizes (unless None) and seed must be integers, Python or NumPy, not
+    bools (a float is not converted); InputError otherwise, and for a
+    negative size.
     """
 
     kind: str
@@ -87,9 +90,13 @@ class GeneratorSpec:
             raise InputError(f"delta must be finite and positive, got {self.delta}")
         if not 0 < self.knot < 1:
             raise InputError(f"knot must lie in (0,1), got {self.knot}")
+        check_integer(self.seed, "seed")
         for name in ("p", "q", "n", "m", "m_pts", "n_pts"):
             size = getattr(self, name)
-            if size is not None and size < 0:
+            if size is None:
+                continue
+            check_integer(size, name)
+            if size < 0:
                 raise InputError(f"{name} must be non-negative, got {size}")
 
 
@@ -191,7 +198,10 @@ TABLE_COLUMNS = (
 
 
 def derive_seed(seed: int, *key: int) -> int:
-    """Deterministic sub-seed for a (seed, index...) path."""
+    """Deterministic sub-seed for a (seed, index...) path. InputError
+    unless seed is an integer (check_integer): a float would otherwise
+    draw the stream of its integer part."""
+    check_integer(seed, "seed")
     parts = [abs(int(seed))] + [abs(int(k)) for k in key]
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
@@ -204,6 +214,13 @@ def _sweep(name: str, values) -> enumerate:
     if not (values := tuple(values)):
         raise InputError(f"{name} must list at least one value")
     return enumerate(values)
+
+
+def _check_trials(trials) -> None:
+    """InputError unless trials is an integer (check_integer) >= 1."""
+    check_integer(trials, "trials")
+    if trials < 1:
+        raise InputError(f"trials must be at least 1, got {trials}")
 
 
 def _reflector(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -384,7 +401,7 @@ def run_experiment(
     sol = solution if solution is not None else solve_qr_svd(problem)
     op = build_k_operator(problem, sol)
     w = Weights()
-    flex_norm = _flex_norm(problem, w)
+    flex_norm = _flex_norm(op, w)
     report = _report(op, w, "exact", flex_norm)
     pert_norm = np.sqrt(
         np.linalg.norm(sample.dL, "fro") ** 2 + np.linalg.norm(sample.dh) ** 2
@@ -585,8 +602,7 @@ def table1(
     """Equilibratory sweep over target constraint condition numbers, at
     gen_equilibratory's default (p, q, n) = (5, 20, 15), over `trials`
     (>= 1) trials."""
-    if trials < 1:
-        raise InputError(f"trials must be at least 1, got {trials}")
+    _check_trials(trials)
     rows = []
     for i, kappa in _sweep("kappas", kappas):
         for tr in range(trials):
@@ -627,8 +643,7 @@ def table2(
     sample size to that width, which is how the delta-sensitivity of a
     genuinely low-rank sketch is exposed.
     """
-    if trials < 1:
-        raise InputError(f"trials must be at least 1, got {trials}")
+    _check_trials(trials)
     cfg = NwtlsConfig(eps=eps, oversample=oversample, sample_size=sketch)
     rows = []
     for mi, m in _sweep("ms", ms):

@@ -28,24 +28,29 @@ of matrices of n rows and at most p+k+n columns, each the square root of
 the largest eigenvalue of an n x n Gram matrix (linalg.spectral_norm).
 The two norms the solve fixes in closed form, ||null_gram_inv||_2 and
 ||null_gram_inv A.T||_2, are read off its restricted SVD
-(core.null_gram_inv_norm, core.data_map_norm) and need no eigenvalue.
+(core.null_gram_inv_norm, core.data_map_norm) and need no eigenvalue, and
+the weighted data norm ||[alpha L, beta h]||_F is read off C, d and R
+(_flex_norm).
 
 Entrywise absolute values do not commute with W, so the mixed and
 componentwise numbers read the data rows themselves, streamed over row
 blocks of [C; A] of block_rows(n) rows (the row streaming of
-linalg.r_factor) by _block_sums. Each block of the gain is formed in a
-reused buffer and consumed at once, so these numbers cost O(n * block)
-memory whatever m is: one n x block workspace and a scratch of at most
-CHUNK_BYTES for the upper bounds, three workspaces for the exact numbers,
-plus O(n^2 + m). No broadcast or strided ufunc runs
-on a block-sized operand, since NumPy's buffered iterator would allocate
-64 KiB per operand on top of them (_gain). Blocking only regroups the sums
-over the rows.
+linalg.r_factor) by _block_sums, the one pass of a report over A. Each
+block of the gain and of adjoint_dir is formed in a reused buffer and
+consumed at once, so these numbers cost O(n * block) memory whatever m
+is: one n x block workspace and a scratch of at most CHUNK_BYTES for the
+upper bounds, three workspaces for the exact numbers, plus O(n^2) and
+vectors of one block. The normwise numbers run first (_normwise), and
+nothing of theirs outlives them, so the two phases' peaks do not add up.
+No broadcast or strided ufunc runs on a block-sized operand, since
+NumPy's buffered iterator would allocate 64 KiB per operand on top of
+them (_gain). Blocking only regroups the sums over the rows.
 """
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +69,11 @@ from .linalg import as_matrix, as_vector, block_rows, solve_triangular, spectral
 #: each block of the gain (_block_sums): 25 rows of a 327-row block at
 #: n = 100, a quarter of the block workspace it replaces.
 CHUNK_BYTES = 64 * 1024
+
+#: OpenBLAS's x86-64 dgemv takes the rows of A @ x in groups of this many,
+#: counted from the first, by one kernel, and the rows past the last full
+#: group by another (_residual_rows).
+GEMV_GROUP = 4
 
 
 @dataclass(frozen=True)
@@ -99,31 +109,29 @@ class Weights:
 class KOperator:
     """First-order perturbation map at a solution.
 
-    null_gram_inv is n x n, constraint_gain n x p, adjoint_dir the m-vector
-    [-pinv([C d]).T [A b].T residual; residual], its top read off the
-    solve's R and basis QR (build_k_operator). The n x m gain (module
-    docstring) is not stored: apply_k applies it from these and problem.A,
-    and the entrywise numbers form it a row block at a time. A zero
-    residual forces adjoint_dir = 0 and gain = -[constraint_gain,
-    null_gram_inv @ A.T].
-
-    gain_r (n x (p+k)) and adjoint_r are the same map on the k x (n+1) R
-    of [A b] (module docstring): gain = gain_r @ W.T, adjoint_dir = W @
-    adjoint_r. The normwise numbers read these. null_gram_inv_norm and
-    data_map_norm are ||null_gram_inv||_2 and ||null_gram_inv A.T||_2, in
-    closed form from the solve's restricted SVD (core.null_gram_inv_norm,
-    core.data_map_norm); constraint_gain_norm is ||constraint_gain||_2
-    (linalg.spectral_norm). problem is the solved problem itself, held by
-    reference (no copy).
+    null_gram_inv is n x n, constraint_gain n x p, adjoint_r the (p+k)-vector
+    [top; R [x; -1]] on the k x (n+1) R of [A b] (data_r, the solve's own),
+    its top -pinv([C d]).T [A b].T residual read off R and the basis QR
+    (build_k_operator). adjoint_dir, the m-vector [top; A x - b], and
+    gain_r (n x (p+k)), the gain on R (gain = gain_r @ W.T and adjoint_dir
+    = W @ adjoint_r, module docstring), are formed on first read and kept;
+    apply_k reads adjoint_dir, and condition_report neither. The n x m gain
+    is not stored: apply_k applies it from these and problem.A, and the
+    entrywise numbers form it a row block at a time. A zero residual
+    forces adjoint_dir = 0 and gain = -[constraint_gain, null_gram_inv @
+    A.T]. null_gram_inv_norm and data_map_norm are ||null_gram_inv||_2 and
+    ||null_gram_inv A.T||_2, in closed form from the solve's restricted SVD
+    (core.null_gram_inv_norm, core.data_map_norm); constraint_gain_norm is
+    ||constraint_gain||_2 (linalg.spectral_norm). problem and data_r are
+    held by reference (no copy).
     """
 
     null_gram_inv: np.ndarray
     constraint_gain: np.ndarray
-    adjoint_dir: np.ndarray
     x: np.ndarray
     rho: float
-    gain_r: np.ndarray
     adjoint_r: np.ndarray
+    data_r: np.ndarray
     null_gram_inv_norm: float
     data_map_norm: float
     constraint_gain_norm: float
@@ -139,7 +147,16 @@ class KOperator:
 
     @property
     def m(self) -> int:
-        return self.adjoint_dir.shape[0]
+        return self.problem.m
+
+    @cached_property
+    def adjoint_dir(self) -> np.ndarray:
+        problem = self.problem
+        return np.concatenate([self.adjoint_r[: self.p], problem.A @ self.x - problem.b])
+
+    @cached_property
+    def gain_r(self) -> np.ndarray:
+        return _gain_r(self)
 
 
 @dataclass(frozen=True)
@@ -182,16 +199,13 @@ def build_k_operator(problem: TlseProblem, solution: TlseSolution) -> KOperator:
     g, x_feas = big_r.T @ r_res, basis.x_feas
     v = g[:-1] - x_feas * ((x_feas @ g[:-1] - g[-1]) / (1.0 + x_feas @ x_feas))
     top = -solve_triangular(basis.r1, basis.q1.T @ v)
-    adjoint_dir = np.concatenate([top, solution.residual])
-    adjoint_r = np.concatenate([top, r_res])
     return KOperator(
         null_gram_inv=solution.null_gram_inv,
         constraint_gain=solution.constraint_gain,
-        adjoint_dir=adjoint_dir,
         x=solution.x.copy(),
         rho=solution.rho,
-        gain_r=_gain(solution, adjoint_r, big_r[:, :-1], problem.p),
-        adjoint_r=adjoint_r,
+        adjoint_r=np.concatenate([top, r_res]),
+        data_r=big_r,
         null_gram_inv_norm=null_gram_inv_norm(solution.core),
         data_map_norm=data_map_norm(solution.core),
         constraint_gain_norm=spectral_norm(solution.constraint_gain),
@@ -199,13 +213,12 @@ def build_k_operator(problem: TlseProblem, solution: TlseSolution) -> KOperator:
     )
 
 
-def _gain(src, adjoint, data, head, out=None, scratch=None) -> np.ndarray:
+def _gain(op, adjoint, data, head, out=None, scratch=None) -> np.ndarray:
     """(2/rho^2) (N x) adjoint.T - [constraint_gain[:, :head], N data.T],
-    N = null_gram_inv, with rho, x and the two matrices read off src (a
-    TlseSolution or a KOperator). The bracket goes into out (n x
-    len(adjoint)) and the gain is formed over it, len(scratch) rows at a
-    time, with those rows of the outer product in scratch; both are fresh
-    if None, scratch then of n rows.
+    N = null_gram_inv, with rho, x and the two matrices read off op. The
+    bracket goes into out (n x len(adjoint)) and the gain is formed over
+    it, len(scratch) rows at a time, with those rows of the outer product in
+    scratch; both are fresh if None, scratch then of n rows.
 
     A broadcast or strided ufunc would run NumPy's buffered iterator,
     which allocates 64 KiB per operand on block-sized operands. So the
@@ -213,19 +226,24 @@ def _gain(src, adjoint, data, head, out=None, scratch=None) -> np.ndarray:
     matmul into a strided view (the bits of a fresh product), and the
     subtractions are of contiguous rows: none of them allocates, and no
     chunk size changes a bit."""
-    n_inv = src.null_gram_inv
+    n_inv = op.null_gram_inv
     gain = np.empty((len(n_inv), len(adjoint))) if out is None else out
-    gain[:, :head] = src.constraint_gain[:, :head]
+    gain[:, :head] = op.constraint_gain[:, :head]
     np.matmul(n_inv, data.T, out=gain[:, head:])
     if scratch is None:
         scratch = np.empty(gain.shape)
-    u, c, step = n_inv @ src.x, 2.0 / src.rho**2, len(scratch)
+    u, c, step = n_inv @ op.x, 2.0 / op.rho**2, len(scratch)
     for i in range(0, len(gain), step):
         rows = gain[i : i + step]
         outer = np.einsum("i,j->ij", u[i : i + step], adjoint, out=scratch[: len(rows)])
         outer *= c
         np.subtract(outer, rows, out=rows)
     return gain
+
+
+def _gain_r(op: KOperator) -> np.ndarray:
+    """The gain on R (KOperator.gain_r), formed anew on each call."""
+    return _gain(op, op.adjoint_r, op.data_r[:, :-1], op.p)
 
 
 def apply_k(op: KOperator, dL, dh) -> np.ndarray:
@@ -248,18 +266,14 @@ def apply_k(op: KOperator, dL, dh) -> np.ndarray:
     )
 
 
-def _sum_sq(a: np.ndarray) -> float:
-    # ravel copies a strided matrix, so such a one is summed row by row
-    if a.ndim == 2 and not (a.flags.c_contiguous or a.flags.f_contiguous):
-        return float(sum(row @ row for row in a))
-    flat = a.ravel(order="K")
-    return float(flat @ flat)
-
-
-def _flex_norm(problem: TlseProblem, w: Weights) -> float:
-    """||[alpha L, beta h]||_F, read from C, d, A, b without stacking them."""
-    data = w.alpha**2 * (_sum_sq(problem.C) + _sum_sq(problem.A))
-    return float(np.sqrt(data + w.beta**2 * (_sum_sq(problem.d) + _sum_sq(problem.b))))
+def _flex_norm(op: KOperator, w: Weights) -> float:
+    """||[alpha L, beta h]||_F, read off C, d and the solve's R of [A b],
+    whose columns have the norms of [A b]'s (R = Q.T [A b] for an
+    orthogonal Q), so A and b are not read."""
+    r_sq = np.einsum("ij,ij->j", op.data_r, op.data_r)
+    c, d = op.problem.C, op.problem.d
+    data = w.alpha**2 * (np.einsum("ij,ij->", c, c) + r_sq[:-1].sum())
+    return float(np.sqrt(data + w.beta**2 * (d @ d + r_sq[-1])))
 
 
 def _max_ratio(num, den) -> tuple[float, float]:
@@ -285,17 +299,20 @@ def _mixed_componentwise(target, x, nx_inf) -> tuple[float, float, float]:
 def _block_sums(op: KOperator, exact: bool):
     """The exact target |K| vec(|[L h]|) (zero unless exact), the |G| (|L|
     |x| + |h|) part of its bound |G| (|L| |x| + |h|) + |N| |L|.T |t|, and
-    the weight |L|.T |t| of the |N| part (notation of _kappa_n), summed over
-    row blocks of block_rows(n) rows, or all m if fewer (as p < n <=
+    the weight |L|.T |t| of the |N| part (notation of _normwise), summed
+    over row blocks of block_rows(n) rows, or all m if fewer (as p < n <=
     block_rows(n), the constraint rows all fall in the first).
 
-    One n x block workspace in upper mode, plus a CHUNK_BYTES scratch and
-    O(n^2 + m): |L_B| is copied in by np.copyto, which needs no iterator
-    buffer whatever the layout of C and A, made absolute in place and read;
-    then _gain forms G_B over it, and |G_B| is taken in place. The exact
-    sum reads G_B and |L_B| after |G_B|, so exact mode holds three: |L_B|
-    in the second, and the third as _gain's one-chunk scratch, then |G_B|.
-    A short last block takes the contiguous leading part of each buffer.
+    One n x block workspace in upper mode, plus a CHUNK_BYTES scratch,
+    vectors of one block and O(n^2): the block's slice t_B of adjoint_dir, its rows of the top
+    and A_B x - b_B (_residual_rows), is formed in a block-sized vector, so
+    neither the m-vector adjoint_dir nor solution.residual is formed. |L_B|
+    is copied in by np.copyto, which needs no iterator buffer whatever the
+    layout of C and A, made absolute in place and read; then _gain forms
+    G_B over it, and |G_B| is taken in place. The exact sum reads G_B and
+    |L_B| after |G_B|, so exact mode holds three: |L_B| in the second, and
+    the third as _gain's one-chunk scratch, then |G_B|. A short last block
+    takes the contiguous leading part of each buffer.
 
     The exact sum |G| |h| + sum_j |x_j G - N[:, j] t.T| |L[:, j]| takes one
     solution row i at a time: over (data row k, column j), E_kj = x_j
@@ -309,7 +326,8 @@ def _block_sums(op: KOperator, exact: bool):
     chunk = n if exact else min(n, max(1, CHUNK_BYTES // (8 * rows)))
     gain_buf, scratch_buf = np.empty(n * rows), np.empty(chunk * rows)
     labs_buf = np.empty(n * rows) if exact else gain_buf
-    habs_buf = np.empty(rows)
+    habs_buf, t_buf = np.empty(rows), np.empty(rows + 2 * GEMV_GROUP - 2)
+    top = op.adjoint_r[:p]
     target, upper, weight = np.zeros(n), np.zeros(n), np.zeros(n)
     if exact:
         pair_buf = np.empty(2 * rows)
@@ -320,7 +338,12 @@ def _block_sums(op: KOperator, exact: bool):
         size = stop - start
         head = max(p - start, 0)  # constraint rows in this block
         a_rows = slice(start + head - p, stop - p)
-        t = op.adjoint_dir[start:stop]
+        # the block's rows of adjoint_dir: the top (only the first block,
+        # which starts at row 0 of A, has constraint rows), then A_B x - b_B
+        t = _residual_rows(problem, op.x, a_rows, t_buf[head:])
+        if head:
+            t = t_buf[:size]
+            t[:head] = top
         labs = labs_buf[: n * size].reshape(size, n)
         np.copyto(labs[:head], problem.C[:head])
         np.copyto(labs[head:], problem.A[a_rows])
@@ -357,6 +380,28 @@ def _block_sums(op: KOperator, exact: bool):
     return target, upper, weight
 
 
+def _residual_rows(problem: TlseProblem, x, a_rows: slice, out) -> np.ndarray:
+    """Rows a_rows of A x - b, formed in out (2 GEMV_GROUP - 2 entries
+    longer than a_rows or more) and returned as a view of it.
+
+    The product runs over rows [w0, w1) of A, w0 and w1 on group
+    boundaries or w1 = q, and over two rows or more unless q = 1 (NumPy
+    takes one row as a dot): so on C-ordered A each row has the bits of
+    the product over all of A (solution.residual, KOperator.adjoint_dir),
+    and under another BLAS at worst a last bit of its own.
+    """
+    a0, a1 = a_rows.start, a_rows.stop
+    w0 = a0 - a0 % GEMV_GROUP
+    w1 = min(problem.q, -(-a1 // GEMV_GROUP) * GEMV_GROUP)
+    if w1 - w0 == 1 and w0:
+        w0 -= GEMV_GROUP
+    window = out[: w1 - w0]
+    np.matmul(problem.A[w0:w1], x, out=window)
+    rows = window[a0 - w0 : a1 - w0]
+    rows -= problem.b[a_rows]
+    return rows
+
+
 def condition_report(
     problem: TlseProblem,
     solution: TlseSolution | None = None,
@@ -376,35 +421,25 @@ def condition_report(
         )
     sol = solution if solution is not None else solve_qr_svd(problem)
     w = weights or Weights()
-    return _report(build_k_operator(problem, sol), w, method, _flex_norm(problem, w))
+    op = build_k_operator(problem, sol)
+    return _report(op, w, method, _flex_norm(op, w))
 
 
 def _report(op: KOperator, w: Weights, method: str, flex_norm: float) -> ConditionReport:
     """condition_report's numbers on a built K, for a valid method, and
-    flex_norm = _flex_norm(op.problem, w), which run_experiment reuses.
+    flex_norm = _flex_norm(op, w), which run_experiment reuses.
 
-    The tight normwise bound uses ||gain||_2 = ||gain_r||_2, the loose one
-    the sum of the gain's block norms held by op, so kappa_n <= tight <=
-    loose. |N| is formed after the block pass (_block_sums) returns, and
-    kappa_n last (_kappa_n), so neither is live with a block workspace.
+    The normwise numbers come first (_normwise), whose gain_r and Gram
+    matrices are gone before the block pass (_block_sums) starts; |N| is
+    formed after it returns. So the report peaks at the larger of the two
+    phases, on tall data the block workspace and its chunk scratch, and
+    the data rows are read in the block pass alone.
     """
     nx = float(np.linalg.norm(op.x))
     if nx == 0.0:
         raise UndefinedConditionError("condition numbers need x != 0")
     nx_inf = float(np.abs(op.x).max())
-    alpha, beta = w.alpha, w.beta
-    scale = flex_norm / nx
-    nt = float(np.linalg.norm(op.adjoint_r))
-    g_norm = spectral_norm(op.gain_r)
-    factor = scale * np.sqrt(
-        max(1.0, beta**2 / alpha**2 + 1.0 / nx**2) + beta / alpha
-    )
-    k_norm = op.null_gram_inv_norm
-    tight = (nx / beta * g_norm + nt / alpha * k_norm) * factor
-    split_norms = op.constraint_gain_norm + op.data_map_norm
-    loose = (
-        nx / beta * split_norms + (2.0 / beta + 1.0 / alpha) * nt * k_norm
-    ) * factor
+    kappa_n, tight, loose = _normwise(op, w, nx, flex_norm / nx)
 
     exact = method != "upper"
     target, bound, weight = _block_sums(op, exact)
@@ -414,9 +449,9 @@ def _report(op: KOperator, w: Weights, method: str, flex_norm: float) -> Conditi
     if exact:
         m_value, c_value, c_finite = _mixed_componentwise(target, op.x, nx_inf)
     return ConditionReport(
-        kappa_n=float(_kappa_n(op, w, nx, nt, g_norm) * scale),
-        kappa_n_upper=float(tight),
-        kappa_n_upper_loose=float(loose),
+        kappa_n=kappa_n,
+        kappa_n_upper=tight,
+        kappa_n_upper_loose=loose,
         kappa_m=m_value,
         kappa_m_upper=m_upper,
         kappa_c=c_value,
@@ -427,12 +462,15 @@ def _report(op: KOperator, w: Weights, method: str, flex_norm: float) -> Conditi
     )
 
 
-def _kappa_n(op: KOperator, w: Weights, nx: float, nt: float, g_norm: float) -> float:
-    """||K_w||_2, the normwise condition number before its normalization by
-    the weighted data norm over ||x|| = nx; nt = ||t||, g_norm = ||G||_2.
+def _normwise(op: KOperator, w: Weights, nx: float, scale: float) -> tuple[float, float, float]:
+    """(kappa_n, its tight bound, its loose bound), each normalized by scale
+    = ||[alpha L, beta h]||_F / ||x||, nx = ||x||.
 
-    With G = gain, N = null_gram_inv, t = adjoint_dir and the matrix-block
-    columns of K scaled by 1/alpha, the right-side columns by 1/beta,
+    The tight bound uses ||G||_2 = ||gain_r||_2, the loose one the sum of
+    the gain's block norms held by op, so kappa_n <= tight <= loose.
+    kappa_n is ||K_w||_2 * scale. With G = gain, N = null_gram_inv, t =
+    adjoint_dir and the matrix-block columns of K scaled by 1/alpha, the
+    right-side columns by 1/beta,
 
         K_w K_w.T = (||x||^2/alpha^2 + 1/beta^2) G G.T
                     - (G t (N x).T + N x (G t).T) / alpha^2
@@ -445,24 +483,42 @@ def _kappa_n(op: KOperator, w: Weights, nx: float, nt: float, g_norm: float) -> 
     the n x n Gram matrix Z1_r Z1_r.T + Z2 Z2.T; the two blocks are never
     stacked. A zero t leaves K_w = [x.T/alpha, -1/beta] kron G, of norm
     ||G||_2 sqrt(||x||^2/alpha^2 + 1/beta^2).
+
+    gain_r is formed here (_gain_r), not read off op, whose cache would
+    hold it through the block pass, and z1 is built over it, so it is gone
+    before z2 is formed.
     """
     alpha, beta = w.alpha, w.beta
+    nt = float(np.linalg.norm(op.adjoint_r))
+    g = _gain_r(op)
+    g_norm = spectral_norm(g)
+    factor = scale * np.sqrt(
+        max(1.0, beta**2 / alpha**2 + 1.0 / nx**2) + beta / alpha
+    )
+    k_norm = op.null_gram_inv_norm
+    tight = (nx / beta * g_norm + nt / alpha * k_norm) * factor
+    split_norms = op.constraint_gain_norm + op.data_map_norm
+    loose = (
+        nx / beta * split_norms + (2.0 / beta + 1.0 / alpha) * nt * k_norm
+    ) * factor
     if nt == 0.0:
-        return g_norm * np.sqrt(nx**2 / alpha**2 + 1.0 / beta**2)
-    g, t = op.gain_r, op.adjoint_r
+        kappa = g_norm * np.sqrt(nx**2 / alpha**2 + 1.0 / beta**2)
+        return float(kappa * scale), float(tight), float(loose)
     c1 = np.sqrt(beta**2 / alpha**2 + 1.0 / nx**2)
     c2 = c1 + 1.0 / nx
-    u = t / nt
+    u = op.adjoint_r / nt
     gu = g @ u
     # Z1 = -(nx/beta) (c1 g - c2 gu u.T), Z2 = (nt/alpha) N - gu x.T / alpha,
     # built in place on einsum outer products (np.outer would run the
-    # buffered iterator): z1 = Z1 to the bit, and z2 = -Z2 exactly, which
-    # has the same Gram matrix
+    # buffered iterator) and on g, scaled by c1 in place: z1 = Z1 to the
+    # bit, and z2 = -Z2 exactly, which has the same Gram matrix
     z1 = np.einsum("i,j->ij", gu, u)
     z1 *= c2
-    z1 -= c1 * g
+    g *= c1
+    z1 -= g
+    del g
     z1 *= nx / beta
     z2 = np.einsum("i,j->ij", gu, op.x)
     z2 /= alpha
     z2 -= (nt / alpha) * op.null_gram_inv
-    return spectral_norm(z1, z2)
+    return float(spectral_norm(z1, z2) * scale), float(tight), float(loose)

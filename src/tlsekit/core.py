@@ -225,7 +225,9 @@ class TlseSolution:
 
     @cached_property
     def residual(self) -> np.ndarray:
-        """A x - b, computed on first use (the solvers read R instead)."""
+        """A x - b, computed on first use. Neither the solvers nor
+        condition_report read it: they read R, and the report forms each
+        block's rows of it in its pass over the data."""
         problem = self.basis.problem
         return problem.A @ self.x - problem.b
 

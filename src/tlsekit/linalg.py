@@ -77,6 +77,13 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def check_integer(value, name: str) -> None:
+    """InputError unless value is an integer, Python or NumPy, and not a
+    bool; a float, even a whole one, is not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SvdResult:
     """SVD factors M = u @ diag(s) @ v.T with s nonincreasing.

@@ -46,7 +46,7 @@ from .core import (
 )
 from .errors import IllPosedError, InputError, NumericalError
 from .linalg import (
-    cholesky, pow2_scale, r_factor, solve_triangular,
+    check_integer, cholesky, pow2_scale, r_factor, solve_triangular,
     spectral_norm, svd, thin_q, top_eigen,
 )
 
@@ -88,8 +88,7 @@ class NwtlsConfig:
         if self.sample_size is not None:
             counts["sample_size"] = self.sample_size
         for name, value in counts.items():
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InputError(f"{name} must be an integer, got {value!r}")
+            check_integer(value, name)
         if self.seed < 0:
             raise InputError(f"seed must be non-negative, got {self.seed}")
 

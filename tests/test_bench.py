@@ -74,6 +74,19 @@ class TestGeneratorSpec:
         with pytest.raises(InputError, match=name):
             GeneratorSpec(kind="equilibratory", **{name: value})
 
+    @pytest.mark.parametrize("name", ["p", "q", "n", "m", "m_pts", "n_pts", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 30.0, True, "3"])
+    def test_rejects_non_integer_sizes_and_seed(self, name, value):
+        # a float seed would silently draw the problem of its integer part,
+        # and a float size end in a bare NumPy TypeError
+        with pytest.raises(InputError, match=f"^{name} must be an integer"):
+            GeneratorSpec(kind="householder_spectrum", **{name: value})
+
+    def test_accepts_numpy_integers(self):
+        spec = GeneratorSpec(kind="householder_spectrum", m=np.int64(30), seed=np.uint32(5))
+        want = generate(GeneratorSpec(kind="householder_spectrum", m=30, seed=5))
+        assert np.array_equal(generate(spec).A, want.A)
+
     @pytest.mark.parametrize("name", ["p", "q", "n", "m", "m_pts", "n_pts"])
     def test_rejects_negative_sizes(self, name):
         # -1 rows would otherwise reach NumPy, or slice rows off a stack
@@ -82,6 +95,14 @@ class TestGeneratorSpec:
 
 
 class TestDeriveSeed:
+    @pytest.mark.parametrize("seed", [2.5, 2.0, True])
+    def test_rejects_a_non_integer_seed(self, seed):
+        # so perturb(..., seed=2.5) does not silently draw seed 2's sample
+        with pytest.raises(InputError, match="^seed must be an integer"):
+            derive_seed(seed, 1)
+        with pytest.raises(InputError, match="^seed must be an integer"):
+            perturb(seeded_problem(0), "normwise", 1e-8, seed=seed)
+
     def test_deterministic_and_key_sensitive(self):
         assert derive_seed(3, 1, 2) == derive_seed(3, 1, 2)
         assert derive_seed(3, 1, 2) != derive_seed(3, 2, 1)
@@ -646,6 +667,23 @@ class TestTables:
         message = f"^trials must be at least 1, got {trials}$"
         with pytest.raises(InputError, match=message):
             table(trials=trials)
+
+    @pytest.mark.parametrize(
+        "table, kwargs, name",
+        [
+            (table1, {"trials": 2.5}, "trials"),
+            (table1, {"trials": True}, "trials"),
+            (table1, {"seed": 2.5}, "seed"),
+            (table2, {"trials": 2.0}, "trials"),
+            (table2, {"seed": 2.5}, "seed"),
+            (table3, {"seed": 2.5}, "seed"),
+            (table3, {"m_pts": 10.5}, "m_pts"),
+        ],
+    )
+    def test_non_integer_counts_are_rejected(self, table, kwargs, name):
+        # before any problem is drawn: seed=2.5 would silently run seed 2
+        with pytest.raises(InputError, match=f"^{name} must be an integer"):
+            table(**kwargs)
 
     @pytest.mark.parametrize(
         "table, kwargs, name",

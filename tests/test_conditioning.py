@@ -97,7 +97,18 @@ def vec_stack(dL: np.ndarray, dh: np.ndarray) -> np.ndarray:
 
 def report(op, weights=Weights(), method="exact"):
     """condition_report's numbers on a built (or edited) operator."""
-    return conditioning._report(op, weights, method, conditioning._flex_norm(op.problem, weights))
+    return conditioning._report(op, weights, method, conditioning._flex_norm(op, weights))
+
+
+def zero_adjoint(op):
+    """op's map with both adjoints exactly zero: adjoint_r = 0, and b
+    replaced by the float product A x, so that the adjoint_dir formed on
+    first read, [0; A x - b], is zero too. Every other field is op's own."""
+    problem = op.problem
+    consistent = TlseProblem(C=problem.C, d=problem.d, A=problem.A, b=problem.A @ op.x)
+    own = {f.name: getattr(op, f.name) for f in dataclasses.fields(op)}
+    own.update(adjoint_r=np.zeros_like(op.adjoint_r), problem=consistent)
+    return conditioning.KOperator(**own)
 
 
 def mixed_fields(rep) -> tuple[float, float, float]:
@@ -339,12 +350,8 @@ class TestNormwise:
         # force an exactly zero adjoint direction; the value then reduces to
         # the gain norm times the weight factor
         problem = hand_problem()
-        op = build_k_operator(problem, solve_qr_svd(problem))
-        op0 = dataclasses.replace(
-            op,
-            adjoint_dir=np.zeros(op.m),
-            adjoint_r=np.zeros_like(op.adjoint_r),
-        )
+        op0 = zero_adjoint(build_k_operator(problem, solve_qr_svd(problem)))
+        assert not np.any(op0.adjoint_r) and not np.any(op0.adjoint_dir)
         for weights in WEIGHT_GRID:
             exact = report(op0, weights).kappa_n
             oracle = kron_oracle.kappa_normwise(op0, weights, problem.L, problem.h)
@@ -657,6 +664,34 @@ class TestStreamedBlocks:
         for got, want in zip(chunked, default):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("method", ["upper", "exact"])
+    def test_report_forms_no_m_vector(self, method):
+        # the report forms neither the solution's residual nor the
+        # operator's adjoint_dir and gain_r, which apply_k and users read
+        problem = seeded_problem(16, p=20, n=100, q=1000)
+        solution = solve_qr_svd(problem)
+        condition_report(problem, solution=solution, method=method)
+        assert "residual" not in vars(solution)
+        op = build_k_operator(problem, solution)
+        report(op, method=method)
+        assert "adjoint_dir" not in vars(op) and "gain_r" not in vars(op)
+        assert op.adjoint_dir is op.adjoint_dir and op.gain_r is op.gain_r
+        np.testing.assert_array_equal(op.adjoint_dir[problem.p :], solution.residual)
+
+    def test_normwise_numbers_read_no_data_row(self):
+        # the block pass is the report's one pass over A and b: with it
+        # stubbed out, rows of NaN leave the normwise numbers bit for bit
+        problem = seeded_problem(16, p=3, n=8, q=40)
+        solution = solve_qr_svd(problem)
+        want = condition_report(problem, solution=solution, method="upper")
+        problem.A[:] = np.nan
+        problem.b[:] = np.nan
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(conditioning, "_block_sums", lambda op, exact: np.zeros((3, op.n)))
+            got = condition_report(problem, solution=solution, method="upper")
+        fields = ("kappa_n", "kappa_n_upper", "kappa_n_upper_loose")
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+
     def test_operator_holds_no_m_sized_matrix(self):
         problem = tall_problem()
         op = build_k_operator(problem, solve_qr_svd(problem))
@@ -704,8 +739,9 @@ def test_chunked_gain_is_the_explicit_gain_bitwise(n, p, extra, rows, block, chu
     scratch = np.full((min(chunk, n), stop - start), np.nan)
     gain = conditioning._gain(op, t, a_rows, head, out=out, scratch=scratch)
     assert gain is out
-    own = dataclasses.replace(
-        op, constraint_gain=op.constraint_gain[:, :head], adjoint_dir=t,
+    own = types.SimpleNamespace(
+        null_gram_inv=op.null_gram_inv, x=op.x, rho=op.rho,
+        constraint_gain=op.constraint_gain[:, :head], adjoint_dir=t,
         problem=types.SimpleNamespace(A=a_rows),
     )
     np.testing.assert_array_equal(gain, kron_oracle.explicit_gain(own))
@@ -713,29 +749,69 @@ def test_chunked_gain_is_the_explicit_gain_bitwise(n, p, extra, rows, block, chu
         np.testing.assert_array_equal(gain, kron_oracle.explicit_gain(op))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 12),
+    p=st.integers(0, 5),
+    extra=st.integers(1, 60),
+    rows=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_adjoint_slices_are_adjoint_dir_bitwise(n, p, extra, rows, seed):
+    """The block pass forms each block's slice of adjoint_dir, its rows of
+    the top and of A x - b, in a block-sized vector. On C-ordered data the
+    slices are op.adjoint_dir bit for bit, whatever the block size (more
+    than p rows, as in _block_sums), and the pass forms no adjoint_dir."""
+    p = min(p, n - 1)
+    problem = seeded_problem(seed, p=p, n=n, q=n - p + extra)
+    try:
+        op = build_k_operator(problem, solve_qr_svd(problem))
+    except TlseError:
+        assume(False)
+    slices, gain = [], conditioning._gain
+
+    def spy(op, adjoint, *args, **kwargs):
+        slices.append(adjoint.copy())
+        return gain(op, adjoint, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conditioning, "block_rows", lambda cols: max(rows, p + 1))
+        patch.setattr(conditioning, "_gain", spy)
+        conditioning._block_sums(op, exact=False)
+    assert "adjoint_dir" not in vars(op)
+    np.testing.assert_array_equal(np.concatenate(slices), op.adjoint_dir)
+
+
 #: Constants of the report's memory budget (report_budget), in float64
-#: words: C1 per n^2 entry, C2 per entry of m + n (p + k), C0 in all.
-#: The n^2 terms are |N| and the n x n Gram matrices of spectral_norm and
-#: conditioning._kappa_n; the m + n (p + k) terms are adjoint_dir, gain_r
-#: and its scratch, and z1 of _kappa_n. Each weighed about
-#: one word per entry at the kron shapes and 0.7 at (20, 1000, 100); C0
-#: holds the Python objects of one call, up to 0.9 K words on the
-#: smallest battery problems.
+#: words: C1 per n^2 entry, C2 per row of a block, C0 in all. The n^2
+#: terms are the solution's lazy maps, which a report on a fresh solution
+#: forms and keeps (null_gram_inv and constraint_gain), and |N|; the block
+#: terms are the block-sized vectors of conditioning._block_sums. C0 holds
+#: the Python objects of one call, up to 0.9 K words on the smallest
+#: battery problems.
 C1, C2, C0 = 2, 2, 2048
 
 
 def report_budget(problem: TlseProblem, method: str) -> int:
-    """Bytes condition_report may peak at: its block workspaces, three of n
-    x block when exact, and one plus the chunk scratch of
-    conditioning.CHUNK_BYTES (chunk x block, chunk <= n rows) for upper;
-    plus C1 n^2 + C2 (m + n (p + k)) + C0 words, k = min(q, n + 1) the rows
-    of R."""
+    """Bytes condition_report may peak at: the larger of its two phases,
+    plus C1 n^2 + C2 block + C0 words, k = min(q, n + 1) the rows of R.
+
+    The block pass holds its block workspaces, three of n x block when
+    exact, and one plus the chunk scratch of conditioning.CHUNK_BYTES
+    (chunk x block, chunk <= n rows) for upper. The normwise numbers
+    (conditioning._normwise) hold z1, n x (p + k), and three n x n
+    matrices: z2, the Gram matrix of spectral_norm and its temporary. The
+    two phases do not overlap, so their sum would be no bound of use: it
+    held the report to 0.745 MB at (20, 3000, 100), where the report
+    peaked at 0.59 MB with gain_r and adjoint_dir live in the block pass
+    and now peaks at 0.45 MB."""
     n, p, m = problem.n, problem.p, problem.m
     k = min(problem.q, n + 1)
     block = min(block_rows(n), m)
     chunk = min(n, max(1, conditioning.CHUNK_BYTES // (8 * block)))
     rows = 3 * n if method == "exact" else n + chunk
-    return 8 * (rows * block + C1 * n * n + C2 * (m + n * (p + k)) + C0)
+    phase = max(rows * block, n * (p + k) + 3 * n * n)
+    return 8 * (phase + C1 * n * n + C2 * block + C0)
 
 
 def report_peak(problem: TlseProblem, solution, method: str) -> int:
@@ -802,6 +878,11 @@ class TestReportMemoryBudget:
         assert problem.m > 3 * block_rows(problem.n)
         assert_report_within_budget(problem, solve_qr_svd(problem), method)
 
+    def test_tall_shape(self, method):
+        # the peak case of the benchmark's tall workload
+        problem = seeded_problem(15, p=20, n=100, q=3000)
+        assert_report_within_budget(problem, solve_qr_svd(problem), method)
+
     @pytest.mark.parametrize("layout", ["fortran", "strided"])
     def test_kron_shape_layouts(self, layout, method):
         p, q, n = shape = KRON_SHAPES[-1]
@@ -818,6 +899,31 @@ class TestReportMemoryBudget:
             assert_report_within_budget(problem, solution, method)
         for problem in constrained20:
             assert_report_within_budget(problem, solve_qr_svd(problem), method)
+
+
+FLEX_CASES = {
+    "tall": seeded_problem(51, p=3, n=8, q=40),
+    "q-below-n+1": seeded_problem(17, p=3, n=8, q=6),
+    "p0": seeded_problem(36, p=0, n=6, q=30),
+    "multi-block": seeded_problem(1120, p=20, n=100, q=1000),
+    "column-scaled": column_scaled_problem(),
+}
+
+
+class TestFlexNorm:
+    @pytest.mark.parametrize("layout", ["C", "fortran", "strided"])
+    @pytest.mark.parametrize("case", sorted(FLEX_CASES))
+    def test_matches_the_direct_norm(self, case, layout):
+        # ||[alpha L, beta h]||_F read off C, d and R is the norm of the
+        # stacked data to rounding, whatever the layout of C and A
+        problem = FLEX_CASES[case]
+        if layout != "C":
+            problem = relaid(problem, layout)
+        op = build_k_operator(problem, solve_qr_svd(problem))
+        for weights in WEIGHT_GRID + [Weights(1e-3, 1e3)]:
+            stacked = np.column_stack([weights.alpha * problem.L, weights.beta * problem.h])
+            direct = np.linalg.norm(stacked)
+            assert abs(conditioning._flex_norm(op, weights) - direct) <= 2e-15 * direct
 
 
 class TestFirstOrderFidelity:
