@@ -199,10 +199,13 @@ TABLE_COLUMNS = (
 
 def derive_seed(seed: int, *key: int) -> int:
     """Deterministic sub-seed for a (seed, index...) path. InputError
-    unless seed is an integer (check_integer): a float would otherwise
-    draw the stream of its integer part."""
+    unless seed is a non-negative integer (check_integer), as in
+    NwtlsConfig: a float would otherwise draw the stream of its integer
+    part, and a negative seed that of its absolute value."""
     check_integer(seed, "seed")
-    parts = [abs(int(seed))] + [abs(int(k)) for k in key]
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
+    parts = [int(seed)] + [abs(int(k)) for k in key]
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 

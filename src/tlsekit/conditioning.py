@@ -35,13 +35,17 @@ the weighted data norm ||[alpha L, beta h]||_F is read off C, d and R
 Entrywise absolute values do not commute with W, so the mixed and
 componentwise numbers read the data rows themselves, streamed over row
 blocks of [C; A] of block_rows(n) rows (the row streaming of
-linalg.r_factor) by _block_sums, the one pass of a report over A. Each
-block of the gain and of adjoint_dir is formed in a reused buffer and
-consumed at once, so these numbers cost O(n * block) memory whatever m
-is: one n x block workspace and a scratch of at most CHUNK_BYTES for the
-upper bounds, three workspaces for the exact numbers, plus O(n^2) and
-vectors of one block. The normwise numbers run first (_normwise), and
-nothing of theirs outlives them, so the two phases' peaks do not add up.
+linalg.r_factor, sized so that a block and one n x n matrix fit in
+linalg.BLOCK_BYTES together) by _block_sums, the one pass of a report
+over A. Each block of the gain and of adjoint_dir is formed in a reused
+buffer and consumed at once, so these numbers cost O(n * block) memory
+whatever m is: one n x block workspace and a scratch of at most
+CHUNK_BYTES for the upper bounds, three workspaces for the exact
+numbers, plus O(n^2) and vectors of one block. The normwise numbers run
+first (_normwise), and nothing of theirs outlives them, so the two
+phases' peaks do not add up; they peak at n (p+k) + 2 n^2 floats, as
+their Gram matrix frees its first block before the second's product is
+formed (linalg.spectral_norm_of).
 No broadcast or strided ufunc runs on a block-sized operand, since
 NumPy's buffered iterator would allocate 64 KiB per operand on top of
 them (_gain). Blocking only regroups the sums over the rows.
@@ -63,11 +67,13 @@ from .core import (
     solve_qr_svd,
 )
 from .errors import InputError, UndefinedConditionError
-from .linalg import as_matrix, as_vector, block_rows, solve_triangular, spectral_norm
+from .linalg import (
+    as_matrix, as_vector, block_rows, solve_triangular, spectral_norm, spectral_norm_of,
+)
 
 #: Byte budget of the scratch over whose row chunks the upper report forms
-#: each block of the gain (_block_sums): 25 rows of a 327-row block at
-#: n = 100, a quarter of the block workspace it replaces.
+#: each block of the gain (_block_sums): 36 rows of a 227-row block at
+#: n = 100, a third of the block workspace it replaces.
 CHUNK_BYTES = 64 * 1024
 
 #: OpenBLAS's x86-64 dgemv takes the rows of A @ x in groups of this many,
@@ -115,7 +121,9 @@ class KOperator:
     (build_k_operator). adjoint_dir, the m-vector [top; A x - b], and
     gain_r (n x (p+k)), the gain on R (gain = gain_r @ W.T and adjoint_dir
     = W @ adjoint_r, module docstring), are formed on first read and kept;
-    apply_k reads adjoint_dir, and condition_report neither. The n x m gain
+    apply_k reads adjoint_dir, and condition_report neither. So is
+    gain_dir = null_gram_inv @ x, whose outer product with adjoint_dir is
+    the gain's rank-one part, read by every block of the gain. The n x m gain
     is not stored: apply_k applies it from these and problem.A, and the
     entrywise numbers form it a row block at a time. A zero residual
     forces adjoint_dir = 0 and gain = -[constraint_gain, null_gram_inv @
@@ -157,6 +165,10 @@ class KOperator:
     @cached_property
     def gain_r(self) -> np.ndarray:
         return _gain_r(self)
+
+    @cached_property
+    def gain_dir(self) -> np.ndarray:
+        return self.null_gram_inv @ self.x
 
 
 @dataclass(frozen=True)
@@ -232,7 +244,7 @@ def _gain(op, adjoint, data, head, out=None, scratch=None) -> np.ndarray:
     np.matmul(n_inv, data.T, out=gain[:, head:])
     if scratch is None:
         scratch = np.empty(gain.shape)
-    u, c, step = n_inv @ op.x, 2.0 / op.rho**2, len(scratch)
+    u, c, step = op.gain_dir, 2.0 / op.rho**2, len(scratch)
     for i in range(0, len(gain), step):
         rows = gain[i : i + step]
         outer = np.einsum("i,j->ij", u[i : i + step], adjoint, out=scratch[: len(rows)])
@@ -260,7 +272,7 @@ def apply_k(op: KOperator, dL, dh) -> np.ndarray:
     u = dl @ op.x - dv
     t, n_inv, p = op.adjoint_dir, op.null_gram_inv, op.p
     return (
-        (2.0 / op.rho**2) * float(t @ u) * (n_inv @ op.x)
+        (2.0 / op.rho**2) * float(t @ u) * op.gain_dir
         - op.constraint_gain @ u[:p]
         - n_inv @ (op.problem.A.T @ u[p:] + dl.T @ t)
     )
@@ -327,7 +339,7 @@ def _block_sums(op: KOperator, exact: bool):
     gain_buf, scratch_buf = np.empty(n * rows), np.empty(chunk * rows)
     labs_buf = np.empty(n * rows) if exact else gain_buf
     habs_buf, t_buf = np.empty(rows), np.empty(rows + 2 * GEMV_GROUP - 2)
-    top = op.adjoint_r[:p]
+    top, x_abs = op.adjoint_r[:p], np.abs(op.x)
     target, upper, weight = np.zeros(n), np.zeros(n), np.zeros(n)
     if exact:
         pair_buf = np.empty(2 * rows)
@@ -341,17 +353,17 @@ def _block_sums(op: KOperator, exact: bool):
         # the block's rows of adjoint_dir: the top (only the first block,
         # which starts at row 0 of A, has constraint rows), then A_B x - b_B
         t = _residual_rows(problem, op.x, a_rows, t_buf[head:])
+        labs = labs_buf[: n * size].reshape(size, n)
+        habs = habs_buf[:size]
         if head:
             t = t_buf[:size]
             t[:head] = top
-        labs = labs_buf[: n * size].reshape(size, n)
-        np.copyto(labs[:head], problem.C[:head])
+            np.copyto(labs[:head], problem.C[:head])
+            np.abs(problem.d[:head], out=habs[:head])
         np.copyto(labs[head:], problem.A[a_rows])
         np.abs(labs, out=labs)
-        habs = habs_buf[:size]
-        np.abs(problem.d[:head], out=habs[:head])
         np.abs(problem.b[a_rows], out=habs[head:])
-        data = labs @ np.abs(op.x)
+        data = labs @ x_abs
         data += habs
         weight += labs.T @ np.abs(t)
         # in upper mode this overwrites labs, which is read no more
@@ -432,8 +444,9 @@ def _report(op: KOperator, w: Weights, method: str, flex_norm: float) -> Conditi
     The normwise numbers come first (_normwise), whose gain_r and Gram
     matrices are gone before the block pass (_block_sums) starts; |N| is
     formed after it returns. So the report peaks at the larger of the two
-    phases, on tall data the block workspace and its chunk scratch, and
-    the data rows are read in the block pass alone.
+    phases, which block_rows keeps level on tall data (the block workspace
+    and its chunk scratch against z1, z2 and their Gram matrix), and the
+    data rows are read in the block pass alone.
     """
     nx = float(np.linalg.norm(op.x))
     if nx == 0.0:
@@ -486,7 +499,9 @@ def _normwise(op: KOperator, w: Weights, nx: float, scale: float) -> tuple[float
 
     gain_r is formed here (_gain_r), not read off op, whose cache would
     hold it through the block pass, and z1 is built over it, so it is gone
-    before z2 is formed.
+    before z2 is formed. z1 and z2 are handed to spectral_norm_of with no
+    reference kept here, so z1 is freed once its product is in the Gram
+    matrix: this phase peaks at n (p+k) + 2 n^2 floats.
     """
     alpha, beta = w.alpha, w.beta
     nt = float(np.linalg.norm(op.adjoint_r))
@@ -521,4 +536,8 @@ def _normwise(op: KOperator, w: Weights, nx: float, scale: float) -> tuple[float
     z2 = np.einsum("i,j->ij", gu, op.x)
     z2 /= alpha
     z2 -= (nt / alpha) * op.null_gram_inv
-    return float(spectral_norm(z1, z2) * scale), float(tight), float(loose)
+    # the list alone holds them, and spectral_norm_of frees z1 once its
+    # product is in the Gram matrix, before z2's temporary exists
+    blocks = [z1, z2]
+    del z1, z2
+    return float(spectral_norm_of(blocks) * scale), float(tight), float(loose)

@@ -24,8 +24,9 @@ from .errors import InputError, NumericalError
 #: Relative tolerance on triangular diagonals when deciding rank.
 RANK_TOL = 1e-12
 
-#: Byte budget of r_factor's row-block workspace: small enough that a block
-#: stays in cache while it is merged into R.
+#: Byte budget of one row block and the cols x cols R it is merged into
+#: (r_factor): small enough that both stay in cache while the block is
+#: merged in. The report's gain blocks take the same height (block_rows).
 BLOCK_BYTES = 256 * 1024
 
 #: Inner block size of the dtpqrt merge (16 was fastest or within 5% of it
@@ -179,10 +180,13 @@ def block_rows(cols: int) -> int:
     """Height of r_factor's workspace for a stack of cols columns, and of
     the row blocks over which conditioning streams the gain (cols = n).
 
-    BLOCK_BYTES of float64 rows, but never fewer than cols rows, so the
-    first block always yields a square R.
+    The most float64 rows that fit in BLOCK_BYTES together with one cols x
+    cols square, the R a block is merged into (sequential TSQR sizes a
+    block with its R, Demmel, Grigori, Hoemmen & Langou, SISC 2012): 223
+    rows at 101 columns. Never fewer than cols rows, so the first block
+    always yields a square R; blocks are square from 128 columns on.
     """
-    return max(cols, BLOCK_BYTES // (8 * cols))
+    return max(cols, (BLOCK_BYTES // 8 - cols * cols) // cols)
 
 
 def _upper(m, order: str = "C") -> np.ndarray:
@@ -210,7 +214,8 @@ def r_factor(*blocks, head=None) -> np.ndarray:
 
     The rows of head (same column count), if given, are stacked on top.
     The stack is streamed through one private Fortran-ordered workspace of
-    block_rows(cols) rows (more if head alone is taller), a block at a time
+    block_rows(cols) rows (more if head alone is taller), which fits in
+    BLOCK_BYTES together with the cols x cols R, a block at a time
     (the sequential TSQR of Demmel, Grigori, Hoemmen & Langou, SISC 2012):
     LAPACK dgeqrf factors the first block, which holds head, in place, and
     dtpqrt merges each later block into the cols x cols R. Q is never
@@ -368,7 +373,18 @@ def spectral_norm(*blocks) -> float:
     underflows. The smallest singular values do not come from a Gram
     matrix (svd).
     """
+    return spectral_norm_of(list(blocks))
+
+
+def spectral_norm_of(blocks: list) -> float:
+    """spectral_norm of the blocks in the list, which it empties: each block
+    is dropped as soon as its product is in the Gram matrix, so a block
+    that the caller no longer holds is freed before the next product's
+    n x n temporary is formed. The products, and their order, are those of
+    spectral_norm, bit for bit.
+    """
     mats = [np.asarray(b, dtype=float) for b in blocks]
+    blocks.clear()
     mats = [b.reshape(-1, 1) if b.ndim == 1 else b for b in mats]
     if any(b.ndim != 2 for b in mats):
         raise InputError("spectral_norm blocks must be 1-d or 2-d")
@@ -387,12 +403,14 @@ def spectral_norm(*blocks) -> float:
     if len(mats) == 1 and mats[0].shape[0] > mats[0].shape[1]:
         gram = mats[0].T @ mats[0]
     else:
-        gram = mats[0] @ mats[0].T
-        for b in mats[1:]:
+        # each block leaves mats, and b drops it, before the next product
+        b = mats.pop(0)
+        gram = b @ b.T
+        while mats:
+            b = mats.pop(0)
             gram += b @ b.T
     # NumPy forms each b @ b.T by syrk and mirrors its triangle, so gram is
     # exactly symmetric and gram.T, Fortran-ordered, the same matrix, which
     # dsyevr takes without a copy
     w = top_eigen(gram.T, vector=False)[0]
     return float(np.ldexp(np.sqrt(max(w, 0.0)), exp))
-

@@ -106,7 +106,15 @@ class TestDeriveSeed:
     def test_deterministic_and_key_sensitive(self):
         assert derive_seed(3, 1, 2) == derive_seed(3, 1, 2)
         assert derive_seed(3, 1, 2) != derive_seed(3, 2, 1)
-        assert derive_seed(-3) == derive_seed(3)
+
+    def test_rejects_a_negative_seed(self):
+        # so seed -3 does not silently draw seed 3's stream
+        with pytest.raises(InputError, match="^seed must be non-negative"):
+            derive_seed(-3)
+        with pytest.raises(InputError, match="^seed must be non-negative"):
+            generate(GeneratorSpec(kind="equilibratory", seed=-3))
+        with pytest.raises(InputError, match="^seed must be non-negative"):
+            table1(seed=-3)
 
 
 class TestEquilibratory:

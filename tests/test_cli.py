@@ -419,6 +419,21 @@ class TestTables:
         assert out == ""
         assert err.startswith("error: trials must be at least 1")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table1",),
+            ("table3", "--a", "0.5"),
+            ("gen", "--kind", "equilibratory", "--out", "unused.npz"),
+        ],
+    )
+    def test_negative_seed_is_usage_error(self, capsys, argv):
+        # seed -3 would otherwise draw seed 3's stream
+        code, out, err = run(capsys, *argv, "--seed", "-3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be non-negative, got -3\n"
+
     def test_table3_csv(self, capsys):
         code, out, _ = run(
             capsys,

@@ -678,6 +678,14 @@ class TestStreamedBlocks:
         assert op.adjoint_dir is op.adjoint_dir and op.gain_r is op.gain_r
         np.testing.assert_array_equal(op.adjoint_dir[problem.p :], solution.residual)
 
+    def test_gain_dir_is_formed_once(self):
+        # every block of the gain reads N x, formed on first read and kept
+        problem = seeded_problem(16, p=3, n=8, q=40)
+        op = build_k_operator(problem, solve_qr_svd(problem))
+        assert "gain_dir" not in vars(op)
+        assert op.gain_dir is op.gain_dir
+        np.testing.assert_array_equal(op.gain_dir, op.null_gram_inv @ op.x)
+
     def test_normwise_numbers_read_no_data_row(self):
         # the block pass is the report's one pass over A and b: with it
         # stubbed out, rows of NaN leave the normwise numbers bit for bit
@@ -799,18 +807,19 @@ def report_budget(problem: TlseProblem, method: str) -> int:
     The block pass holds its block workspaces, three of n x block when
     exact, and one plus the chunk scratch of conditioning.CHUNK_BYTES
     (chunk x block, chunk <= n rows) for upper. The normwise numbers
-    (conditioning._normwise) hold z1, n x (p + k), and three n x n
-    matrices: z2, the Gram matrix of spectral_norm and its temporary. The
-    two phases do not overlap, so their sum would be no bound of use: it
-    held the report to 0.745 MB at (20, 3000, 100), where the report
-    peaked at 0.59 MB with gain_r and adjoint_dir live in the block pass
-    and now peaks at 0.45 MB."""
+    (conditioning._normwise) hold z1, n x (p + k), and two n x n
+    matrices: z2 and the Gram matrix of spectral_norm, whose temporary
+    for z2's product is formed only once z1 is freed. The two phases do
+    not overlap, so their sum would be no bound of use: it held the report
+    to 0.745 MB at (20, 3000, 100), where the report peaked at 0.59 MB
+    with gain_r and adjoint_dir live in the block pass and now peaks at
+    0.36 MB (budget 0.44 MB)."""
     n, p, m = problem.n, problem.p, problem.m
     k = min(problem.q, n + 1)
     block = min(block_rows(n), m)
     chunk = min(n, max(1, conditioning.CHUNK_BYTES // (8 * block)))
     rows = 3 * n if method == "exact" else n + chunk
-    phase = max(rows * block, n * (p + k) + 3 * n * n)
+    phase = max(rows * block, n * (p + k) + 2 * n * n)
     return 8 * (phase + C1 * n * n + C2 * block + C0)
 
 
@@ -863,8 +872,10 @@ class TestReportMemoryBudget:
     """Only the named workspaces are block-sized: no NumPy iterator buffer
     (64 KiB per operand) and no n x n temporary on top of live blocks. At
     (10, 280, 40) the exact report peaked at 0.44 MB with two such
-    buffers in _gain, above its 0.36 MB budget; it now peaks at 0.32 MB.
-    A Fortran-ordered or strided C or A cost 62 KiB more before the block
+    buffers in _gain, above its budget (then 0.36 MB, now 0.33 MB); it now
+    peaks at 0.31 MB. At (20, 3000, 100) the upper report peaks at
+    0.36 MB and the exact one at 0.66 MB, on fresh solutions. A
+    Fortran-ordered or strided C or A cost 62 KiB more before the block
     pass copied them into its |L| buffer (0.38 MB at (10, 280, 40))."""
 
     @pytest.mark.parametrize("shape", KRON_SHAPES)

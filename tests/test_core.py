@@ -692,17 +692,21 @@ class TestDataFactor:
 #: the size of one NumPy iterator buffer).
 SOLVE_SLACK = 64 * 1024
 
+#: (n+1)^2 arrays a solve may hold once its data pass is over: R, the
+#: complete Q of C.T, the restricted data R_A N and its U and V.
+AFTER_PASS_SQUARES = 5
+
 
 def solve_budget(problem: TlseProblem) -> int:
-    """Bytes a solve may peak at: one r_factor workspace of [A b], two
-    (n+1)^2 arrays and SOLVE_SLACK. While [A b] is factored the solve holds
-    the workspace and R; what it builds after the workspace is freed (the
-    constraint QR, the restricted SVD, the augmented basis) fits in the
-    same bytes. At (20, 3000, 100) that is 0.49 MB, a fifth of one copy of
-    [A b] (2.42 MB)."""
+    """Bytes a solve may peak at: the larger of its two phases, plus
+    SOLVE_SLACK. While [A b] is factored the solve holds one r_factor
+    workspace and R; once the workspace is freed it builds the constraint
+    QR and the restricted SVD beside R, AFTER_PASS_SQUARES (n+1)^2 arrays.
+    At (20, 3000, 100) that is 0.47 MB (0.33 MB for the data pass), a
+    fifth of one copy of [A b] (2.42 MB)."""
     cols = problem.n + 1
-    workspace = min(block_rows(cols), problem.q) * cols
-    return 8 * (workspace + 2 * cols * cols) + SOLVE_SLACK
+    data_pass = min(block_rows(cols), problem.q) * cols + cols * cols
+    return 8 * max(data_pass, AFTER_PASS_SQUARES * cols * cols) + SOLVE_SLACK
 
 
 def solve_peak(solver, problem: TlseProblem) -> int:
@@ -720,10 +724,10 @@ class TestSolveMemoryBudget:
     """Beside the r_factor workspace a solve holds one copy of R and, once
     the workspace is freed, the constraint QR and the restricted SVD; the
     augmented basis of ker([C d]) is formed only for solve_qr_svd's lift.
-    At (20, 3000, 100) a solve peaks at 0.40 MB (0.42 MB with p = 0). The
-    budget fails a solve that builds the constraint QR and the augmented
-    basis before the data pass and copies R twice: that one peaks at
-    0.62 MB."""
+    At (20, 3000, 100) a solve peaks at 0.37 MB (0.41 MB with p = 0, where
+    the phase after the data pass sets the peak). The budget fails a solve
+    that builds the constraint QR and the augmented basis before the data
+    pass and copies R twice: that one peaks at 0.62 MB."""
 
     @pytest.mark.parametrize("p", [20, 0])
     def test_tall_shape(self, solver, p):

@@ -3,6 +3,7 @@ blocks side by side, the streamed R factor, the direct triangular solve,
 the direct QR, Cholesky and eigenpair calls of the Nystrom kernel, and the
 secular SVD of a bordered diagonal."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from tlsekit.linalg import (
     r_factor,
     solve_triangular,
     spectral_norm,
+    spectral_norm_of,
     svd,
     thin_q,
     top_eigen,
@@ -128,6 +130,27 @@ def test_spectral_norm_of_blocks_side_by_side(blocks):
     )
     for b, old in zip(blocks, before):
         np.testing.assert_array_equal(b, old)
+    # handed over in a list, the same bits, and the list is emptied
+    handed = list(blocks)
+    assert spectral_norm_of(handed) == spectral_norm(*blocks)
+    assert handed == []
+
+
+def test_spectral_norm_of_frees_each_block_once_used():
+    # z1 is freed before z2's n x n product temporary is formed, so the
+    # call adds the Gram matrix and that temporary, not both beside z1
+    n = 60
+    rng = np.random.default_rng(4)
+    tracemalloc.start()
+    try:
+        # traced, so that freeing z1 counts
+        blocks = [rng.standard_normal((n, 2 * n)), rng.standard_normal((n, n))]
+        start = tracemalloc.get_traced_memory()[0]
+        spectral_norm_of(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 8 * (n * n + n * n // 2)
 
 
 def test_spectral_norm_of_empty_blocks_is_zero():
@@ -239,9 +262,11 @@ def test_upper_matches_the_where_form_bitwise(rows, cols):
     np.testing.assert_array_equal(r.view(np.uint64), want)
 
 
-# The streamed kernel on 20 data columns plus b: one block holds H rows.
+# The streamed kernel on 20 data columns plus b, in a workspace of
+# STREAM_BYTES: one block of H rows beside the 21 x 21 R it is merged into.
 STREAM_N = 20
-H = block_rows(STREAM_N + 1)
+H = 1560
+STREAM_BYTES = 8 * (H + STREAM_N + 1) * (STREAM_N + 1)
 
 
 def _layout(a, kind):
@@ -263,7 +288,9 @@ class TestStreamedRFactor:
     @pytest.mark.parametrize("heavy_head", [False, True])
     @pytest.mark.parametrize("kind", ["C", "F", "strided", "columns"])
     @pytest.mark.parametrize("scaled", [False, True])
-    def test_gram_and_inputs(self, q, heavy_head, kind, scaled):
+    def test_gram_and_inputs(self, q, heavy_head, kind, scaled, monkeypatch):
+        monkeypatch.setattr(tlsekit.linalg, "BLOCK_BYTES", STREAM_BYTES)
+        assert block_rows(STREAM_N + 1) == H
         rng = np.random.default_rng([q, heavy_head, len(kind), scaled])
         a = rng.standard_normal((q, STREAM_N))
         if scaled:
@@ -292,11 +319,22 @@ class TestStreamedRFactor:
             )
 
     def test_block_height_depends_on_columns_only(self):
-        assert block_rows(101) == 324
+        assert block_rows(101) == 223
         assert block_rows(301) == 301
+        assert block_rows(127) > 127
+        assert all(block_rows(c) == c for c in (128, 129, 182, 500))
         assert all(block_rows(c) >= c for c in (1, 10, 101, 181, 500))
 
-    @pytest.mark.parametrize("cols", [182, 301])
+    @pytest.mark.parametrize("cols", [1, 2, 10, 21, 41, 100, 101, 127, 128, 129, 300])
+    def test_block_fits_beside_its_square(self, cols):
+        # the most rows whose block and the cols x cols R it is merged
+        # into fit in BLOCK_BYTES together
+        rows, words = block_rows(cols), BLOCK_BYTES // 8
+        if rows > cols:
+            assert rows * cols + cols * cols <= words
+            assert (rows + 1) * cols + cols * cols > words
+
+    @pytest.mark.parametrize("cols", [128, 182, 301])
     @pytest.mark.parametrize("with_head", [False, True])
     def test_square_first_block(self, cols, with_head):
         # block_rows(cols) == cols: the first block's triangle is the whole
